@@ -30,18 +30,18 @@ matrix conjugated by exp(-i k p sigma3), except on residue disks, where
 the phase is evaluated at the pole itself.
 """
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import ContourConfig
+from .branch import _segment_distance
 from .contour import Segment, build_panels
 from .errors import (BadGeometry, DenominatorCollapse, DiskOverlap,
-                     CrossValidationFailure, JumpConsistencyError, PhasePole,
+                     CrossValidationFailure, JumpConsistencyError,
                      SideRequired, UnknownRegion)
-from .mat2 import I2, det2, frob, sigma1_conj
+from .mat2 import det2, frob, sigma1_conj
 
 REAL_TAGS = ("real_outer", "real_inner", "cut_hor_outer", "cut_hor_inner")
 UPPER_LOWER_TAGS = ("circle", "circle_eps", "eps_outer", "eps_inner")
@@ -71,24 +71,6 @@ class MasterContour:
     def by_label(self, label):
         return [s for s in self.segments if s.label == label]
 
-    def describe(self):
-        counts = {}
-        for s in self.segments:
-            counts[s.label] = counts.get(s.label, 0) + 1
-        parts = [f"{counts[t]} {t}" for t in sorted(counts)]
-        return (f"{len(self.segments)} segments ({', '.join(parts)}), "
-                f"eps {self.eps:g}, window {self.k_max:g}")
-
-
-def _dist_point_cut(z, cut):
-    """Distance from a complex point to an axis-aligned cut."""
-    if cut.axis == "real":
-        lo, hi, u, v = cut.lo, cut.hi, z.real, z.imag
-    else:
-        lo, hi, u, v = cut.lo, cut.hi, z.imag, -z.real
-    du = max(lo - u, 0.0, u - hi)
-    return float(np.hypot(du, v))
-
 
 def _shrunk_eps(sr, ccfg):
     """Largest eps <= the configured radius clearing cuts and disks."""
@@ -97,7 +79,7 @@ def _shrunk_eps(sr, ccfg):
     r_d = ccfg.disk_radius
     for c in sr.cuts.cuts:
         for z in (0.5j, -0.5j):
-            bound = min(bound, _dist_point_cut(z, c) - CLEARANCE)
+            bound = min(bound, _segment_distance(z, c) - CLEARANCE)
     for p in sr.poles:
         for mu in (p.mu, np.conj(p.mu)):
             for z in (0.5j, -0.5j):
@@ -293,24 +275,6 @@ def _phase_raw(y, t, k):
     return y - t / (2.0 * (k * k + 0.25))
 
 
-def phase_p_hat(y, t, k, *, eps=None):
-    """Scalar phase p(y, t, k) = y - t / (2 (k^2 + 1/4)).
-
-    Even in k; reduces to y at t = 0.  Refuses evaluation within half an
-    eps-circle radius of the poles at +-i/2 (jump assembly on the circle
-    inside the eps-disk bypasses the guard: there the factor multiplying
-    the phase exponential vanishes at i/2, keeping entries bounded).
-    """
-    eps = ContourConfig().eps_circle if eps is None else eps
-    ks = np.asarray(k, dtype=complex)
-    guard = 0.5 * eps
-    if np.any(np.abs(ks - 0.5j) < guard) or np.any(np.abs(ks + 0.5j) < guard):
-        raise PhasePole(f"phase evaluation within {guard:g} of a pole "
-                        "at +-i/2")
-    out = _phase_raw(y, t, ks)
-    return complex(out) if out.shape == () else out
-
-
 # ------------------------------------------------------------ G-functions
 
 
@@ -422,19 +386,6 @@ def _g_core(sd, sr, ks, side):
     return G, G1, Gt, Gt1, G2, G3
 
 
-def g_functions(sd, sr, k, side="off"):
-    """The six jump building blocks at one point.
-
-    G and G1 drive the circle and plain real-axis jumps, their tilde
-    versions the circle piece inside the eps-disks, and G2 / G3 the
-    eps-circles; the last two are identically zero whenever both root
-    normalizations pick the same branch.  Every value is computed from
-    two algebraically equal forms and cross-checked to 1e-8.
-    """
-    out = _g_core(sd, sr, complex(k), side)
-    return tuple(complex(v[0]) for v in out)
-
-
 # ------------------------------------------------------------ jumps
 
 
@@ -537,9 +488,6 @@ class JumpSpec:
             return self.jump_stack(0.0, 0.0, flat, tag)
         raise UnknownRegion(f"no jump rule for region tag {tag!r}")
 
-    def j0(self, k, tag, side=None):
-        return self.j0_stack(complex(k), tag, side)[0]
-
     # -------------------------------------------- disks
 
     def _disk_meta(self, k):
@@ -580,68 +528,6 @@ class JumpSpec:
 
     def jump(self, y, t, k, tag, side=None):
         return self.jump_stack(y, t, complex(k), tag, side)[0]
-
-
-def build_jump_spec(sd, sr, mc):
-    """Bind scattering data, sheeted root, and contour into an evaluator."""
-    return JumpSpec(sd, sr, mc)
-
-
-def jump_at(js, y, t, k, tag, side=None):
-    """The assembled jump matrix at one contour point.
-
-    The region tag picks the formula; side is required on cut tags (the
-    matrix itself is side independent, since the cut formulas pin their
-    own boundary values, but evaluation on a cut without side awareness
-    is a caller bug).  Unknown tags raise UnknownRegion.
-    """
-    return js.jump(y, t, k, tag, side)
-
-
-def residue_to_disk(js, mu, res, dregion, y, t):
-    """Disk segment and nilpotent jump part for one residue condition.
-
-    The returned matrix N is the numerator of the rank-one pole term:
-    the jump on the (counterclockwise) disk is I - N / (k - mu), which
-    transfers the residue of the solution column at mu into a jump, so
-    the solver never sees the pole itself.  The triangularity direction
-    and the weight follow the residue conditions for the four regions
-    split by the real axis and |k| = 1/2.
-    """
-    mu = complex(mu)
-    r_d = js.mc.disk_radius
-    region_ok = {"D1": mu.imag > 0 and abs(mu) > 0.5,
-                 "D2": mu.imag > 0 and abs(mu) < 0.5,
-                 "D3": mu.imag < 0 and abs(mu) < 0.5,
-                 "D4": mu.imag < 0 and abs(mu) > 0.5}
-    if dregion not in region_ok:
-        raise UnknownRegion(f"unknown residue region {dregion!r}")
-    if not region_ok[dregion]:
-        raise BadGeometry(f"pole {mu:.6g} is not in region {dregion}")
-    _check_disks([mu], r_d, js.mc.eps, js.sr.cuts.imag_cuts)
-    if dregion == "D1":
-        a_mu = complex(js.sd.ab(np.array([mu]))[0][0])
-        wconst = a_mu * a_mu * res
-    elif dregion == "D3":
-        wconst = np.exp(2j * mu * js.theta) * res
-    elif dregion == "D2":
-        wconst = np.exp(-2j * mu * js.theta) * res
-    else:
-        astar_mu = complex(js.sd.ab(np.array([mu]))[2][0])
-        wconst = astar_mu * astar_mu * res
-    sgn = -1.0 if dregion in ("D1", "D3") else 1.0
-    w = wconst * np.exp(sgn * 2j * mu * _phase_raw(y, t, mu))
-    N = np.zeros((2, 2), dtype=complex)
-    N[0, 1] if sgn < 0 else N[1, 0]
-    if sgn < 0:
-        N[0, 1] = w
-    else:
-        N[1, 0] = w
-    seg = Segment("arc", center=mu, radius=r_d, phi1=-np.pi / 2,
-                  phi2=1.5 * np.pi, label="disk",
-                  meta={"mu": mu, "dregion": dregion, "wconst": wconst,
-                        "res": res})
-    return seg, N
 
 
 # ------------------------------------------------------------ diagnostics
@@ -688,7 +574,6 @@ def jump_diagnostics(js, y=0.0, t=0.0, n=200, seed=5, ccfg=None):
         j_refl = js.jump(y, t, -np.conj(k), tag, s1)
         j_neg = js.jump(y, t, -k, tag, s2)
         sym1 = max(sym1, float(frob(j - np.conj(j_refl))))
-        sym2 = max(sym2, float(frob(j - sigma1_conj(j_neg)[::-1, ::-1].T.T)))
         sym2 = max(sym2, float(frob(j - sigma1_conj(j_neg))))
     seam = 0.0
     for x in (0.5, -0.5):
@@ -701,10 +586,8 @@ def jump_diagnostics(js, y=0.0, t=0.0, n=200, seed=5, ccfg=None):
             "seam": seam, "nodes_checked": int(len(idx))}
 
 
-def check_jumps(js, tol=None, **kw):
+def check_jumps(js, **kw):
     """Raise JumpConsistencyError when diagnostics exceed tolerance."""
-    from .config import Tolerances
-    tol = tol or Tolerances()
     d = jump_diagnostics(js, **kw)
     if d["det"] > 1e-9 or d["sym_reflect"] > 1e-9 or d["sym_negate"] > 1e-9:
         raise JumpConsistencyError(
@@ -715,21 +598,3 @@ def check_jumps(js, tol=None, **kw):
             f"factorization seam defect {d['seam']:.3g} exceeds 1e-7")
     return d
 
-
-def dump_contour_csv(js, path, *, y=0.0, t=0.0, ccfg=None):
-    """Write nodes, region tags, and jump entries to a CSV file."""
-    ps = panelize(js.mc, ccfg)
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["re_k", "im_k", "tag",
-                     "re_j11", "im_j11", "re_j12", "im_j12",
-                     "re_j21", "im_j21", "re_j22", "im_j22"])
-        for panel in ps.panels:
-            tag = panel.label
-            side = _node_side(tag)
-            stack = js.jump_stack(y, t, panel.nodes, tag, side)
-            for k, j in zip(panel.nodes, stack):
-                wr.writerow([f"{k.real:.12g}", f"{k.imag:.12g}", tag,
-                             *(f"{v:.12g}" for e in j.ravel()
-                               for v in (e.real, e.imag))])
-    return ps.n

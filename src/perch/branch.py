@@ -50,7 +50,12 @@ side the opposite sign; the slope factor turns over by itself at
 interior trace extrema, which is the continuation through a closed
 (dropped) gap.  A point taken exactly on the real axis inside a band
 is a regular point with the common value
-s = i sigma sign(Delta') sqrt(4 - Delta^2).
+s = i sigma sign(Delta') sqrt(4 - Delta^2).  There |X|^2 = 1 + |b|^2
+and Re X = Delta/2, so (Im X)^2 >= 1 - Delta^2/4 > 0 inside a band:
+Im X never vanishes there.  It shares its sign with Delta' (as in the
+free case X = e^{-ik theta}, and neither turns over inside a band), so
+the evaluator reads the sign from X and spends no integration on the
+slope.
 
 With X = e^{-ik theta} a and Y = e^{ik theta} a*, the evaluator
 switches between the difference form ((X - Y) - s_eff)/(-2 e^{ik
@@ -68,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ContourConfig, Tolerances
+from .config import ContourConfig
 from .errors import (BadGeometry, BranchSelectionError, ContourClash,
                      CrossValidationFailure, DoubleZeroUnresolved,
                      IdenticallyZero, NearPole, NonGenericCase, NotAPole,
@@ -80,6 +85,8 @@ POLE_GUARD = 1e-4
 RING_RADIUS = 1e-3
 RING_NODES = 64
 TRIVIAL_FLOOR = 1e-12
+DELTA_GAP = 1e-6          # gaps narrower than this count as closed
+TAU_SIMPLE = 1e-7         # |Delta'| floor for a simple-zero label
 
 
 # ------------------------------------------------------------ trace
@@ -91,12 +98,11 @@ def _axis_embed(axis, x):
 
 
 class TraceFunction:
-    """Monodromy trace Delta(k) with cached axis profiles."""
+    """Monodromy trace Delta(k) with axis restrictions and slopes."""
 
     def __init__(self, sd):
         self.sd = sd
         self.theta = sd.theta
-        self._profiles = {}
 
     def __call__(self, ks):
         scalar = np.asarray(ks).shape == ()
@@ -114,26 +120,11 @@ class TraceFunction:
                 f"trace not real on the {axis} axis: |Im Delta| = {worst:.3g}")
         return vals.real
 
-    def axis_slope(self, axis, x, h=1e-7):
+    def axis_slope(self, axis, x):
         """d Delta / d x along the axis coordinate, by central differences."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        hs = h * np.maximum(1.0, np.abs(x))
+        hs = 1e-7 * np.maximum(1.0, np.abs(x))
         return (self.on_axis(axis, x + hs) - self.on_axis(axis, x - hs)) / (2 * hs)
-
-    def profile(self, axis, hi=None, n=720):
-        """Cached (coordinate, Delta) sampling of one axis."""
-        if hi is None:
-            hi = self.sd.k_window() if axis == "real" else IMAG_AXIS_TOP
-        key = (axis, float(hi), int(n))
-        if key not in self._profiles:
-            x = np.linspace(ORIGIN_OFFSET, float(hi), int(n))
-            self._profiles[key] = (x, self.on_axis(axis, x))
-        return self._profiles[key]
-
-
-def trace_delta(sd, k):
-    """Floquet discriminant Delta(k) of the shifted spectral problem."""
-    return TraceFunction(sd)(k)
 
 
 # ------------------------------------------------------------ cut geometry
@@ -282,7 +273,7 @@ def _b_scale(sd, k_hi):
     return float(max(np.max(np.abs(b)), np.max(np.abs(bstar))))
 
 
-def _scan_half_axis(tf, axis, x_hi, delta_gap, tau_simple, per_period):
+def _scan_half_axis(tf, axis, x_hi, delta_gap):
     """Locate simple zeros of Delta -+ 2 on the positive half of one axis.
 
     Returns (points, dropped, step): polished kept zeros in ascending
@@ -294,7 +285,7 @@ def _scan_half_axis(tf, axis, x_hi, delta_gap, tau_simple, per_period):
     """
     theta = tf.theta
     if axis == "real":
-        n = max(160, int(per_period * x_hi * theta / np.pi) + 1)
+        n = max(160, int(24 * x_hi * theta / np.pi) + 1)
     else:
         n = 480
     grid = np.linspace(ORIGIN_OFFSET, x_hi, n)
@@ -381,7 +372,7 @@ def _scan_half_axis(tf, axis, x_hi, delta_gap, tau_simple, per_period):
 
     if pts.size:
         slopes = tf.axis_slope(axis, pts)
-        weak = np.abs(slopes) <= tau_simple
+        weak = np.abs(slopes) <= TAU_SIMPLE
         if np.any(weak):
             bad = pts[weak][0]
             raise DoubleZeroUnresolved(
@@ -495,8 +486,7 @@ def _pair_imag_axis(tf, pts, origin_in_gap, x_hi):
     return cuts, log
 
 
-def locate_branch_points(tf, k_max=None, gap_threshold=None, *, ccfg=None,
-                         tol=None, per_period=24):
+def locate_branch_points(tf, k_max=None, gap_threshold=None, *, ccfg=None):
     """Find branch points on both axes and pair them into cuts.
 
     Scans |Re k| <= k_max plus margin on the real axis and i(0, 1/2) on
@@ -509,8 +499,7 @@ def locate_branch_points(tf, k_max=None, gap_threshold=None, *, ccfg=None,
     this consistently because they share the value at 0.
     """
     ccfg = ccfg or ContourConfig()
-    tol = tol or Tolerances()
-    delta_gap = tol.delta_gap if gap_threshold is None else float(gap_threshold)
+    delta_gap = DELTA_GAP if gap_threshold is None else float(gap_threshold)
     k_max = float(k_max) if k_max is not None else tf.sd.k_window(ccfg)
     trivial = _b_scale(tf.sd, k_max) < TRIVIAL_FLOOR
     margin = 0.75 * np.pi / tf.theta
@@ -525,8 +514,7 @@ def locate_branch_points(tf, k_max=None, gap_threshold=None, *, ccfg=None,
     cuts, dropped, log = [], [], []
     for axis, x_hi, window in (("real", k_max + margin, k_max),
                                ("imag", IMAG_AXIS_TOP, IMAG_AXIS_TOP)):
-        pts, drp, step = _scan_half_axis(tf, axis, x_hi, delta_gap,
-                                         tol.tau_simple, per_period)
+        pts, drp, step = _scan_half_axis(tf, axis, x_hi, delta_gap)
         dropped.extend(drp)
         dropped.extend(DroppedGap(g.axis, -g.position, g.width, g.excess)
                        for g in drp if g.position > 0)
@@ -617,11 +605,10 @@ class SheetedR:
     controls downstream.
     """
 
-    def __init__(self, sd, cuts=None, *, ccfg=None, tol=None,
-                 fault_branch_sign=False, validate=True):
+    def __init__(self, sd, cuts=None, *, ccfg=None, fault_branch_sign=False,
+                 validate=True):
         self.sd = sd
         self.ccfg = ccfg or ContourConfig()
-        self.tol = tol or Tolerances()
         self.trace = TraceFunction(sd)
         self.theta = sd.theta
         self.k_max = sd.k_window(self.ccfg)
@@ -637,7 +624,7 @@ class SheetedR:
             self.other_sheet_zeros = ()
             return
         self.cuts = cuts if cuts is not None else locate_branch_points(
-            self.trace, ccfg=self.ccfg, tol=self.tol)
+            self.trace, ccfg=self.ccfg)
         self.sigma = self._select_sigma()
         if fault_branch_sign:
             # test hook: corrupt the sheet before anything downstream
@@ -674,9 +661,8 @@ class SheetedR:
         on_axis = flat.imag == 0.0
         if np.any(on_axis):
             d = delta.real[on_axis]
-            slope = self.trace.axis_slope("real", flat.real[on_axis])
             s = s.copy()
-            s[on_axis] = (sigma * 1j * np.sign(slope)
+            s[on_axis] = (sigma * 1j * np.sign(X.imag[on_axis])
                           * np.sqrt(np.maximum(4.0 - d * d, 0.0)))
         return self._combine(b, bstar, ph, X, Y, s).reshape(ks.shape)
 
@@ -1145,12 +1131,11 @@ def gap_sensitivity(sr, n_probes=8):
     value flags a misclassified gap.
     """
     if sr.trivial:
-        return {"max_abs_delta": 0.0, "halved_threshold": sr.tol.delta_gap / 2,
+        return {"max_abs_delta": 0.0, "halved_threshold": DELTA_GAP / 2,
                 "cuts": 0, "cuts_halved": 0}
-    half = sr.tol.delta_gap / 2.0
-    cuts2 = locate_branch_points(sr.trace, gap_threshold=half,
-                                 ccfg=sr.ccfg, tol=sr.tol)
-    sr2 = SheetedR(sr.sd, cuts2, ccfg=sr.ccfg, tol=sr.tol, validate=False)
+    half = DELTA_GAP / 2.0
+    cuts2 = locate_branch_points(sr.trace, gap_threshold=half, ccfg=sr.ccfg)
+    sr2 = SheetedR(sr.sd, cuts2, ccfg=sr.ccfg, validate=False)
     rng = np.random.default_rng(11)
     pts = (rng.uniform(-0.8, 0.8, n_probes) * sr.k_max +
            1j * rng.uniform(0.08, 0.9, n_probes))

@@ -1,38 +1,13 @@
-"""Central numeric defaults and tolerances.
+"""Contour and window settings.
 
-Every hard-coded threshold used across modules lives here so that the test
-suite and the CLI share one source of truth.  Instances are plain frozen
-dataclasses; pass a modified copy to override a knob.
+ContourConfig sizes the truncation window, the excluded circles and
+residue disks, the panelization, and the argument-principle search for
+the poles of the sheeted root.  It is a plain frozen dataclass; pass a
+modified copy to override a knob.  Thresholds that take one value live
+as constants in the module that reads them.
 """
 
-from dataclasses import dataclass, field, replace
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    # linear algebra
-    det_floor: float = 1e-12          # 2x2 inversion guard
-    cond_cap: float = 1e12            # collocation matrix condition estimate cap
-    # identity checks
-    tol_jump: float = 1e-8            # held-out jump residual
-    tol_det: float = 1e-7             # det(J) - 1 on the contour
-    tol_identity: float = 1e-9        # scattering unimodularity etc.
-    # branch structure
-    delta_gap: float = 1e-6           # gaps narrower than this count as closed
-    tau_simple: float = 1e-7          # |Delta'| floor for a simple-zero label
-    # root finding
-    newton_tol: float = 1e-13
-    newton_maxit: int = 60
-
-
-@dataclass(frozen=True)
-class ScatteringConfig:
-    ode_steps_min: int = 192          # RK8 steps across [0, L] for small |k|
-    ode_steps_per_k: float = 12.0     # extra steps ~ this * |k| * L
-    imag_guard: float = 60.0          # refuse |Im k| * theta beyond this
-    fd_step: float = 1e-6             # central-difference step for k-derivatives
-    zero_fit_radii: tuple = (1e-3, 2e-3)   # |k| radii for the k->0 pole fit
-    i2_probe: float = 1e-3            # offset for checks at k = i/2
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -48,34 +23,3 @@ class ContourConfig:
     mu_search_height: float = 1.2     # Im-extent of the pole search rectangles
     winding_nodes: int = 64           # quadrature nodes per cell side, argument principle
     cell_size: float = 0.05           # finest argument-principle cell
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    offaxis_probe: float = 2e-3       # |k| for the k->0 constant-term extraction
-    ray_radii: tuple = (10.0, 20.0, 40.0)
-    probe_count: int = 20             # held-out jump residual probes per check
-    c_bracket: float = 10.0           # fallback bracket for the pole-strength root
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    preset: str = "bump(0.5)"
-    L: float = 2.0
-    n_grid: int = 256                 # x-grid size for initial data
-    n_y: int = 32                     # y-grid size for field snapshots
-    times: tuple = (0.0,)
-    seed: int = 2718
-    outdir: str = "out"
-    tol: Tolerances = field(default_factory=Tolerances)
-    scattering: ScatteringConfig = field(default_factory=ScatteringConfig)
-    contour: ContourConfig = field(default_factory=ContourConfig)
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    # fault-injection switches, used by the negative verification tests only
-    fault_branch_sign: bool = False
-    fault_c2_sign: bool = False
-
-
-def with_overrides(cfg, **kw):
-    """Return a copy of a frozen config with selected fields replaced."""
-    return replace(cfg, **kw)

@@ -1,8 +1,9 @@
 """Exception taxonomy for the pipeline.
 
-Every failure that a caller can meaningfully react to gets its own class;
-everything inherits from PerchError so the CLI can catch one type, tag the
-stage that raised it, and emit a structured report.
+Every failure that a caller can meaningfully react to gets its own class,
+and every class here is raised somewhere in the package.  Everything
+inherits from PerchError, so a caller can catch the whole pipeline with
+one type.
 """
 
 
@@ -18,10 +19,6 @@ class BadGeometry(PerchError):
 
 class TooCloseToContour(PerchError):
     """Off-contour evaluation requested within the node-spacing guard."""
-
-
-class NearSingular(PerchError):
-    """2x2 inversion with |det| below the configured floor."""
 
 
 # ---- initial data ----
@@ -110,22 +107,14 @@ class NearPole(PerchError):
     """Evaluation requested inside the guard radius of a pole."""
 
 
-class BranchTrackingLost(PerchError):
-    """Sheet consistency check failed away from any cut."""
-
-
 class CrossValidationFailure(PerchError):
     """Two independent computations of one quantity disagree."""
 
 
-# ---- assembly / solver ----
+# ---- assembly ----
 
 class ContourClash(PerchError):
     """Residue disk intersects another piece of the master contour."""
-
-
-class PhasePole(PerchError):
-    """Phase evaluation requested too close to its poles at +-i/2."""
 
 
 class DenominatorCollapse(PerchError):
@@ -144,23 +133,11 @@ class DiskOverlap(PerchError):
     """Residue disks collide with each other or with another segment."""
 
 
-class LinearSolveFailure(PerchError):
-    """Collocation matrix singular or estimated condition beyond the cap."""
-
-
-class RootSelectionError(PerchError):
-    """No admissible root of the pole-strength constraint."""
-
-
 class JumpConsistencyError(PerchError):
     """Assembled jump fails det/symmetry/seam checks beyond tolerance."""
 
 
-# ---- reconstruction / verification ----
-
-class HistoryTooCoarse(PerchError):
-    """Time history too sparse for the x-map quadrature."""
-
+# ---- verification ----
 
 class VerificationFailure(PerchError):
     """An identity-based check exceeded its tolerance."""

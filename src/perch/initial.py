@@ -353,7 +353,3 @@ def normalize_gauge(u_raw, omega, L, x=None):
     prof = InitialProfile(L, n, xg, u0, (m_raw - A) / s, "gauge").validate()
     return prof, GaugeRecord(A, float(omega))
 
-
-def x_of_y_initial(mp, y):
-    """Inverse of the t = 0 coordinate map; thin wrapper kept for symmetry."""
-    return mp.x_of_y(y)

@@ -7,38 +7,10 @@ are plain numpy arrays; nothing here allocates custom classes.
 
 import numpy as np
 
-from .errors import NearSingular
-
-I2 = np.eye(2, dtype=complex)
-SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-E21 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-
 
 def det2(a):
     a = np.asarray(a)
     return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-
-
-def mat2_inv(a, det_floor=1e-12):
-    """Closed-form inverse of stacked 2x2 matrices.
-
-    Raises NearSingular if any |det| falls below det_floor times the matrix
-    scale, so downstream solves never divide by garbage silently.
-    """
-    a = np.asarray(a, dtype=complex)
-    d = det2(a)
-    scale = np.max(np.abs(a), axis=(-2, -1))
-    bad = np.abs(d) < det_floor * np.maximum(scale * scale, 1e-300)
-    if np.any(bad):
-        raise NearSingular(f"2x2 inverse: |det| under floor at {np.count_nonzero(bad)} entries")
-    out = np.empty_like(a)
-    out[..., 0, 0] = a[..., 1, 1]
-    out[..., 0, 1] = -a[..., 0, 1]
-    out[..., 1, 0] = -a[..., 1, 0]
-    out[..., 1, 1] = a[..., 0, 0]
-    return out / d[..., None, None]
 
 
 def frob(a):
@@ -49,8 +21,3 @@ def frob(a):
 def sigma1_conj(a):
     """sigma1 @ a @ sigma1 for stacked matrices (swaps both indices)."""
     return np.asarray(a)[..., ::-1, ::-1]
-
-
-def unimodular_defect(a):
-    """max |det - 1| over a stack, a cheap unimodularity gauge."""
-    return float(np.max(np.abs(det2(a) - 1.0)))

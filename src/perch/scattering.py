@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate._ivp import dop853_coefficients as _dop
 
-from .config import ContourConfig, ScatteringConfig, Tolerances
+from .config import ContourConfig
 from .errors import (BasisSingular, ClusterUnresolved, DerivativeTooSmall,
                      IdenticallyZero, MultiplicityDetected, NonGenericCase,
                      StiffnessFailure, VerificationFailure)
@@ -43,6 +43,14 @@ _STAGES = _dop.N_STAGES                       # 12-stage order-8 scheme
 _A = _dop.A[:_STAGES, :_STAGES]
 _B = _dop.B
 _C = _dop.C[:_STAGES]
+
+ODE_STEPS_MIN = 192       # RK8 steps across [0, L] for small |k|
+ODE_STEPS_PER_K = 12.0    # extra steps ~ this * |k| * L
+IMAG_GUARD = 60.0         # refuse |Im k| * theta beyond this
+FD_STEP = 1e-6            # central-difference step for k-derivatives
+ZERO_FIT_RADII = (1e-3, 2e-3)   # |k| radii for the k->0 pole fit
+NEWTON_TOL = 1e-13
+NEWTON_MAXIT = 60
 
 
 def rk8_tableau():
@@ -76,34 +84,6 @@ def integrate_transfer(m0, L, ks, n_steps):
             K[i, :, 1, :] = q[i][:, None] * Z[:, 0, :]
         Y = Y + np.tensordot(hB, K, axes=1)
     return Y
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    k: complex
-    lam: complex
-    T: np.ndarray
-    det_residual: float
-
-
-def transfer_matrix(mp, k, steps_min=192, steps_per_k=12.0,
-                    imag_guard=60.0, kmax_guard=None):
-    """Transfer matrix of the scalar problem at one spectral value."""
-    k = complex(k)
-    if kmax_guard is None:
-        # ten times the default real-axis truncation window
-        kmax_guard = 10.0 * ContourConfig().k_window_factor * np.pi / mp.theta
-    if abs(k) > kmax_guard:
-        raise StiffnessFailure(f"|k| = {abs(k):.3g} beyond the {kmax_guard:.3g} guard")
-    if abs(k.imag) * mp.theta > imag_guard:
-        raise StiffnessFailure(
-            f"|Im k| * theta = {abs(k.imag) * mp.theta:.3g} beyond the "
-            f"{imag_guard} guard; growth would drown the subordinate solution")
-    wmax = float(np.sqrt(np.max(mp.m0) + 1.0))
-    n = _step_count(abs(k), wmax, mp.L, steps_min, steps_per_k)
-    T = integrate_transfer(mp.m0, mp.L, np.array([k]), n)[0]
-    det = T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0]
-    return TransferMatrix(k, -k**2 - 0.25, T, float(abs(det - 1.0)))
 
 
 def _step_count(kabs, wmax, L, steps_min, steps_per_k):
@@ -149,11 +129,12 @@ class BStarZeroSet:
 class ScatteringData:
     """Cached evaluator of (a, b, a*, b*) built from one MomentumProfile."""
 
-    def __init__(self, mp, scfg=None, tol=None):
+    def __init__(self, mp):
         self.mp = mp
-        self.scfg = scfg or ScatteringConfig()
-        self.tol = tol or Tolerances()
         self.theta = mp.theta
+        # ten times the default real-axis truncation window
+        self.kmax_guard = (10.0 * ContourConfig().k_window_factor * np.pi
+                           / mp.theta)
         self.wmax = float(np.sqrt(np.max(mp.m0) + 1.0))
         self._cache = {}
         self._coarse = {}
@@ -167,9 +148,13 @@ class ScatteringData:
             raise BasisSingular("the wave basis is singular at k = 0; "
                                 "use expand_at_zero for the pole data")
         guard = np.max(np.abs(ks.imag)) * self.theta
-        if guard > self.scfg.imag_guard:
+        if guard > IMAG_GUARD:
             raise StiffnessFailure(
                 f"|Im k| * theta = {guard:.3g} beyond the guard")
+        kabs = np.max(np.abs(ks))
+        if kabs > self.kmax_guard:
+            raise StiffnessFailure(
+                f"|k| = {kabs:.3g} beyond the {self.kmax_guard:.3g} guard")
         missing = sorted({k for k in ks.tolist() if k not in self._cache},
                          key=lambda z: (abs(z), z.real, z.imag))
         if missing:
@@ -179,8 +164,7 @@ class ScatteringData:
 
     def _integrate_batch(self, ks):
         steps = np.array([_step_count(abs(k), self.wmax, self.mp.L,
-                                      self.scfg.ode_steps_min,
-                                      self.scfg.ode_steps_per_k)
+                                      ODE_STEPS_MIN, ODE_STEPS_PER_K)
                           for k in ks])
         for n in np.unique(steps):
             sel = ks[steps == n]
@@ -216,34 +200,28 @@ class ScatteringData:
         ph = np.exp(1j * ks * (self.mp.L - self.theta))
         return a * ph, b * ph
 
-    def monodromy(self, ks):
-        """Entries (M11, M12, M21, M22) of the monodromy matrix."""
-        ks = np.atleast_1d(np.asarray(ks, dtype=complex))
-        a, b, astar, bstar = self.ab(ks)
-        ph = np.exp(1j * ks * self.theta)
-        return a / ph, -b / ph, -bstar * ph, astar * ph
-
     def floquet_discriminant(self, ks):
-        """Delta(k) = trace of the monodromy matrix."""
-        m11, _, _, m22 = self.monodromy(ks)
-        return m11 + m22
+        """Delta(k) = a e^{-ik theta} + a* e^{ik theta}, the monodromy trace."""
+        ks = np.atleast_1d(np.asarray(ks, dtype=complex))
+        a, _, astar, _ = self.ab(ks)
+        ph = np.exp(1j * ks * self.theta)
+        return a / ph + astar * ph
 
-    def ab_deriv(self, ks, h=None):
+    def ab_deriv(self, ks):
         """d/dk of (a, b, a*, b*) by central differences."""
         ks = np.atleast_1d(np.asarray(ks, dtype=complex))
-        h = h or self.scfg.fd_step
-        hs = h * np.maximum(1.0, np.abs(ks))
+        hs = FD_STEP * np.maximum(1.0, np.abs(ks))
         vp = self.ab(ks + hs)
         vm = self.ab(ks - hs)
         return tuple((p - m) / (2 * hs) for p, m in zip(vp, vm))
 
     # -------------------------------------------------- k -> 0 expansion
 
-    def expand_at_zero(self, radii=None, n_fit=16, tau_rho=1e-8):
+    def expand_at_zero(self):
         """Fit the simple pole of a and b at k = 0 on small circles."""
-        radii = radii or self.scfg.zero_fit_radii
+        n_fit, tau_rho = 16, 1e-8
         rows, va, vb = [], [], []
-        for r in radii:
+        for r in ZERO_FIT_RADII:
             ang = (np.arange(n_fit) + 0.5) * (2 * np.pi / n_fit)
             kc = r * np.exp(1j * ang)
             a, b, _, _ = self.ab(kc)
@@ -260,7 +238,7 @@ class ScatteringData:
             raise NonGenericCase(
                 f"|rho| = {scale:.2e} below {tau_rho:.0e}: k = 0 is not a "
                 "simple pole of a, the generic-case pipeline does not apply")
-        r0 = min(radii)
+        r0 = min(ZERO_FIT_RADII)
         if max(res_a, res_b) > 1e-6 * (scale / r0):
             raise VerificationFailure(
                 f"pole fit residual {max(res_a, res_b):.2e} too large")
@@ -277,9 +255,10 @@ class ScatteringData:
 
     # -------------------------------------------------- discrete spectrum
 
-    def discrete_spectrum(self, n_scan=600, edge=1e-3):
+    def discrete_spectrum(self):
         """Zeros i nu of a on (0, i/2): nu, b_j = b(i nu), c_j = 1/(b_j da)."""
-        nus = np.linspace(edge, 0.5 - edge, n_scan)
+        edge = 1e-3
+        nus = np.linspace(edge, 0.5 - edge, 600)
         a, _, _, _ = self.ab(1j * nus)
         if np.max(np.abs(a.imag)) > 1e-7 * (1 + np.max(np.abs(a))):
             raise VerificationFailure("a is not real on the imaginary axis")
@@ -455,15 +434,15 @@ class ScatteringData:
         return self._windings_batched(f, [(lo, hi)], nodes)[0]
 
     def _newton_zero(self, f, z):
-        for _ in range(self.tol.newton_maxit):
-            h = self.scfg.fd_step * max(1.0, abs(z))
+        for _ in range(NEWTON_MAXIT):
+            h = FD_STEP * max(1.0, abs(z))
             f0, fp, fm = f(np.array([z, z + h, z - h]))
             df = (fp - fm) / (2 * h)
             if abs(df) < 1e-12:
                 raise DerivativeTooSmall(f"flat spot in Newton polish at {z:.6f}")
             step = f0 / df
             z = z - step
-            if abs(step) < self.tol.newton_tol * max(1.0, abs(z)):
+            if abs(step) < NEWTON_TOL * max(1.0, abs(z)):
                 break
         resid = abs(f(np.array([z]))[0])
         if resid > 1e-9:

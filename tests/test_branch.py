@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perch import branch
 from perch.branch import (SheetedR, TraceFunction, branch_report, eval_R,
                           gap_sensitivity, locate_branch_points,
-                          residues_of_R, trace_delta)
-from perch.config import Tolerances
+                          residues_of_R)
 from perch.errors import (BadGeometry, BranchSelectionError,
                           CrossValidationFailure, DoubleZeroUnresolved,
                           NearPole, NonGenericCase, NotAPole,
@@ -63,7 +63,7 @@ def test_trace_zero_momentum_closed_form(sd_zero):
 def test_trace_zero_momentum_property(sd_zero, k):
     # k = 0 itself is excluded: the wave basis is singular there and the
     # evaluator refuses it in favor of the dedicated origin expansion
-    got = trace_delta(sd_zero, complex(k))
+    got = TraceFunction(sd_zero)(complex(k))
     assert abs(got - 2.0 * np.cos(k * sd_zero.theta)) < 1e-10
 
 
@@ -84,7 +84,7 @@ def test_trace_finite_through_origin(sd_bump):
 
 
 def test_trace_anchor_at_half_i(sd_bump):
-    got = trace_delta(sd_bump, 0.5j)
+    got = TraceFunction(sd_bump)(0.5j)
     assert abs(got - 2.0 * np.cosh(L / 2)) < 1e-9
 
 
@@ -185,10 +185,10 @@ def test_window_edge_collision_rejected(sr_asym):
         locate_branch_points(sr_asym.trace, k_max=6.7097, ccfg=sr_asym.ccfg)
 
 
-def test_double_zero_guard(sr_asym):
+def test_double_zero_guard(sr_asym, monkeypatch):
+    monkeypatch.setattr(branch, "TAU_SIMPLE", 1e3)
     with pytest.raises(DoubleZeroUnresolved):
-        locate_branch_points(sr_asym.trace, ccfg=sr_asym.ccfg,
-                             tol=Tolerances(tau_simple=1e3))
+        locate_branch_points(sr_asym.trace, ccfg=sr_asym.ccfg)
 
 
 # ------------------------------------------------------- sheet selection
@@ -257,6 +257,21 @@ def test_root_pair_sum_and_product(request, name):
     e = np.exp(-2j * pts * sr.theta)
     assert np.max(np.abs(K1 * K2 + b * e / bstar)) <= 1e-8
     assert np.max(np.abs(K1 + K2 - (astar - a * e) / bstar)) <= 1e-8
+
+
+@pytest.mark.parametrize("name", ["sr_bump", "sr_hbump"])
+def test_exact_axis_band_value_is_continuous(request, name):
+    # points exactly on the real axis inside a band take the common value
+    # of both half planes; the wrong sign of s there gives the companion
+    # root, an O(1) jump against the limits from above and below
+    sr = request.getfixturevalue(name)
+    xs = np.linspace(0.05, 0.9 * sr.k_max, 61)
+    xs = np.concatenate([xs, -xs])
+    xs = xs[np.abs(sr.trace.on_axis("real", xs)) < 1.9]
+    assert xs.size >= 40
+    on_axis = sr.R(xs.astype(complex))
+    for off in (1e-8j, -1e-8j):
+        assert np.max(np.abs(on_axis - sr.R(xs + off))) < 1e-6
 
 
 @pytest.mark.parametrize("name", ["sr_bump", "sr_hbump", "sr_asym"])

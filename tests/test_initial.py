@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from perch.initial import (GaugeRecord, InitialProfile, compute_momentum,
                            load_initial_data, normalize_gauge, read_csv,
                            save_csv, second_derivative, solve_helmholtz,
-                           trig_eval, x_of_y_initial)
+                           trig_eval)
 from perch.errors import (EndpointViolation, IncompatibleEndpoints,
                           OutOfRange, ParseError, PositivityViolation,
                           SignCondition, SmoothnessViolation, UnknownPreset)
@@ -80,8 +80,8 @@ def test_composition_roundtrip_on_grid():
     mp = compute_momentum(p)
     xs = mp.x_of_y(mp.y[:-1])
     np.testing.assert_allclose(xs, mp.x, atol=1e-8)
-    assert abs(x_of_y_initial(mp, mp.theta) - mp.L) < 1e-10
-    assert abs(x_of_y_initial(mp, 0.0)) < 1e-14
+    assert abs(mp.x_of_y(mp.theta) - mp.L) < 1e-10
+    assert abs(mp.x_of_y(0.0)) < 1e-14
 
 
 def test_mhat_resample_matches_pointwise():
