@@ -32,11 +32,12 @@ TAIL_BUDGET = 1e-8    # spectral-tail share of total energy
 
 # ---------------------------------------------------------------- spectral
 
-def trig_eval(samples, L, x):
-    """Evaluate the trigonometric interpolant of periodic samples at x.
+def _fourier_modes(samples):
+    """Coefficients c and integer wavenumbers k of the interpolant.
 
-    The unpaired highest mode of an even-length grid is split between
-    +n/2 and -n/2 so the interpolant is real and grid-symmetric.
+    f(x) = Re sum_j c_j exp(2 pi i k_j x / L).  The unpaired highest mode
+    of an even-length grid is split between +n/2 and -n/2 so the
+    interpolant is real and grid-symmetric.
     """
     f = np.asarray(samples, dtype=float)
     n = len(f)
@@ -46,9 +47,32 @@ def trig_eval(samples, L, x):
         c = np.append(c, 0.5 * c[n // 2])
         c[n // 2] *= 0.5
         k = np.append(k, -k[n // 2])
+    return c, k.astype(np.int64)
+
+
+def trig_eval(samples, L, x):
+    """Evaluate the trigonometric interpolant of periodic samples at x."""
+    c, k = _fourier_modes(samples)
     x = np.asarray(x, dtype=float)
     ph = np.exp((2j * np.pi / L) * np.multiply.outer(x, k))
     return (ph @ c).real
+
+
+def trig_eval_steps(samples, n_steps, offsets):
+    """The interpolant at the points (n + offsets[i]) / n_steps of a period.
+
+    Returns shape (n_steps, len(offsets)), row n for step n < n_steps, and
+    equals trig_eval at x = (n + offsets[i]) L / n_steps for any period L.
+    The phase factorises as exp(2 pi i k n / N) exp(2 pi i k offsets[i] / N):
+    the coefficients times the per-offset factor are folded onto k mod N,
+    and one inverse FFT of length N sums the per-step factor.
+    """
+    c, k = _fourier_modes(samples)
+    shifted = c[:, None] * np.exp((2j * np.pi / n_steps) * np.multiply.outer(
+        k, np.asarray(offsets, dtype=float)))
+    folded = np.zeros((n_steps, shifted.shape[1]), dtype=complex)
+    np.add.at(folded, np.mod(k, n_steps), shifted)
+    return (np.fft.ifft(folded, axis=0) * n_steps).real
 
 
 def second_derivative(samples, L):

@@ -5,7 +5,11 @@ The scalar problem
     psi_xx = (1/4) psi + lam (m0(x) + 1) psi,     lam = -k^2 - 1/4,
 
 is integrated over one period [0, L] as a first-order 2x2 system, giving
-the transfer matrix T(k) for (psi, psi_x).  Because m0 vanishes at the
+the transfer matrix T(k) for (psi, psi_x).  The system is linear, so each
+step of the fixed-step RK8 scheme acts as a propagator P_n, and
+T = P_{N-1} ... P_0.  The integrator forms every increment E_n = P_n - I
+in one vectorised pass and multiplies them by a pairwise product in that
+increment form, adding I once at the end.  Because m0 vanishes at the
 period endpoints, the wave-basis change
 
     W = (1/2) (1, -1/(ik); 1, 1/(ik)),     W^{-1} = (1, 1; -ik, ik)
@@ -28,6 +32,7 @@ argument-principle windings (phase continuation on cell boundaries, with
 the k = 0 pole cancelled by a factor k) and batched refinement.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,15 +42,18 @@ from .config import ContourConfig
 from .errors import (BasisSingular, ClusterUnresolved, DerivativeTooSmall,
                      IdenticallyZero, MultiplicityDetected, NonGenericCase,
                      StiffnessFailure, VerificationFailure)
-from .initial import trig_eval
+from .initial import trig_eval_steps
 
 _STAGES = _dop.N_STAGES                       # 12-stage order-8 scheme
 _A = _dop.A[:_STAGES, :_STAGES]
 _B = _dop.B
 _C = _dop.C[:_STAGES]
+_A_ROWSUM = np.array([math.fsum(row) for row in _A])   # exact, then rounded
+_B_SUM = math.fsum(_B)
 
 ODE_STEPS_MIN = 192       # RK8 steps across [0, L] for small |k|
 ODE_STEPS_PER_K = 12.0    # extra steps ~ this * |k| * L
+SLAB_STEPK = 8192         # steps x k per pass of the kernel, about 6 MB
 IMAG_GUARD = 60.0         # refuse |Im k| * theta beyond this
 FD_STEP = 1e-6            # central-difference step for k-derivatives
 ZERO_FIT_RADII = (1e-3, 2e-3)   # |k| radii for the k->0 pole fit
@@ -64,26 +72,88 @@ def integrate_transfer(m0, L, ks, n_steps):
     q(x, k) = 1/4 - (k^2 + 1/4)(m0(x) + 1).  Returns Y(L) with Y(0) = I,
     shape (len(ks), 2, 2).  The step count is chosen by the caller from
     the phase rate |k| sqrt(max m0 + 1).
+
+    The system is linear, so the RK step n maps Y to P_n Y, where the
+    step propagator P_n is the step applied to the identity, and
+    Y(L) = P_{N-1} ... P_1 P_0.  Every P_n is formed at once, in the
+    increment form E_n = P_n - I, and the product is taken pairwise,
+    (I + E_hi)(I + E_lo) = I + (E_hi + E_lo + E_hi E_lo), with I added
+    once at the end.  Keeping I out of the factors keeps its rounding
+    from repeating at every step, which would otherwise cost det Y = 1
+    a digit when all the P_n are alike.  k is taken in slabs of at most
+    SLAB_STEPK steps x k.
     """
     ks = np.asarray(ks, dtype=complex)
-    nk = len(ks)
     h = L / n_steps
-    xs = (np.arange(n_steps)[:, None] + _C[None, :]) * h
-    w = trig_eval(m0, L, xs.ravel()).reshape(n_steps, _STAGES) + 1.0
-    coef = -(ks**2 + 0.25)                     # lam
-    Y = np.zeros((nk, 2, 2), dtype=complex)
-    Y[:, 0, 0] = Y[:, 1, 1] = 1.0
-    K = np.zeros((_STAGES, nk, 2, 2), dtype=complex)
-    hA = h * _A
-    hB = h * _B
-    for n in range(n_steps):
-        q = 0.25 + np.multiply.outer(w[n], coef)   # (stages, nk)
-        for i in range(_STAGES):
-            Z = Y if i == 0 else Y + np.tensordot(hA[i, :i], K[:i], axes=1)
-            K[i, :, 0, :] = Z[:, 1, :]
-            K[i, :, 1, :] = q[i][:, None] * Z[:, 0, :]
-        Y = Y + np.tensordot(hB, K, axes=1)
+    w = trig_eval_steps(m0, n_steps, _C) + 1.0    # m0 + 1 at (step, stage)
+    lam = -(ks**2 + 0.25)
+    per_slab = max(1, SLAB_STEPK // n_steps)
+    Y = np.empty((len(ks), 2, 2), dtype=complex)
+    for s in range(0, len(ks), per_slab):
+        E = _step_increments(w, h, lam[s:s + per_slab])
+        Y[s:s + per_slab] = _pairwise_product(E).transpose(2, 0, 1)
+    Y[:, 0, 0] += 1.0
+    Y[:, 1, 1] += 1.0
     return Y
+
+
+def _step_increments(w, h, lam):
+    """E_n = P_n - I for every step n and k, as E[row, col, n, k].
+
+    One RK8 step from the identity, all steps at once.  With the stage
+    values Z_i = I + D_i, each stage derivative splits as
+    K_i = A_i Z_i = A_i + G_i, where G_i = A_i D_i = (D_i[1]; q_i D_i[0]):
+
+        D_i = h sum_j a_ij A_j + h sum_j a_ij G_j,
+        E   = h sum_i b_i A_i  + h sum_i b_i G_i.
+
+    The sums of A_j = (0 1; q_j 0) are formed from the exact row sums of
+    the tableau and from w = m0 + 1 relative to its first stage, so the
+    large alternating tableau weights act only on G_j and w_j - w_0,
+    which vanish with h, and never on the O(1) part of A_j.  The G sums
+    apply the real tableau to float views of the complex stage arrays.
+    """
+    n_steps, nk = len(w), len(lam)
+    dw = w - w[:, :1]
+    aw = np.multiply.outer(w[:, 0], _A_ROWSUM) + dw @ _A.T   # sum_j a_ij w_j
+    bw = _B_SUM * w[:, 0] + dw @ _B                          # sum_i b_i w_i
+    hA, hB = h * _A, h * _B
+    G0 = np.zeros((_STAGES, 2, n_steps, nk), dtype=complex)  # row 0 of G_i
+    G1 = np.zeros_like(G0)                                   # row 1 of G_i
+    g0 = G0.reshape(_STAGES, -1).view(float)
+    g1 = G1.reshape(_STAGES, -1).view(float)
+    for i in range(1, _STAGES):
+        d0 = (hA[i, :i] @ g0[:i]).view(complex).reshape(2, n_steps, nk)
+        d1 = (hA[i, :i] @ g1[:i]).view(complex).reshape(2, n_steps, nk)
+        d0[1] += h * _A_ROWSUM[i]
+        d1[0] += h * (0.25 * _A_ROWSUM[i] + np.multiply.outer(aw[:, i], lam))
+        G0[i] = d1
+        np.multiply(0.25 + np.multiply.outer(w[:, i], lam), d0, out=G1[i])
+    e0 = (hB @ g0).view(complex).reshape(2, n_steps, nk)
+    e1 = (hB @ g1).view(complex).reshape(2, n_steps, nk)
+    e0[1] += h * _B_SUM
+    e1[0] += h * (0.25 * _B_SUM + np.multiply.outer(bw, lam))
+    return np.stack([e0, e1])
+
+
+def _pairwise_product(E):
+    """F with I + F = (I + E_{N-1}) ... (I + E_0), by halving the step axis.
+
+    E[row, col, n, k] holds E_n; F[row, col, k] is returned.  Each level
+    pairs neighbours as E_hi + E_lo + E_hi E_lo, the 2x2 product written
+    out; an odd last factor is carried to the next level unchanged.
+    """
+    while E.shape[2] > 1:
+        n = E.shape[2]
+        m = n // 2 * 2
+        hi, lo = E[:, :, 1:m:2], E[:, :, 0:m:2]
+        F = hi + lo
+        for r in range(2):
+            for c in range(2):
+                F[r, c] += hi[r, 0] * lo[0, c]
+                F[r, c] += hi[r, 1] * lo[1, c]
+        E = np.concatenate([F, E[:, :, m:]], axis=2) if m < n else F
+    return E[:, :, 0]
 
 
 def _step_count(kabs, wmax, L, steps_min, steps_per_k):
@@ -176,9 +246,9 @@ class ScatteringData:
     def ab_coarse(self, ks):
         """Low-accuracy (~1e-4) evaluation for winding counts only.
 
-        One step bucket per batch keeps the Python-level overhead of the
-        integrator off the quadtree's critical path; integer windings are
-        insensitive to this accuracy.
+        One step bucket per batch, set by its largest |k|, makes each
+        batch one integrator call; integer windings are insensitive to
+        this accuracy.
         """
         ks = np.atleast_1d(np.asarray(ks, dtype=complex))
         missing = [k for k in ks.tolist() if k not in self._coarse]

@@ -8,10 +8,11 @@ from scipy.integrate import quad
 from perch.initial import (GaugeRecord, InitialProfile, compute_momentum,
                            load_initial_data, normalize_gauge, read_csv,
                            save_csv, second_derivative, solve_helmholtz,
-                           trig_eval)
+                           trig_eval, trig_eval_steps)
 from perch.errors import (EndpointViolation, IncompatibleEndpoints,
                           OutOfRange, ParseError, PositivityViolation,
                           SignCondition, SmoothnessViolation, UnknownPreset)
+from perch.scattering import rk8_tableau
 
 
 def test_zero_preset_is_flat():
@@ -90,6 +91,20 @@ def test_mhat_resample_matches_pointwise():
     for j in (0, 5, 31, 63):
         xj = mp.x_of_y(mp.yhat[j])
         assert abs(mp.mhat0[j] - mp.m0_at(xj)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [128, 63])
+def test_trig_eval_steps_matches_trig_eval(n):
+    # at the RK8 stage points; an odd grid has no Nyquist mode to split
+    L, n_steps = 2.0, 192
+    offsets = rk8_tableau()[2]
+    x = np.arange(n) * (L / n)
+    f = np.sin(np.pi * x / L) ** 2 * (0.8 + 0.79 * np.sin(2 * np.pi * x / L))
+    pts = (np.arange(n_steps)[:, None] + offsets[None, :]) * (L / n_steps)
+    want = trig_eval(f, L, pts.ravel()).reshape(n_steps, len(offsets))
+    got = trig_eval_steps(f, n_steps, offsets)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-14
 
 
 def test_positivity_violation():

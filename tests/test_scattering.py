@@ -13,10 +13,38 @@ from perch.config import ContourConfig
 from perch.errors import (BasisSingular, ClusterUnresolved, IdenticallyZero,
                           NonGenericCase, StiffnessFailure)
 from perch.initial import trig_eval
-from perch.scattering import (ScatteringData, _rect_minus_square,
+from perch.scattering import (SLAB_STEPK, ScatteringData, _rect_minus_square,
                               integrate_transfer, rk8_tableau)
 
 L = 2.0
+
+
+def _rk8_loop(m0, L, ks, n_steps):
+    """Reference: the RK8 steps taken one after another on Y itself."""
+    A, B, C = rk8_tableau()
+    stages = len(B)
+    ks = np.asarray(ks, dtype=complex)
+    h = L / n_steps
+    xs = (np.arange(n_steps)[:, None] + C[None, :]) * h
+    w = trig_eval(m0, L, xs.ravel()).reshape(n_steps, stages) + 1.0
+    coef = -(ks**2 + 0.25)
+    Y = np.zeros((len(ks), 2, 2), dtype=complex)
+    Y[:, 0, 0] = Y[:, 1, 1] = 1.0
+    K = np.zeros((stages, len(ks), 2, 2), dtype=complex)
+    hA, hB = h * A, h * B
+    for n in range(n_steps):
+        q = 0.25 + np.multiply.outer(w[n], coef)
+        for i in range(stages):
+            Z = Y if i == 0 else Y + np.tensordot(hA[i, :i], K[:i], axes=1)
+            K[i, :, 0, :] = Z[:, 1, :]
+            K[i, :, 1, :] = q[i][:, None] * Z[:, 0, :]
+        Y = Y + np.tensordot(hB, K, axes=1)
+    return Y
+
+
+def _rel_diff(T, ref):
+    scale = np.max(np.abs(ref), axis=(1, 2))
+    return np.max(np.max(np.abs(T - ref), axis=(1, 2)) / scale)
 
 
 # ---------------------------------------------------------------- integrator
@@ -83,6 +111,35 @@ def test_transfer_det_one_at_random_k(mp_bump):
         T = integrate_transfer(mp_bump.m0, L, np.array([k]), 192)[0]
         assert abs(T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0] - 1.0) < 1e-10
         done += 1
+
+
+@pytest.mark.parametrize("n_steps", [192, 320])
+@pytest.mark.parametrize("nk", [1, 3, 12, 40, 200])
+def test_one_pass_matches_step_loop(mp_bump, nk, n_steps):
+    # 192 = 64 * 3 and 320 = 64 * 5 halve down to an odd count of factors
+    rng = np.random.default_rng(nk * n_steps)
+    ks = rng.uniform(-8, 8, nk) + 1j * rng.uniform(-1, 1, nk)
+    T = integrate_transfer(mp_bump.m0, L, ks, n_steps)
+    assert _rel_diff(T, _rk8_loop(mp_bump.m0, L, ks, n_steps)) < 1e-13
+
+
+def test_one_pass_matches_step_loop_across_slabs(mp_bump):
+    # 100 k at 1024 steps: 12 full slabs of 8 k and a last one of 4
+    per_slab = SLAB_STEPK // 1024
+    assert 1 < per_slab < 100 and 100 % per_slab
+    rng = np.random.default_rng(1024)
+    ks = rng.uniform(-20, 20, 100) + 1j * rng.uniform(-1, 1, 100)
+    T = integrate_transfer(mp_bump.m0, L, ks, 1024)
+    assert _rel_diff(T, _rk8_loop(mp_bump.m0, L, ks, 1024)) < 1e-13
+
+
+def test_det_one_where_every_step_is_alike(sd_zero):
+    # m0 = 0 makes every step propagator the same matrix, so a rounding
+    # made once per factor repeats N times instead of averaging out
+    ks = 1j * (np.arange(256) + 0.5) / 512
+    T = integrate_transfer(sd_zero.mp.m0, L, ks, 192)
+    det = T[:, 0, 0] * T[:, 1, 1] - T[:, 0, 1] * T[:, 1, 0]
+    assert np.max(np.abs(det - 1.0)) < 1e-14
 
 
 def test_stiffness_guards(sd_bump):
