@@ -10,9 +10,7 @@ toward -1/2 through each half-plane (counterclockwise above, clockwise
 below), the eps-circle at i/2 is clockwise and its mirror at -i/2
 counterclockwise, vertical cuts run away from the origin, and residue
 disks are counterclockwise.  The plus side of every piece is the left
-side when walking along it; note that on the left real half-axis this
-differs from the away-from-origin convention used by the probe helper
-eval_R.
+side when walking along it.
 
 Region tags on segments select the jump formula:
 
@@ -23,6 +21,13 @@ Region tags on segments select the jump formula:
   eps_outer / eps_inner          eps-circle arcs, |k| above / below 1/2
   cut_vert                       cuts on the imaginary axis
   disk                           residue disks
+
+The jumps are built from one root R of the global-relation quadratic.
+SheetedR validation enforces the anchor R(i/2) = 0 (same_branch), so
+the root anchored at i/2 is R itself: the shifted G-functions use the
+same root, and the eps-circle arcs carry the diagonal jump
+diag(e^{ik(L - theta)}, e^{-ik(L - theta)}).  JumpSpec refuses a sheet
+without the anchor.
 
 The time dependence enters through the scalar phase
 p(y, t, k) = y - t / (2 (k^2 + 1/4)): the jump at (y, t) is the k-fixed
@@ -35,12 +40,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ContourConfig
+from .config import DISK_RADIUS, EPS_CIRCLE
 from .branch import _segment_distance
 from .contour import Segment, build_panels
-from .errors import (BadGeometry, DenominatorCollapse, DiskOverlap,
-                     CrossValidationFailure, JumpConsistencyError,
-                     SideRequired, UnknownRegion)
+from .errors import (BadGeometry, BranchSelectionError, DenominatorCollapse,
+                     DiskOverlap, CrossValidationFailure,
+                     JumpConsistencyError, SideRequired, UnknownRegion)
 from .mat2 import det2, frob, sigma1_conj
 
 REAL_TAGS = ("real_outer", "real_inner", "cut_hor_outer", "cut_hor_inner")
@@ -52,6 +57,11 @@ ORIGIN_STUB = 0.03        # ungraded panel length abutting k = 0
 EPS_FLOOR = 0.02          # smallest admissible eps-circle radius
 CLEARANCE = 0.01          # required gap between eps-circles and cuts
 AXIS_TOL = 1e-9           # how close to an axis counts as on it
+PANEL_ORDER = 12          # Gauss-Legendre nodes per panel
+PANEL_REAL = 1.0          # target panel length on the real axis
+PANEL_CIRCLE = 0.35       # target arc length on |k| = 1/2 and on cuts
+GRADE_LEVELS = 4          # geometric refinements toward flagged endpoints
+GRADE_RATIO = 0.5         # size ratio between successive graded panels
 
 
 # ------------------------------------------------------------ contour
@@ -63,7 +73,6 @@ class MasterContour:
     segments: list
     eps: float
     k_max: float
-    disk_radius: float
     theta: float
     L: float
     notes: list = field(default_factory=list)
@@ -72,30 +81,30 @@ class MasterContour:
         return [s for s in self.segments if s.label == label]
 
 
-def _shrunk_eps(sr, ccfg):
-    """Largest eps <= the configured radius clearing cuts and disks."""
-    eps = min(ccfg.eps_circle, 0.4)
-    bound = eps
-    r_d = ccfg.disk_radius
+def _shrunk_eps(sr):
+    """Largest eps <= EPS_CIRCLE clearing cuts and disks."""
+    bound = EPS_CIRCLE
     for c in sr.cuts.cuts:
         for z in (0.5j, -0.5j):
             bound = min(bound, _segment_distance(z, c) - CLEARANCE)
     for p in sr.poles:
         for mu in (p.mu, np.conj(p.mu)):
             for z in (0.5j, -0.5j):
-                bound = min(bound, abs(mu - z) - 1.25 * r_d)
+                bound = min(bound, abs(mu - z) - 1.25 * DISK_RADIUS)
     if bound < EPS_FLOOR:
         raise BadGeometry(
             f"no admissible eps-circle radius: best candidate {bound:.3g} "
             f"is under the floor {EPS_FLOOR:g}")
-    if bound < eps:
-        warnings.warn(f"eps-circle radius shrunk from {eps:g} to {bound:.6g} "
-                      "to clear cuts and residue disks", stacklevel=3)
+    if bound < EPS_CIRCLE:
+        warnings.warn(f"eps-circle radius shrunk from {EPS_CIRCLE:g} to "
+                      f"{bound:.6g} to clear cuts and residue disks",
+                      stacklevel=3)
     return bound
 
 
-def _check_disks(centers, r_d, eps, imag_cuts):
+def _check_disks(centers, eps, imag_cuts):
     """Residue disks must be pairwise disjoint and clear of everything."""
+    r_d = DISK_RADIUS
     pad = 1.25 * r_d
     for i, z in enumerate(centers):
         if abs(z.imag) < pad:
@@ -200,8 +209,9 @@ def _vertical_cut_segments(sr):
     return segs
 
 
-def _disk_segments(sd, sr, r_d, theta):
+def _disk_segments(sr):
     """Two half-circle arcs per residue disk, counterclockwise."""
+    sd, theta = sr.sd, sr.theta
     segs = []
     for p in sr.poles:
         mu = complex(p.mu)
@@ -219,7 +229,7 @@ def _disk_segments(sd, sr, r_d, theta):
                     "res": c if dreg in ("D1", "D3") else np.conj(c)}
             for p1, p2 in ((-np.pi / 2, np.pi / 2),
                            (np.pi / 2, 3 * np.pi / 2)):
-                segs.append(Segment("arc", center=center, radius=r_d,
+                segs.append(Segment("arc", center=center, radius=DISK_RADIUS,
                                     phi1=p1, phi2=p2, label="disk",
                                     meta=dict(meta)))
     return segs
@@ -232,40 +242,39 @@ def build_master_contour(sr, *, ccfg=None):
     would clash with cuts or residue disks, splits every piece so that
     each segment carries a single region tag, and keeps k = 0, +-1/2 and
     +-i/2 as segment endpoints only, never interior quadrature targets.
+    The window comes from sr; ccfg is accepted for callers that pass
+    the window config along (perfbench/workloads.py) and is not read.
     """
-    ccfg = ccfg or ContourConfig()
     notes = []
-    eps = _shrunk_eps(sr, ccfg)
-    r_d = ccfg.disk_radius
+    eps = _shrunk_eps(sr)
     centers = []
     for p in sr.poles:
         centers.extend((complex(p.mu), complex(np.conj(p.mu))))
-    _check_disks(centers, r_d, eps, sr.cuts.imag_cuts)
+    _check_disks(centers, eps, sr.cuts.imag_cuts)
     segs = _real_axis_segments(sr, sr.k_max, notes)
     segs += _circle_segments(eps)
     segs += _eps_segments(eps)
     segs += _vertical_cut_segments(sr)
-    segs += _disk_segments(sr.sd, sr, r_d, sr.theta)
+    segs += _disk_segments(sr)
     if centers:
-        notes.append(f"{len(centers)} residue disks of radius {r_d:g}")
+        notes.append(f"{len(centers)} residue disks of radius {DISK_RADIUS:g}")
     return MasterContour(segments=segs, eps=eps, k_max=sr.k_max,
-                         disk_radius=r_d, theta=sr.theta, L=sr.sd.mp.L,
-                         notes=notes)
+                         theta=sr.theta, L=sr.sd.mp.L, notes=notes)
 
 
-def panelize(mc, ccfg=None, order=None):
+def panelize(mc, ccfg=None):
     """Gauss-Legendre panels over the master contour."""
-    ccfg = ccfg or ContourConfig()
-    per = {"circle": ccfg.panel_circle, "circle_eps": 0.6 * ccfg.panel_circle,
-           "eps_outer": 0.6 * ccfg.panel_circle,
-           "eps_inner": 0.6 * ccfg.panel_circle,
-           "cut_vert": ccfg.panel_circle,
-           "cut_hor_outer": ccfg.panel_circle,
-           "cut_hor_inner": ccfg.panel_circle,
-           "disk": 0.5 * np.pi * mc.disk_radius}
-    return build_panels(mc.segments, order=order or ccfg.panel_order,
-                        target_len=ccfg.panel_real, levels=ccfg.grade_levels,
-                        ratio=ccfg.grade_ratio, per_label_len=per)
+    # ccfg is not read; perfbench/workloads.py passes its window config here
+    per = {"circle": PANEL_CIRCLE, "circle_eps": 0.6 * PANEL_CIRCLE,
+           "eps_outer": 0.6 * PANEL_CIRCLE,
+           "eps_inner": 0.6 * PANEL_CIRCLE,
+           "cut_vert": PANEL_CIRCLE,
+           "cut_hor_outer": PANEL_CIRCLE,
+           "cut_hor_inner": PANEL_CIRCLE,
+           "disk": 0.5 * np.pi * DISK_RADIUS}
+    return build_panels(mc.segments, order=PANEL_ORDER,
+                        target_len=PANEL_REAL, levels=GRADE_LEVELS,
+                        ratio=GRADE_RATIO, per_label_len=per)
 
 
 # ------------------------------------------------------------ phase
@@ -278,8 +287,8 @@ def _phase_raw(y, t, k):
 # ------------------------------------------------------------ G-functions
 
 
-def _sided_roots(sr, ks, side, variant="plain"):
-    """Boundary values of a root and its conjugate on a cut.
+def _sided_roots(sr, ks, side):
+    """Boundary values of the root and its conjugate on a cut.
 
     plus is the left side of the contour orientation: the upper half
     plane on real cuts (they run rightward), the side away from the
@@ -296,16 +305,16 @@ def _sided_roots(sr, ks, side, variant="plain"):
     if np.any(on_real):
         app = 1.0 if side == "plus" else -1.0
         xs = flat.real[on_real]
-        K[on_real] = sr.boundary("real", xs, app, variant)
-        Ks[on_real] = sr.boundary_star("real", xs, app, variant)
+        K[on_real] = sr.boundary("real", xs, app)
+        Ks[on_real] = sr.boundary_star("real", xs, app)
     for sgn in (1.0, -1.0):
         sel = on_imag & (np.sign(flat.imag) == sgn)
         if not np.any(sel):
             continue
         app = -sgn if side == "plus" else sgn
         xs = flat.imag[sel]
-        K[sel] = sr.boundary("imag", xs, app, variant)
-        Ks[sel] = sr.boundary_star("imag", xs, app, variant)
+        K[sel] = sr.boundary("imag", xs, app)
+        Ks[sel] = sr.boundary_star("imag", xs, app)
     return K, Ks
 
 
@@ -327,63 +336,51 @@ def _guard_denominator(name, value, floor=1e-10):
 
 
 def _g_core(sd, sr, ks, side):
-    """Vectorized sextet (G, G1, Gt, Gt1, G2, G3) with dual-form checks."""
+    """Vectorized quartet (G, G1, Gt, Gt1) with dual-form checks.
+
+    Gt and Gt1 are G and G1 with (a, b) multiplied and (a*, b*) divided
+    by e^{ik(L - theta)}, and e^{-2ik theta} replaced by e^{-2ik L}.
+    Both pairs use the one root K: on a validated sheet the root
+    anchored at i/2 is K itself.  Each function is formed in two
+    algebraically equivalent ways that must agree, and every
+    denominator is guarded.
+    """
     flat = np.atleast_1d(np.asarray(ks, dtype=complex))
     if sr.trivial:
         z = np.zeros(flat.shape, dtype=complex)
-        return (z,) * 6
+        return (z,) * 4
     theta, L = sr.theta, sd.mp.L
     a, b, astar, bstar = sd.ab(flat)
     phL = np.exp(1j * flat * (L - theta))
     at, bt = a * phL, b * phL
-    ats, bts = astar / phL, bstar / phL
+    bts = bstar / phL
     if side == "off":
         K, Ks = sr.R(flat), sr.R_star(flat)
-        if sr.same_branch:
-            Kt, Kts = K, Ks
-        else:
-            Kt, Kts = sr.R_tilde(flat), sr.R_tilde_star(flat)
     elif side in ("plus", "minus"):
         K, Ks = _sided_roots(sr, flat, side)
-        if sr.same_branch:
-            Kt, Kts = K, Ks
-        else:
-            Kt, Kts = _sided_roots(sr, flat, side, "tilde")
     else:
         raise BadGeometry(f"unknown side {side!r}")
     e2t = np.exp(-2j * flat * theta)
     e2L = np.exp(-2j * flat * L)
     den = a - b * Ks
-    dent = at - bt * Kts
+    dent = at - bt * Ks
     _guard_denominator("a", a)
     _guard_denominator("a~", at)
     _guard_denominator("a - b K*", den)
-    _guard_denominator("a~ - b~ K~*", dent)
+    _guard_denominator("a~ - b~ K*", dent)
     G_div = Ks / (a * den)
     G = Ks * e2t + bstar / a
     G1_div = a * K / (den * e2t)
     G1 = a * a * K - a * b
-    Gt_div = Kts / (at * dent)
-    Gt = Kts * e2L + bts / at
-    Gt1_div = at * Kt / (dent * e2L)
-    Gt1 = at * at * Kt - at * bt
+    Gt_div = Ks / (at * dent)
+    Gt = Ks * e2L + bts / at
+    Gt1_div = at * K / (dent * e2L)
+    Gt1 = at * at * K - at * bt
     _cross_check("G", G_div, G, flat)
     _cross_check("G1", G1_div, G1, flat)
     _cross_check("G~", Gt_div, Gt, flat)
     _cross_check("G~1", Gt1_div, Gt1, flat)
-    if sr.same_branch:
-        zero = np.zeros(flat.shape, dtype=complex)
-        return G, G1, Gt, Gt1, zero, zero
-    phLt = np.exp(1j * flat * (L + theta))
-    den2 = (a + bstar * K / e2t) * (at + bts * Kt / e2L)
-    _guard_denominator("G2 denominator", den2)
-    G2_div = a * at * phLt * (K - Kt) / den2
-    G2 = a * at * (K - Kt)
-    G3_div = (Ks - Kts) / (den * dent)
-    G3 = (Ks - Kts) / phLt
-    _cross_check("G2", G2_div, G2, flat)
-    _cross_check("G3", G3_div, G3, flat)
-    return G, G1, Gt, Gt1, G2, G3
+    return G, G1, Gt, Gt1
 
 
 # ------------------------------------------------------------ jumps
@@ -395,16 +392,21 @@ class JumpSpec:
     j0_stack gives the t-independent matrix per region tag; jump_stack
     conjugates it with the phase exponential.  Residue disks are the one
     exception: their nilpotent entry carries the phase evaluated at the
-    pole, exactly as the residue conditions prescribe.
+    pole, exactly as the residue conditions prescribe.  The sheet must
+    carry the anchor R(i/2) = 0 (same_branch), which the jumps rely on;
+    a sheet without it raises BranchSelectionError.
     """
 
     def __init__(self, sd, sr, mc):
+        if not sr.same_branch:
+            raise BranchSelectionError(
+                "the sheet's root does not vanish at k = i/2; no jumps "
+                "are assembled on it")
         self.sd = sd
         self.sr = sr
         self.mc = mc
         self.theta = sr.theta
         self.L = sd.mp.L
-        self.same_branch = sr.same_branch
 
     # -------------------------------------------- t = 0 matrices
 
@@ -419,7 +421,7 @@ class JumpSpec:
         mid[..., 1, 0] = -r
         mid[..., 1, 1] = 1.0
         g_side = side if tag.startswith("cut_hor") else "off"
-        G, G1, _, _, _, _ = _g_core(self.sd, self.sr, flat, g_side)
+        G, G1, _, _ = _g_core(self.sd, self.sr, flat, g_side)
         left = np.zeros_like(out)
         right = np.zeros_like(out)
         left[..., 0, 0] = left[..., 1, 1] = 1.0
@@ -435,7 +437,7 @@ class JumpSpec:
     def _j0_upper(self, flat, tag):
         out = np.zeros(flat.shape + (2, 2), dtype=complex)
         if tag in ("circle", "circle_eps"):
-            G, G1, Gt, Gt1, _, _ = _g_core(self.sd, self.sr, flat, "off")
+            G, G1, Gt, Gt1 = _g_core(self.sd, self.sr, flat, "off")
             up, lo = (Gt1, Gt) if tag == "circle_eps" else (G1, G)
             out[..., 0, 0] = 1.0 - up * lo
             out[..., 0, 1] = -up
@@ -443,13 +445,8 @@ class JumpSpec:
             out[..., 1, 1] = 1.0
             return out
         ph = np.exp(1j * flat * (self.L - self.theta))
-        _, _, _, _, G2, G3 = _g_core(self.sd, self.sr, flat, "off")
         out[..., 0, 0] = ph
         out[..., 1, 1] = 1.0 / ph
-        if tag == "eps_outer":
-            out[..., 0, 1] = G2
-        else:
-            out[..., 1, 0] = G3
         return out
 
     def _j0_vert(self, flat, side):
@@ -496,7 +493,7 @@ class JumpSpec:
             d = abs(complex(k) - s.center)
             if d < dist:
                 best, dist = s, d
-        if best is None or dist > 3.0 * self.mc.disk_radius:
+        if best is None or dist > 3.0 * DISK_RADIUS:
             raise BadGeometry(f"{complex(k):.6g} is not on a residue disk")
         return best.meta
 
@@ -537,7 +534,7 @@ def _node_side(tag):
     return "plus" if tag in CUT_TAGS else None
 
 
-def jump_diagnostics(js, y=0.0, t=0.0, n=200, seed=5, ccfg=None):
+def jump_diagnostics(js, y=0.0, t=0.0, n=200, seed=5):
     """Determinant, symmetry, and seam defects over sampled nodes.
 
     Samples up to n quadrature nodes, evaluates the jump at each node k
@@ -548,7 +545,7 @@ def jump_diagnostics(js, y=0.0, t=0.0, n=200, seed=5, ccfg=None):
     reflection k -> -conj(k) keeps the side on horizontal cuts and swaps
     it on vertical ones, and k -> -k does the opposite.
     """
-    ps = panelize(js.mc, ccfg)
+    ps = panelize(js.mc)
     rng = np.random.default_rng(seed)
     idx = rng.permutation(ps.n)[:n]
     det_defect = 0.0

@@ -73,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ContourConfig
+from .config import DISK_RADIUS, EPS_CIRCLE, ContourConfig
 from .errors import (BadGeometry, BranchSelectionError, ContourClash,
                      CrossValidationFailure, DoubleZeroUnresolved,
                      IdenticallyZero, NearPole, NonGenericCase, NotAPole,
@@ -570,29 +570,28 @@ class PoleData:
     region: str
 
 
-def _check_geometry(cut_set, poles, ccfg):
+def _check_geometry(cut_set, poles):
     """Cuts must clear the excluded circles at +-i/2 and the pole disks."""
     centers = [0.5j, -0.5j]
     for c in cut_set.cuts:
         for z in centers:
-            if _segment_distance(z, c) < ccfg.eps_circle:
+            if _segment_distance(z, c) < EPS_CIRCLE:
                 raise ContourClash(
                     f"cut [{c.lo:.6g}, {c.hi:.6g}] on the {c.axis} axis "
                     f"enters the excluded circle at {z}")
         for mu in poles:
-            if _segment_distance(mu, c) < ccfg.disk_radius:
+            if _segment_distance(mu, c) < DISK_RADIUS:
                 raise ContourClash(
                     f"cut on the {c.axis} axis enters the residue disk "
                     f"at {mu:.6g}")
 
 
 class SheetedR:
-    """Both roots of the global-relation quadratic with sheet labels.
+    """The root of the global-relation quadratic on the selected sheet.
 
     R is the root that vanishes as k -> infinity (in the upper half
-    plane by normalization, and in the lower one as a consequence);
-    R_tilde is the companion root, anchored by R_tilde(i/2) = 0.  Off
-    the cuts both are evaluated from the principal-branch product form
+    plane by normalization, and in the lower one as a consequence).
+    Off the cuts it is evaluated from the principal-branch product form
     carrying one global sign times sign(Im k); on a cut the one-sided
     limits come from exact boundary formulas, so no continuity
     bookkeeping is needed.
@@ -600,9 +599,12 @@ class SheetedR:
     Build-time checks hard-fail on a wrong sheet label: ray decay,
     quadratic residual, the unimodularity identity
     (a - b R*)(a* - b* R) = 1, the reflection identity R(-k) = R*(k),
-    and the anchor values at i/2 and 0.  fault_branch_sign flips the
-    sign after validation, simulating a mislabeled sheet for negative
-    controls downstream.
+    and the anchor values at i/2 and 0.  The anchor R(i/2) = 0 is
+    same_branch: it makes R also the root anchored at i/2, so a sheet
+    that passes validation carries one root, not a pair.
+    fault_branch_sign flips the sign before validation, simulating a
+    mislabeled sheet for negative controls; with validate=False such a
+    sheet is built (same_branch False), but JumpSpec refuses it.
     """
 
     def __init__(self, sd, cuts=None, *, ccfg=None, fault_branch_sign=False,
@@ -632,7 +634,7 @@ class SheetedR:
             self.sigma = -self.sigma
         self.same_branch = self._same_branch()
         self.poles, self.other_sheet_zeros = self._classify_poles()
-        _check_geometry(self.cuts, [p.mu for p in self.poles], self.ccfg)
+        _check_geometry(self.cuts, [p.mu for p in self.poles])
         if validate:
             self._validate()
 
@@ -677,26 +679,14 @@ class SheetedR:
         use_direct = np.abs(num) >= 0.125 * (np.abs(diff) + np.abs(s))
         return np.where(use_direct, direct, stable)
 
-    def _pole_points(self, variant="plain"):
-        """Centers the distance guard protects for one root variant.
-
-        The selected root is finite at -i/2 (the difference numerator
-        and b* vanish together there), so only its confirmed poles are
-        guarded; the companion root adds the other-sheet zeros of b*
-        and -i/2 itself.
-        """
-        pts = tuple(p.mu for p in self.poles)
-        if variant == "tilde" and not self.same_branch:
-            pts += tuple(self.other_sheet_zeros) + (-0.5j,)
-        return pts
-
-    def _guard(self, ks, variant="plain"):
+    def _guard(self, ks):
+        # only confirmed poles: the root is finite at -i/2 (the difference
+        # numerator and b* vanish together there) and at other-sheet zeros
         flat = np.atleast_1d(ks).ravel()
-        for mu in self._pole_points(variant):
-            d = np.abs(flat - mu)
-            if np.any(d < POLE_GUARD):
+        for p in self.poles:
+            if np.any(np.abs(flat - p.mu) < POLE_GUARD):
                 raise NearPole(f"evaluation within {POLE_GUARD:g} of the "
-                               f"pole at {mu:.6g}")
+                               f"pole at {p.mu:.6g}")
         on_re = np.abs(flat.imag) < 1e-11
         if np.any(on_re):
             xs = flat.real[on_re]
@@ -728,35 +718,9 @@ class SheetedR:
         out = np.conj(self.R(ks))
         return complex(out) if np.asarray(out).shape == () else out
 
-    def R_tilde(self, k):
-        """Companion root, anchored by value 0 at k = i/2."""
-        ks = np.asarray(k, dtype=complex)
-        if self.trivial:
-            out = np.zeros(ks.shape, dtype=complex)
-            return complex(out) if out.shape == () else out
-        if self.same_branch:
-            return self.R(k)
-        self._guard(ks, "tilde")
-        flat = ks.ravel()
-        _, b, _, bstar = self.sd.ab(flat)
-        val = self._raw(flat)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = -b * np.exp(-2j * flat * self.theta) / (bstar * val)
-        # the anchor itself is 0/0 in the product formula: b(i/2) = 0
-        # and R(i/2) != 0 on this sheet, so the ratio tends to 0
-        out[flat == 0.5j] = 0.0
-        out = out.reshape(ks.shape)
-        return complex(out) if out.shape == () else out
-
-    def R_tilde_star(self, k):
-        """conj(R_tilde(conj k))."""
-        ks = np.conj(np.asarray(k, dtype=complex))
-        out = np.conj(self.R_tilde(ks))
-        return complex(out) if np.asarray(out).shape == () else out
-
     # ---------------------------------------------- boundary values
 
-    def boundary(self, axis, x, approach, variant="plain"):
+    def boundary(self, axis, x, approach):
         """One-sided limits of the root on an axis cut.
 
         approach +1 is the limit from Im k > 0 on a real cut and from
@@ -806,21 +770,14 @@ class SheetedR:
             root = np.sqrt(np.maximum(4.0 - delta * delta, 0.0))
             s = (self.sigma * np.sign(x) * (-1j * float(approach))
                  * np.sign(slope) * root)
-        val = self._combine(b, bstar, ph, X, Y, s)
-        if variant == "plain":
-            return val
-        if variant != "tilde":
-            raise BadGeometry(f"unknown variant {variant!r}")
-        if self.same_branch:
-            return val
-        return -b * np.exp(-2j * k * self.theta) / (bstar * val)
+        return self._combine(b, bstar, ph, X, Y, s)
 
-    def boundary_star(self, axis, x, approach, variant="plain"):
+    def boundary_star(self, axis, x, approach):
         """One-sided limits of the conjugate root on an axis cut."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if axis == "real":
-            return np.conj(self.boundary("real", x, -approach, variant))
-        return np.conj(self.boundary("imag", -x, approach, variant))
+            return np.conj(self.boundary("real", x, -approach))
+        return np.conj(self.boundary("imag", -x, approach))
 
     # ---------------------------------------------- sheet selection
 
@@ -1033,7 +990,7 @@ class SheetedR:
         pts = (rng.uniform(-0.85, 0.85, n) * self.k_max +
                1j * rng.uniform(0.06, 1.0, n) * rng.choice([-1.0, 1.0], n))
         keep = np.ones(n, dtype=bool)
-        for mu in self._pole_points("tilde") + (0.5j, -0.5j):
+        for mu in [p.mu for p in self.poles] + [0.5j, -0.5j]:
             keep &= np.abs(pts - mu) > 0.05
         pts = pts[keep]
         a, b, astar, bstar = self.sd.ab(pts)
@@ -1057,10 +1014,6 @@ class SheetedR:
         if not self.same_branch:
             raise BranchSelectionError(
                 "selected root does not vanish at k = i/2: wrong sheet sign")
-        tilde = abs(complex(np.atleast_1d(self.R_tilde(0.5j))[0]))
-        if tilde > 1e-9:
-            raise BranchSelectionError(
-                f"companion root anchor |R~(i/2)| = {tilde:.3g} > 1e-9")
         try:
             v0 = self.value_at_zero()
         except NonGenericCase:
@@ -1073,40 +1026,6 @@ class SheetedR:
 # ------------------------------------------------------------ module ops
 
 
-def eval_R(sr, k, variant="plain", side="off"):
-    """Evaluate a root of the global-relation quadratic at one point.
-
-    side off evaluates away from the cuts; plus/minus take the one
-    sided limit on a cut, with plus the left side when walking the cut
-    away from the origin.
-    """
-    if variant not in ("plain", "tilde"):
-        raise BadGeometry(f"unknown variant {variant!r}")
-    if side == "off":
-        fn = sr.R if variant == "plain" else sr.R_tilde
-        return complex(fn(complex(k)))
-    if side not in ("plus", "minus"):
-        raise BadGeometry(f"unknown side {side!r}")
-    k = complex(k)
-    if abs(k.imag) <= 1e-9:
-        axis, coord = "real", k.real
-    elif abs(k.real) <= 1e-9:
-        axis, coord = "imag", k.imag
-    else:
-        raise BadGeometry("sided evaluation requires a point on an axis cut")
-    if sr.cuts.on_cut(axis, coord) is None:
-        raise BadGeometry(f"{k:.6g} is not on a stored cut")
-    if abs(coord) < ORIGIN_OFFSET:
-        raise BadGeometry("sided values are ill conditioned at the origin; "
-                          "probe away from 0")
-    travel = 1.0 if coord > 0 else -1.0
-    if axis == "real":
-        approach = travel if side == "plus" else -travel
-    else:
-        approach = -travel if side == "plus" else travel
-    return complex(sr.boundary(axis, np.array([coord]), approach, variant)[0])
-
-
 def residues_of_R(sr, mu):
     """Residue of the selected root at a simple zero mu of b*."""
     if sr.trivial:
@@ -1117,7 +1036,7 @@ def residues_of_R(sr, mu):
     data = sr._residue_at(mu, "probe")
     if data is None:
         raise NotAPole(f"the root stays bounded at {mu:.6g}; the zero "
-                       "belongs to the companion sheet")
+                       "belongs to the other sheet")
     return data.residue
 
 
@@ -1140,7 +1059,7 @@ def gap_sensitivity(sr, n_probes=8):
     pts = (rng.uniform(-0.8, 0.8, n_probes) * sr.k_max +
            1j * rng.uniform(0.08, 0.9, n_probes))
     keep = np.ones(n_probes, dtype=bool)
-    for mu in sr._pole_points("tilde") + (0.5j, -0.5j):
+    for mu in [p.mu for p in sr.poles] + [0.5j, -0.5j]:
         keep &= np.abs(pts - mu) > 0.05
     pts = pts[keep]
     worst = float(np.max(np.abs(sr._raw(pts) - sr2._raw(pts))))

@@ -28,7 +28,7 @@ relies on.
 
 import numpy as np
 
-from .errors import TooCloseToContour
+from .errors import BadGeometry, TooCloseToContour
 
 # parameter-plane distance below which the Q-form replaces the plain sum
 NEAR_PARAM = 0.7
@@ -238,9 +238,9 @@ def cauchy_transform(panelset, density, k, side=None, op=None):
         rows = op.offcontour_rows(np.array([k]))
         return (rows @ density.reshape(panelset.n, -1)).reshape(density.shape[1:])
     if side not in ("plus", "minus"):
-        raise ValueError("side must be None, 'plus' or 'minus'")
+        raise BadGeometry("side must be None, 'plus' or 'minus'")
     idx = np.argmin(np.abs(panelset.nodes - k))
     if abs(panelset.nodes[idx] - k) > 1e-12:
-        raise ValueError("side designation requires k at a quadrature node")
+        raise BadGeometry("side designation requires k at a quadrature node")
     K = op.boundary_matrix(side)
     return (K[int(idx)] @ density.reshape(panelset.n, -1)).reshape(density.shape[1:])

@@ -9,8 +9,8 @@ flagged endpoints (branch points, k = 0, factorization seams), and lays
 down Gauss-Legendre nodes on each panel.
 
 The panel data is consumed by cauchy.py, which needs, for every panel, the
-parameter map s(tau), its derivative, and enough geometry to decide when a
-target point is "near" the panel.
+parameter map s(tau) and enough geometry to decide when a target point is
+"near" the panel.
 """
 
 from dataclasses import dataclass, field
@@ -99,9 +99,7 @@ class Panel:
     nodes/weights are the mapped Gauss-Legendre rule for integrals in ds.
     """
     kind: str
-    seg_index: int
     label: str
-    meta: dict
     nodes: np.ndarray      # complex, shape (p,)
     weights: np.ndarray    # complex, ds-weights, shape (p,)
     tau: np.ndarray        # reference nodes, shape (p,)
@@ -121,21 +119,12 @@ class Panel:
             return self.mid + self.half * tau
         return self.center + self.radius * np.exp(1j * (self.phic + self.beta * tau))
 
-    def ds_dtau(self, tau):
-        tau = np.asarray(tau)
-        if self.kind == "line":
-            return np.broadcast_to(self.half, tau.shape).copy()
-        return 1j * self.beta * self.radius * np.exp(1j * (self.phic + self.beta * tau))
-
     @property
     def scale(self):
         """Characteristic size used for near/far decisions."""
         if self.kind == "line":
             return abs(self.half)
         return abs(self.beta) * self.radius
-
-    def endpoints(self):
-        return self.s_of_tau(np.array([-1.0, 1.0]))
 
 
 class PanelSet:
@@ -174,10 +163,9 @@ def build_panels(segments, order=12, target_len=None, levels=4, ratio=0.5,
     """
     tau, wref = np.polynomial.legendre.leggauss(order)
     panels = []
-    for iseg, seg in enumerate(segments):
+    for seg in segments:
         tl = (per_label_len or {}).get(seg.label, target_len or seg.length)
-        lv = seg.meta.get("grade_levels", levels)
-        us = split_points(seg, tl, lv, ratio)
+        us = split_points(seg, tl, levels, ratio)
         for u0, u1 in zip(us[:-1], us[1:]):
             if seg.kind == "line":
                 a = seg.a + (seg.b - seg.a) * u0
@@ -185,15 +173,15 @@ def build_panels(segments, order=12, target_len=None, levels=4, ratio=0.5,
                 mid, half = 0.5 * (a + b), 0.5 * (b - a)
                 nodes = mid + half * tau
                 weights = wref.astype(complex) * half
-                panels.append(Panel("line", iseg, seg.label, seg.meta, nodes,
-                                    weights, tau, wref, mid=mid, half=half))
+                panels.append(Panel("line", seg.label, nodes, weights, tau,
+                                    wref, mid=mid, half=half))
             else:
                 p1 = seg.phi1 + (seg.phi2 - seg.phi1) * u0
                 p2 = seg.phi1 + (seg.phi2 - seg.phi1) * u1
                 phic, beta = 0.5 * (p1 + p2), 0.5 * (p2 - p1)
                 nodes = seg.center + seg.radius * np.exp(1j * (phic + beta * tau))
                 weights = wref * 1j * beta * seg.radius * np.exp(1j * (phic + beta * tau))
-                panels.append(Panel("arc", iseg, seg.label, seg.meta, nodes,
-                                    weights, tau, wref, center=seg.center,
+                panels.append(Panel("arc", seg.label, nodes, weights, tau,
+                                    wref, center=seg.center,
                                     radius=seg.radius, phic=phic, beta=beta))
     return PanelSet(panels)

@@ -181,10 +181,13 @@ class MomentumProfile:
         return x
 
 
-def _gl_integral(f, a, b, order=10):
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+
+
+def _gl_integral(f, a, b):
     if b <= a:
         return 0.0
-    t, w = np.polynomial.legendre.leggauss(order)
+    t, w = _GL_NODES, _GL_WEIGHTS
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return half * float(np.sum(w * f(mid + half * t)))
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate._ivp import dop853_coefficients as _dop
 
-from .config import ContourConfig
+from .config import EPS_CIRCLE, ContourConfig
 from .errors import (BasisSingular, ClusterUnresolved, DerivativeTooSmall,
                      IdenticallyZero, MultiplicityDetected, NonGenericCase,
                      StiffnessFailure, VerificationFailure)
@@ -59,6 +59,9 @@ FD_STEP = 1e-6            # central-difference step for k-derivatives
 ZERO_FIT_RADII = (1e-3, 2e-3)   # |k| radii for the k->0 pole fit
 NEWTON_TOL = 1e-13
 NEWTON_MAXIT = 60
+MU_SEARCH_HEIGHT = 1.2    # Im-extent of the b* zero search rectangles
+WINDING_NODES = 64        # quadrature nodes per cell side, argument principle
+CELL_SIZE = 0.05          # finest argument-principle cell
 
 
 def rk8_tableau():
@@ -263,13 +266,6 @@ class ScatteringData:
         out = np.array([self._coarse[k] for k in ks.tolist()])
         return out[:, 0], out[:, 1], out[:, 2], out[:, 3]
 
-    def ab_tilde(self, ks):
-        """(a~, b~) = e^{ik(L - theta)} (a, b); a~(i/2) = 1."""
-        ks = np.atleast_1d(np.asarray(ks, dtype=complex))
-        a, b, _, _ = self.ab(ks)
-        ph = np.exp(1j * ks * (self.mp.L - self.theta))
-        return a * ph, b * ph
-
     def floquet_discriminant(self, ks):
         """Delta(k) = a e^{-ik theta} + a* e^{ik theta}, the monodromy trace."""
         ks = np.atleast_1d(np.asarray(ks, dtype=complex))
@@ -391,26 +387,26 @@ class ScatteringData:
         scale = max(np.max(np.abs(bprobe)), np.max(np.abs(bsprobe)))
         if scale < 1e-12:
             raise IdenticallyZero("b vanishes identically; no poles to find")
-        ymin, ymax = 1e-3, ccfg.mu_search_height
+        ymin, ymax = 1e-3, MU_SEARCH_HEIGHT
         # zeros inside the exclusion disk at i/2 are never reported, so a
         # square inscribed in it is masked from the search; this keeps the
         # ever-present zero of b at i/2 from driving deep quadtree descent.
         # off-round numbers keep stray zeros off the artificial seams.
-        hw = 0.699 * ccfg.eps_circle
+        hw = 0.699 * EPS_CIRCLE
         sq = (-1.005 * hw + 1j * (0.5 - 0.995 * hw),
               0.995 * hw + 1j * (0.5 + 1.005 * hw))
         rect = (-W + 1j * ymin, W + 1j * ymax)
         rect_in = (-0.5617 + 1j * ymin, 0.5617 + 1j * min(0.5617, ymax))
         upper = self._zeros_in_rect(lambda z: z * self.ab_coarse(z)[3],
                                     _rect_minus_square(rect, sq),
-                                    ccfg, polish=lambda z: z * self.ab(z)[3])
+                                    polish=lambda z: z * self.ab(z)[3])
         inner = self._zeros_in_rect(lambda z: z * self.ab_coarse(z)[1],
                                     _rect_minus_square(rect_in, sq),
-                                    ccfg, polish=lambda z: z * self.ab(z)[1])
+                                    polish=lambda z: z * self.ab(z)[1])
         keep_u = [z for z in upper
-                  if abs(z) > 0.5 and abs(z - 0.5j) > ccfg.eps_circle]
+                  if abs(z) > 0.5 and abs(z - 0.5j) > EPS_CIRCLE]
         keep_l = [np.conj(z) for z in inner
-                  if abs(z) < 0.5 and abs(z - 0.5j) > ccfg.eps_circle]
+                  if abs(z) < 0.5 and abs(z - 0.5j) > EPS_CIRCLE]
         for z in keep_u:
             if 2 * abs(z.real) > 1e-8 and \
                not any(abs(w + np.conj(z)) < 1e-8 for w in keep_u):
@@ -424,7 +420,7 @@ class ScatteringData:
         ccfg = ccfg or ContourConfig()
         return ccfg.k_window_factor * np.pi / self.theta
 
-    def _zeros_in_rect(self, f, rects, ccfg, polish=None):
+    def _zeros_in_rect(self, f, rects, polish=None):
         """Level-synchronous quadtree by argument-principle winding.
 
         rects seeds the tree (several cells allowed, e.g. a rectangle with
@@ -437,13 +433,13 @@ class ScatteringData:
         zeros = []
         min_cell = 1e-3
         while cells:
-            windings = self._windings_batched(f, cells, ccfg.winding_nodes)
+            windings = self._windings_batched(f, cells, WINDING_NODES)
             nxt = []
             for (lo, hi), wnd in zip(cells, windings):
                 if wnd == 0:
                     continue
                 size = max(hi.real - lo.real, hi.imag - lo.imag)
-                if wnd == 1 and size <= ccfg.cell_size:
+                if wnd == 1 and size <= CELL_SIZE:
                     z = self._newton_zero(polish, 0.5 * (lo + hi))
                     if abs(z - 0.5 * (lo + hi)) > 2 * size and size > min_cell:
                         nxt += _subdivide(lo, hi)   # polish left the cell

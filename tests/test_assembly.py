@@ -1,5 +1,6 @@
 """Tests for the jump assembly: unimodular jumps on every region tag, the
-(y, t) phase conjugation, and the guards on region tags and cut sides.
+(y, t) phase conjugation, the diagonal eps-circle jumps, and the guards on
+region tags, cut sides and the sheet anchor.
 """
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from perch.assembly import (ALL_TAGS, CUT_TAGS, JumpSpec,
                             build_master_contour, panelize)
-from perch.errors import SideRequired, UnknownRegion
+from perch.branch import SheetedR
+from perch.errors import BranchSelectionError, SideRequired, UnknownRegion
 from perch.mat2 import det2
 
 FIXTURES = ["sr_zero", "sr_hbump"]
@@ -21,9 +23,9 @@ def jumps(request):
     def get(name):
         if name not in out:
             sr = request.getfixturevalue(name)
-            mc = build_master_contour(sr, ccfg=sr.ccfg)
+            mc = build_master_contour(sr)
             panels = {}
-            for p in panelize(mc, sr.ccfg).panels:
+            for p in panelize(mc).panels:
                 panels.setdefault(p.label, []).append(p)
             out[name] = JumpSpec(sr.sd, sr, mc), panels
         return out[name]
@@ -75,3 +77,28 @@ def test_unknown_tag_rejected(jumps, name):
     js, panels = jumps(name)
     with pytest.raises(UnknownRegion):
         js.jump_stack(0.0, 0.0, panels["real_outer"][0].nodes, "real_middle")
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_eps_jumps_are_diagonal(jumps, name):
+    # the root vanishes at i/2, so both eps arcs carry
+    # diag(e^{ik(L - theta)}, e^{-ik(L - theta)}) in both half planes
+    js, panels = jumps(name)
+    y, t = 0.3 * js.theta, 0.7
+    for tag in ("eps_outer", "eps_inner"):
+        k = np.concatenate([p.nodes for p in panels[tag]])
+        assert np.any(k.imag > 0) and np.any(k.imag < 0)
+        J = js.jump_stack(y, t, k, tag)
+        ph = np.exp(1j * k * (js.L - js.theta))
+        assert np.max(np.abs(J[:, 0, 0] - ph)) < 1e-14, tag
+        assert np.max(np.abs(J[:, 1, 1] - 1.0 / ph)) < 1e-14, tag
+        assert np.all(J[:, 0, 1] == 0.0) and np.all(J[:, 1, 0] == 0.0), tag
+
+
+def test_jumps_refused_without_anchor(sd_asym, sr_asym):
+    # a flipped sheet sign built without validation: R(i/2) != 0
+    sr = SheetedR(sd_asym, sr_asym.cuts, ccfg=sr_asym.ccfg,
+                  fault_branch_sign=True, validate=False)
+    assert sr.same_branch is False
+    with pytest.raises(BranchSelectionError):
+        JumpSpec(sd_asym, sr, build_master_contour(sr))

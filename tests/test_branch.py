@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perch import branch
-from perch.branch import (SheetedR, TraceFunction, branch_report, eval_R,
+from perch.branch import (SheetedR, TraceFunction, branch_report,
                           gap_sensitivity, locate_branch_points,
                           residues_of_R)
 from perch.errors import (BadGeometry, BranchSelectionError,
@@ -43,7 +43,7 @@ def offcut_probes(sr, n=24, seed=7):
     pts = (rng.uniform(-0.8, 0.8, n) * sr.k_max +
            1j * rng.uniform(0.07, 0.95, n) * rng.choice([-1.0, 1.0], n))
     keep = np.ones(n, dtype=bool)
-    for mu in sr._pole_points("tilde") + (0.5j, -0.5j):
+    for mu in [p.mu for p in sr.poles] + [0.5j, -0.5j]:
         keep &= np.abs(pts - mu) > 0.06
     return pts[keep]
 
@@ -221,7 +221,6 @@ def test_corrupted_sheet_sign_detected(sd_asym, sr_asym):
 def test_trivial_root_vanishes(sr_zero):
     ks = np.array([0.3, 1.0 + 0.2j, -0.4j, 5.0])
     assert np.max(np.abs(sr_zero.R(ks))) == 0.0
-    assert np.max(np.abs(sr_zero.R_tilde(ks))) == 0.0
     assert sr_zero.trivial and sr_zero.same_branch
     assert sr_zero.kappa() == 1.0
     assert sr_zero.kappa_pair() == (1.0, 1.0)
@@ -369,51 +368,15 @@ def test_bump_family_zero_expansion_identity(sd_bump, sd_hbump):
 # --------------------------------------------------- boundary conventions
 
 
-def test_eval_r_side_convention(sr_bump):
-    # plus is the left side walking a cut away from the origin: upper
-    # half plane on the positive real axis, Re k < 0 on the upper
-    # imaginary axis, and mirrored on the negative halves
-    ci = sr_bump.cuts.imag_cuts[0]
-    x = 0.75 * ci.hi
-    assert eval_R(sr_bump, 1j * x, side="plus") == complex(
-        sr_bump.boundary("imag", np.array([x]), -1)[0])
-    assert eval_R(sr_bump, -1j * x, side="plus") == complex(
-        sr_bump.boundary("imag", np.array([-x]), +1)[0])
-    xm = cut_mid(sr_bump.cuts.real_cuts[len(sr_bump.cuts.real_cuts) // 2])
-    assert eval_R(sr_bump, xm + 0j, side="plus") == complex(
-        sr_bump.boundary("real", np.array([xm]), np.sign(xm))[0])
-    assert eval_R(sr_bump, -xm + 0j, side="minus") == complex(
-        sr_bump.boundary("real", np.array([-xm]), np.sign(xm))[0])
-
-
-def test_eval_r_off_mode_matches_direct(sr_bump):
-    k = 2.0 + 0.4j
-    assert eval_R(sr_bump, k) == complex(sr_bump.R(k))
-    assert eval_R(sr_bump, k, variant="tilde") == complex(sr_bump.R_tilde(k))
-
-
 def test_boundary_guards(sr_bump, sr_hbump):
     with pytest.raises(BadGeometry):
         sr_bump.boundary("real", np.array([0.5]), +1)   # between cuts
     with pytest.raises(BadGeometry):
         sr_hbump.boundary("real", np.array([5e-5]), +1)  # origin window
-    with pytest.raises(BadGeometry):
-        sr_bump.boundary("imag", np.array([0.1]), +1, variant="nope")
     with pytest.raises(TooCloseToContour):
         sr_bump.R(0.1j)          # on the imaginary cut, no side requested
     with pytest.raises(TooCloseToContour):
         sr_bump.R(1.4 + 0j)      # on a real cut, no side requested
-
-
-def test_eval_r_guards(sr_bump):
-    with pytest.raises(BadGeometry):
-        eval_R(sr_bump, 2.0 + 0.4j, side="plus")     # off-axis sided request
-    with pytest.raises(BadGeometry):
-        eval_R(sr_bump, 0.5 + 0j, side="plus")       # on-axis but off-cut
-    with pytest.raises(BadGeometry):
-        eval_R(sr_bump, 1.4 + 0j, side="inside")
-    with pytest.raises(BadGeometry):
-        eval_R(sr_bump, 1.4 + 0j, variant="other")
 
 
 # --------------------------------------------------------- poles/residues
@@ -457,19 +420,6 @@ def test_fault_residue_lookup_and_guards(sr_fault):
     assert abs(got - (1.69657403 + 3.94442659j)) < 1e-6
     with pytest.raises(NearPole):
         sr_fault.R(mu + 5e-5)
-    with pytest.raises(NearPole):
-        eval_R(sr_fault, -0.5j + 2e-5, variant="tilde")
-
-
-def test_fault_companion_product(sr_fault):
-    # with distinct sheets the companion accessor returns the other root:
-    # their product is the quadratic's constant-over-leading ratio
-    ks = np.array([2.1 + 0.5j, -1.3 - 0.4j])
-    _, b, _, bstar = sr_fault.sd.ab(ks)
-    want = -b * np.exp(-2j * ks * sr_fault.theta) / bstar
-    got = sr_fault.R(ks) * sr_fault.R_tilde(ks)
-    assert np.max(np.abs(got - want)) < 1e-10
-    assert eval_R(sr_fault, 0.5j, variant="tilde") == 0.0
 
 
 def test_ring_check_needs_clearance(sr_bump):

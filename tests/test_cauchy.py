@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from perch.contour import Segment, build_panels
 from perch.cauchy import CauchyOperator, cauchy_transform, leg_P, leg_Q
-from perch.errors import TooCloseToContour
+from perch.errors import BadGeometry, TooCloseToContour
 
 
 def circle_segments(radius=0.5, center=0j):
@@ -99,6 +99,16 @@ def test_guard_raises_without_side():
         cauchy_transform(ps, rho, s0 * (1 + 1e-9))
     v = cauchy_transform(ps, rho, s0, side="plus")
     assert abs(v - 1.0) < 1e-12   # C_plus[1] = 1 inside a closed curve
+
+
+def test_sided_request_guards():
+    ps = build_panels(circle_segments(0.5), order=12, target_len=0.25)
+    rho = np.ones(ps.n)
+    s0 = ps.nodes[5]
+    with pytest.raises(BadGeometry):
+        cauchy_transform(ps, rho, s0, side="left")          # unknown side
+    with pytest.raises(BadGeometry):
+        cauchy_transform(ps, rho, s0 * (1 + 1e-6), side="plus")   # off node
 
 
 def test_doubling_panels_contracts_error_fast():

@@ -85,6 +85,24 @@ def test_composition_roundtrip_on_grid():
     assert abs(mp.x_of_y(0.0)) < 1e-14
 
 
+def test_y_map_pinned_and_gauss_rule_built_once(monkeypatch):
+    # the y-map of bump(0.5) (L = 2, n = 128) to the last bit, as the
+    # 10-point Gauss-Legendre rule gives it; the rule is a module constant,
+    # so building a profile must not call leggauss again
+    def no_leggauss(order):
+        raise AssertionError("leggauss called while building a profile")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_leggauss)
+    mp = compute_momentum(load_initial_data("bump(0.5)", L=2.0, n=128))
+    assert mp.theta == float.fromhex("0x1.1d7e8c7b44d14p+1")
+    pinned = {1: "0x1.00034a1116304p-6", 37: "0x1.38798413d0e07p-1",
+              64: "0x1.1d7e8c7b44d15p+0", 101: "0x1.cb77df15a9dbbp+0"}
+    for j, h in pinned.items():
+        assert mp.y[j] == float.fromhex(h), j
+    assert mp.x_of_y(0.7) == float.fromhex("0x1.4fae6514cc1f5p-1")
+    assert mp.x_of_y(1.9) == float.fromhex("0x1.ad148d6584dbcp+0")
+
+
 def test_mhat_resample_matches_pointwise():
     p = load_initial_data("bump(0.9)", L=2.0, n=64)
     mp = compute_momentum(p)
