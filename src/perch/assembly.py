@@ -69,12 +69,8 @@ GRADE_RATIO = 0.5         # size ratio between successive graded panels
 
 @dataclass
 class MasterContour:
-    """Oriented segments of the jump contour plus build bookkeeping."""
+    """Oriented segments of the jump contour plus build notes."""
     segments: list
-    eps: float
-    k_max: float
-    theta: float
-    L: float
     notes: list = field(default_factory=list)
 
     def by_label(self, label):
@@ -210,23 +206,19 @@ def _vertical_cut_segments(sr):
 
 
 def _disk_segments(sr):
-    """Two half-circle arcs per residue disk, counterclockwise."""
-    sd, theta = sr.sd, sr.theta
+    """Two half-circle arcs per residue disk, counterclockwise.
+
+    Poles lie on -i(0, 1/2) (ScatteringData.bstar_zeros), so each pole
+    mu gets a lower-inner disk D3 and its mirror conj(mu) a disk D2.
+    """
     segs = []
     for p in sr.poles:
         mu = complex(p.mu)
         c = complex(p.residue)
-        a_mu, _, astar_mu, _ = (complex(v[0]) for v in
-                                sd.ab(np.array([mu])))
-        if p.region == "upper_outer":
-            plain = ("D1", a_mu * a_mu * c)
-            conj = ("D4", astar_mu * astar_mu * np.conj(c))
-        else:
-            plain = ("D3", np.exp(2j * mu * theta) * c)
-            conj = ("D2", np.exp(-2j * np.conj(mu) * theta) * np.conj(c))
+        plain = ("D3", np.exp(2j * mu * sr.theta) * c)
+        conj = ("D2", np.exp(-2j * np.conj(mu) * sr.theta) * np.conj(c))
         for center, (dreg, wconst) in ((mu, plain), (np.conj(mu), conj)):
-            meta = {"mu": center, "dregion": dreg, "wconst": wconst,
-                    "res": c if dreg in ("D1", "D3") else np.conj(c)}
+            meta = {"mu": center, "dregion": dreg, "wconst": wconst}
             for p1, p2 in ((-np.pi / 2, np.pi / 2),
                            (np.pi / 2, 3 * np.pi / 2)):
                 segs.append(Segment("arc", center=center, radius=DISK_RADIUS,
@@ -258,8 +250,7 @@ def build_master_contour(sr, *, ccfg=None):
     segs += _disk_segments(sr)
     if centers:
         notes.append(f"{len(centers)} residue disks of radius {DISK_RADIUS:g}")
-    return MasterContour(segments=segs, eps=eps, k_max=sr.k_max,
-                         theta=sr.theta, L=sr.sd.mp.L, notes=notes)
+    return MasterContour(segments=segs, notes=notes)
 
 
 def panelize(mc, ccfg=None):
@@ -499,7 +490,7 @@ class JumpSpec:
 
     def _disk_stack(self, y, t, flat, meta):
         mu = meta["mu"]
-        sgn = -1.0 if meta["dregion"] in ("D1", "D3") else 1.0
+        sgn = -1.0 if meta["dregion"] == "D3" else 1.0
         w = meta["wconst"] * np.exp(sgn * 2j * mu * _phase_raw(y, t, mu))
         out = np.zeros(flat.shape + (2, 2), dtype=complex)
         out[..., 0, 0] = out[..., 1, 1] = 1.0

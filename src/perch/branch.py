@@ -15,20 +15,21 @@ the spectral variable lam = -k^2 - 1/4 the trace is a real sine-type
 function, which pins every zero of Delta and of Delta^2 - 4 to the two
 axes: the real axis carries bands (Delta^2 < 4) separated by narrow
 gaps, the segment i(-1/2, 1/2) may carry further bands, and above i/2
-(lam > 0) the trace stays larger than 2, so no zero of Delta^2 - 4
-comes near +-i/2.
+(lam > 0) the trace stays larger than 2.  Below i/2 nothing keeps the
+bands away: a vertical cut can end just under i/2, inside the excluded
+circle about it, and SheetedR then raises ContourClash.
 
-Cut placement follows the root that decays at infinity in both half
-planes.  Its realization below is
+Cut placement follows the root that vanishes at i/2.  Its realization
+below is
 
     s_eff(k) = sigma sign(Im k) Delta(k) sqrt(1 - 4 / Delta(k)^2)
 
-with the principal square root and one global sign sigma fixed by decay
-probes along upper-half-plane rays.  Crossing the real axis inside a
-band flips both sign(Im k) and the principal branch, so s_eff is
-continuous there; crossing inside a gap flips only sign(Im k), and
-crossing the imaginary axis inside a band flips only the principal
-branch.  The root therefore jumps exactly across
+with the principal square root and one global sign sigma, the one whose
+root vanishes at i/2.  Crossing the real axis inside a band flips both
+sign(Im k) and the principal branch, so s_eff is continuous there;
+crossing inside a gap flips only sign(Im k), and crossing the imaginary
+axis inside a band flips only the principal branch.  The root
+therefore jumps exactly across
 
     real-axis gap segments  (Delta^2 > 4 between paired zeros), and
     imaginary-axis band segments  (Delta^2 < 4 between paired zeros),
@@ -76,15 +77,16 @@ import numpy as np
 from .config import DISK_RADIUS, EPS_CIRCLE, ContourConfig
 from .errors import (BadGeometry, BranchSelectionError, ContourClash,
                      CrossValidationFailure, DoubleZeroUnresolved,
-                     IdenticallyZero, NearPole, NonGenericCase, NotAPole,
+                     NearPole, NonGenericCase, NotAPole,
                      TooCloseToContour, VerificationFailure, WindowTooSmall)
+from .scattering import IMAG_SCAN_NUS, ORIGIN_OFFSET
 
-ORIGIN_OFFSET = 1e-4      # axis scans and boundary values stay this far from 0
-IMAG_AXIS_TOP = 0.4999    # imaginary-axis scan stops just under i/2
+IMAG_AXIS_TOP = float(IMAG_SCAN_NUS[-1])   # just under i/2
 POLE_GUARD = 1e-4
 RING_RADIUS = 1e-3
 RING_NODES = 64
-TRIVIAL_FLOOR = 1e-12
+ANCHOR_ZERO = 1e-9        # |R(i/2)| at most this on the selected sheet
+ANCHOR_APART = 1e-3       # and at least this with the other sign
 DELTA_GAP = 1e-6          # gaps narrower than this count as closed
 TAU_SIMPLE = 1e-7         # |Delta'| floor for a simple-zero label
 
@@ -266,13 +268,6 @@ def _polish_level(tf, axis, x, level, iters=3):
     return x
 
 
-def _b_scale(sd, k_hi):
-    """Magnitude probe of b along a line above the real axis."""
-    probes = np.linspace(0.13, k_hi, 40) + 0.037j
-    _, b, _, bstar = sd.ab_coarse(probes)
-    return float(max(np.max(np.abs(b)), np.max(np.abs(bstar))))
-
-
 def _scan_half_axis(tf, axis, x_hi, delta_gap):
     """Locate simple zeros of Delta -+ 2 on the positive half of one axis.
 
@@ -286,9 +281,10 @@ def _scan_half_axis(tf, axis, x_hi, delta_gap):
     theta = tf.theta
     if axis == "real":
         n = max(160, int(24 * x_hi * theta / np.pi) + 1)
+        grid = np.linspace(ORIGIN_OFFSET, x_hi, n)
     else:
-        n = 480
-    grid = np.linspace(ORIGIN_OFFSET, x_hi, n)
+        grid = IMAG_SCAN_NUS
+        n = len(grid)
     vals = tf.on_axis(axis, grid)
     step = grid[1] - grid[0]
 
@@ -501,7 +497,7 @@ def locate_branch_points(tf, k_max=None, gap_threshold=None, *, ccfg=None):
     ccfg = ccfg or ContourConfig()
     delta_gap = DELTA_GAP if gap_threshold is None else float(gap_threshold)
     k_max = float(k_max) if k_max is not None else tf.sd.k_window(ccfg)
-    trivial = _b_scale(tf.sd, k_max) < TRIVIAL_FLOOR
+    trivial = tf.sd.b_vanishes(k_max)
     margin = 0.75 * np.pi / tf.theta
 
     d0 = float(tf.on_axis("real", np.array([ORIGIN_OFFSET]))[0])
@@ -567,7 +563,16 @@ class PoleData:
     mu: complex
     residue: complex
     residue_ring: complex
-    region: str
+
+
+def _anchored_sign(anchor):
+    """The sign whose root vanishes at i/2, given |R(i/2)| per sign."""
+    for s in (1.0, -1.0):
+        if anchor[s] <= ANCHOR_ZERO and anchor[-s] >= ANCHOR_APART:
+            return s
+    raise BranchSelectionError(
+        f"no sign isolates the anchor R(i/2) = 0: |R(i/2)| = "
+        f"{anchor[1.0]:.3g} (sigma +1), {anchor[-1.0]:.3g} (sigma -1)")
 
 
 def _check_geometry(cut_set, poles):
@@ -589,22 +594,24 @@ def _check_geometry(cut_set, poles):
 class SheetedR:
     """The root of the global-relation quadratic on the selected sheet.
 
-    R is the root that vanishes as k -> infinity (in the upper half
-    plane by normalization, and in the lower one as a consequence).
-    Off the cuts it is evaluated from the principal-branch product form
-    carrying one global sign times sign(Im k); on a cut the one-sided
-    limits come from exact boundary formulas, so no continuity
-    bookkeeping is needed.
+    The sheet is fixed by the anchor R(i/2) = 0: sigma is the sign whose
+    root vanishes at i/2 (|R| <= ANCHOR_ZERO) while the other sign's does
+    not (|R| >= ANCHOR_APART); anything else raises BranchSelectionError.
+    That root is the component ratio of the Floquet solution that decays
+    as x -> +infinity when Im k > 0 (see ScatteringData.bstar_zeros),
+    so it vanishes as k -> infinity in both half planes;
+    test_far_field_decay checks this consequence.  Off the cuts R is evaluated from the
+    principal-branch product form carrying sigma times sign(Im k); on a
+    cut the one-sided limits come from exact boundary formulas, so no
+    continuity bookkeeping is needed.
 
-    Build-time checks hard-fail on a wrong sheet label: ray decay,
-    quadratic residual, the unimodularity identity
-    (a - b R*)(a* - b* R) = 1, the reflection identity R(-k) = R*(k),
-    and the anchor values at i/2 and 0.  The anchor R(i/2) = 0 is
-    same_branch: it makes R also the root anchored at i/2, so a sheet
-    that passes validation carries one root, not a pair.
-    fault_branch_sign flips the sign before validation, simulating a
-    mislabeled sheet for negative controls; with validate=False such a
-    sheet is built (same_branch False), but JumpSpec refuses it.
+    Build-time checks hard-fail on a wrong sheet label: quadratic
+    residual, the unimodularity identity (a - b R*)(a* - b* R) = 1, the
+    reflection identity R(-k) = R*(k), and the anchor values at i/2 and
+    0.  The anchor R(i/2) = 0 is same_branch.  fault_branch_sign flips
+    the sign after the choice, simulating a mislabeled sheet for
+    negative controls; with validate=False such a sheet is built
+    (same_branch False), but JumpSpec refuses it.
     """
 
     def __init__(self, sd, cuts=None, *, ccfg=None, fault_branch_sign=False,
@@ -614,7 +621,7 @@ class SheetedR:
         self.trace = TraceFunction(sd)
         self.theta = sd.theta
         self.k_max = sd.k_window(self.ccfg)
-        self.trivial = _b_scale(sd, self.k_max) < TRIVIAL_FLOOR
+        self.trivial = sd.b_vanishes(self.k_max)
         if self.trivial:
             self.cuts = cuts if cuts is not None else BranchCutSet(
                 theta=self.theta, k_max=self.k_max, cuts=(), kept_gaps=(),
@@ -627,12 +634,14 @@ class SheetedR:
             return
         self.cuts = cuts if cuts is not None else locate_branch_points(
             self.trace, ccfg=self.ccfg)
-        self.sigma = self._select_sigma()
+        anchor = {s: abs(complex(self._raw(np.array([0.5j]), sigma=s)[0]))
+                  for s in (1.0, -1.0)}
+        self.sigma = _anchored_sign(anchor)
         if fault_branch_sign:
             # test hook: corrupt the sheet before anything downstream
             # looks at it, so validation gets a fair shot at catching it
             self.sigma = -self.sigma
-        self.same_branch = self._same_branch()
+        self.same_branch = anchor[self.sigma] <= ANCHOR_ZERO
         self.poles, self.other_sheet_zeros = self._classify_poles()
         _check_geometry(self.cuts, [p.mu for p in self.poles])
         if validate:
@@ -779,41 +788,6 @@ class SheetedR:
             return np.conj(self.boundary("real", x, -approach))
         return np.conj(self.boundary("imag", -x, approach))
 
-    # ---------------------------------------------- sheet selection
-
-    def _select_sigma(self):
-        """Fix the global sign by decay along upper-half-plane rays."""
-        r_far = min(1.8 * self.k_max, 55.0 / (self.theta * 0.91))
-        angles = np.array([0.55, 1.1, 2.0, 2.6])
-        near = 0.45 * r_far * np.exp(1j * angles)
-        far = 0.80 * r_far * np.exp(1j * angles)
-        probes = np.concatenate([near, far])
-        mags = {}
-        for sigma in (1.0, -1.0):
-            vals = np.abs(self._raw(probes, sigma=sigma))
-            mags[sigma] = (vals[:4], vals[4:])
-        score_p = float(np.max(mags[1.0][1]))
-        score_m = float(np.max(mags[-1.0][1]))
-        if score_p > score_m:
-            chosen, ratio = -1.0, score_p / max(score_m, 1e-300)
-        else:
-            chosen, ratio = 1.0, score_m / max(score_p, 1e-300)
-        nv, fv = mags[chosen]
-        if ratio < 1e3 or np.any(fv >= nv):
-            raise BranchSelectionError(
-                f"ray decay test inconclusive: opposite-sign ratio "
-                f"{ratio:.3g}, near {nv}, far {fv}")
-        return chosen
-
-    def _same_branch(self):
-        v = abs(complex(self._raw(np.array([0.5j]))[0]))
-        if v <= 1e-9:
-            return True
-        if v >= 1e-3:
-            return False
-        raise BranchSelectionError(
-            f"ambiguous root match at i/2: |R(i/2)| = {v:.3g}")
-
     # ---------------------------------------------- poles and residues
 
     def _clearance(self, mu):
@@ -821,7 +795,7 @@ class SheetedR:
         d.extend(_segment_distance(mu, c) for c in self.cuts.cuts)
         return min(d) if d else np.inf
 
-    def _residue_at(self, mu, region):
+    def _residue_at(self, mu):
         """Residue by ring quadrature, cross-checked in closed form.
 
         At a simple zero mu of b* the selected root has either a simple
@@ -852,19 +826,12 @@ class SheetedR:
             raise CrossValidationFailure(
                 f"residue mismatch at {mu:.6g}: ring {ring:.9g} vs "
                 f"closed form {closed:.9g}")
-        return PoleData(mu=mu, residue=closed, residue_ring=ring,
-                        region=region)
+        return PoleData(mu=mu, residue=closed, residue_ring=ring)
 
     def _classify_poles(self):
-        try:
-            zs = self.sd.bstar_zeros(self.ccfg)
-        except IdenticallyZero:
-            return (), ()
         poles, others = [], []
-        tagged = [(mu, "upper_outer") for mu in zs.upper_outer] + \
-                 [(mu, "lower_inner") for mu in zs.lower_inner]
-        for mu, region in tagged:
-            data = self._residue_at(mu, region)
+        for mu in self.sd.bstar_zeros(self.ccfg):
+            data = self._residue_at(mu)
             if data is None:
                 others.append(complex(mu))
             else:
@@ -1033,7 +1000,7 @@ def residues_of_R(sr, mu):
     for p in sr.poles:
         if abs(p.mu - mu) < 1e-8:
             return p.residue
-    data = sr._residue_at(mu, "probe")
+    data = sr._residue_at(mu)
     if data is None:
         raise NotAPole(f"the root stays bounded at {mu:.6g}; the zero "
                        "belongs to the other sheet")
@@ -1093,8 +1060,8 @@ def branch_report(sr):
                           "width": g.width, "excess": g.excess}
                          for g in cs.dropped],
         "poles": [{"mu": [p.mu.real, p.mu.imag],
-                   "residue": [p.residue.real, p.residue.imag],
-                   "region": p.region} for p in sr.poles],
+                   "residue": [p.residue.real, p.residue.imag]}
+                  for p in sr.poles],
         "other_sheet_zeros": [[z.real, z.imag] for z in sr.other_sheet_zeros],
         "pairing": list(cs.pairing),
     }

@@ -74,11 +74,11 @@ class MultiplicityDetected(PerchError):
 
 
 class DerivativeTooSmall(PerchError):
-    """k-derivative too small to trust a residue or Newton step."""
+    """da/dk or b too small to trust a norming constant."""
 
 
 class ClusterUnresolved(PerchError):
-    """Two candidate zeros closer than the resolution of the polish step."""
+    """A winding count kept failing: a zero sits on or next to the cell."""
 
 
 class IdenticallyZero(PerchError):

@@ -26,10 +26,11 @@ a a* - b b* = 1, and a(-k) = conj(a(conj(k))) ties the two half planes.
 
 Also computed here: the k -> 0 pole data (a ~ i rho / k + a0,
 b ~ -i rho / k + b0), the zeros of a on the segment (0, i/2) with their
-norming constants, and the zeros of b* that later become poles of the
-sheeted quadratic root.  Zero searches combine coarse scans with
-argument-principle windings (phase continuation on cell boundaries, with
-the k = 0 pole cancelled by a factor k) and batched refinement.
+norming constants, and the zeros of b* on -i(0, 1/2), the only places
+where the sheeted quadratic root can have poles.  a and b are real on
+the imaginary axis, so both searches are sign-change scans refined by
+batched bisection; an argument-principle winding (phase continuation on
+a cell boundary) confirms the count of zeros of a.
 """
 
 import math
@@ -57,11 +58,11 @@ SLAB_STEPK = 8192         # steps x k per pass of the kernel, about 6 MB
 IMAG_GUARD = 60.0         # refuse |Im k| * theta beyond this
 FD_STEP = 1e-6            # central-difference step for k-derivatives
 ZERO_FIT_RADII = (1e-3, 2e-3)   # |k| radii for the k->0 pole fit
-NEWTON_TOL = 1e-13
-NEWTON_MAXIT = 60
-MU_SEARCH_HEIGHT = 1.2    # Im-extent of the b* zero search rectangles
-WINDING_NODES = 64        # quadrature nodes per cell side, argument principle
-CELL_SIZE = 0.05          # finest argument-principle cell
+B_FLOOR = 1e-12           # b and b* under this on the probe line: b == 0
+ORIGIN_OFFSET = 1e-4      # axis scans and boundary values stay this far from 0
+# nu grid of the trace scan on i(0, 1/2) (branch._scan_half_axis); the b*
+# zero scan samples the same k, so every sample is a cache hit
+IMAG_SCAN_NUS = np.linspace(ORIGIN_OFFSET, 0.4999, 480)
 
 
 def rk8_tableau():
@@ -183,22 +184,6 @@ class EigenRecord:
     adot: complex
 
 
-@dataclass(frozen=True)
-class BStarZeroSet:
-    """Zeros of b* split by region: upper outside |k|=1/2, lower inside.
-
-    multiplicities aligns with .all; the search rejects anything that is
-    not a simple zero, so entries are 1 in the generic case.
-    """
-    upper_outer: tuple
-    lower_inner: tuple
-    multiplicities: tuple = ()
-
-    @property
-    def all(self):
-        return tuple(self.upper_outer) + tuple(self.lower_inner)
-
-
 class ScatteringData:
     """Cached evaluator of (a, b, a*, b*) built from one MomentumProfile."""
 
@@ -211,6 +196,7 @@ class ScatteringData:
         self.wmax = float(np.sqrt(np.max(mp.m0) + 1.0))
         self._cache = {}
         self._coarse = {}
+        self._vanishes = {}
 
     # -------------------------------------------------- core evaluation
 
@@ -247,7 +233,7 @@ class ScatteringData:
                 self._cache[k] = (A[i], Bv[i], As[i], Bs[i])
 
     def ab_coarse(self, ks):
-        """Low-accuracy (~1e-4) evaluation for winding counts only.
+        """Low-accuracy (~1e-4) evaluation for windings and the b probe.
 
         One step bucket per batch, set by its largest |k|, makes each
         batch one integrator call; integer windings are insensitive to
@@ -324,14 +310,7 @@ class ScatteringData:
     def discrete_spectrum(self):
         """Zeros i nu of a on (0, i/2): nu, b_j = b(i nu), c_j = 1/(b_j da)."""
         edge = 1e-3
-        nus = np.linspace(edge, 0.5 - edge, 600)
-        a, _, _, _ = self.ab(1j * nus)
-        if np.max(np.abs(a.imag)) > 1e-7 * (1 + np.max(np.abs(a))):
-            raise VerificationFailure("a is not real on the imaginary axis")
-        ar = a.real
-        roots = []
-        for i in np.flatnonzero(np.signbit(ar[:-1]) != np.signbit(ar[1:])):
-            roots.append(self._refine_a_zero(nus[i], nus[i + 1]))
+        roots = self._axis_zeros(np.linspace(edge, 0.5 - edge, 600), 0)
         count = self._winding(lambda z: self.ab_coarse(z)[0],
                               -0.05 + 1j * edge, 0.05 + 1j * (0.5 - edge))
         if count != len(roots):
@@ -355,113 +334,103 @@ class ScatteringData:
                                     complex(da)))
         return recs
 
-    def _refine_a_zero(self, lo, hi):
-        # batched grid bisection: one evaluator call per 17x shrink
-        for _ in range(14):
-            grid = np.linspace(lo, hi, 18)
-            vals = self.ab(1j * grid)[0].real
-            idx = np.flatnonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))
-            if len(idx) == 0:
-                break
-            lo, hi = grid[idx[0]], grid[idx[0] + 1]
-            if hi - lo < 1e-15:
-                break
-        return 0.5 * (lo + hi)
+    def _axis_zeros(self, nus, comp):
+        """Zeros i nu of a or b (comp 0 or 1) between the samples i nus.
+
+        Both are real on the imaginary axis, by a(-conj k) = conj a(k)
+        and likewise for b.  Each sign change between neighbouring
+        samples is refined by batched grid bisection: one evaluator call
+        per 17x shrink.
+        """
+        v = self.ab(1j * nus)[comp]
+        if np.max(np.abs(v.imag)) > 1e-7 * (1 + np.max(np.abs(v))):
+            raise VerificationFailure(
+                f"{'ab'[comp]} is not real on the imaginary axis")
+        v = v.real
+        roots = []
+        for i in np.flatnonzero(np.signbit(v[:-1]) != np.signbit(v[1:])):
+            lo, hi = nus[i], nus[i + 1]
+            for _ in range(14):
+                grid = np.linspace(lo, hi, 18)
+                vals = self.ab(1j * grid)[comp].real
+                idx = np.flatnonzero(np.signbit(vals[:-1])
+                                     != np.signbit(vals[1:]))
+                if len(idx) == 0:
+                    break
+                lo, hi = grid[idx[0]], grid[idx[0] + 1]
+                if hi - lo < 1e-15:
+                    break
+            roots.append(0.5 * (lo + hi))
+        return roots
 
     # -------------------------------------------------- b* zero search
 
-    def bstar_zeros(self, ccfg=None):
-        """Zeros of b* in the upper-outer and lower-inner regions.
+    def b_vanishes(self, k_hi):
+        """Whether b vanishes identically, probed up to Re k = k_hi.
 
-        Upper-outer zeros are found directly; lower-inner ones are the
-        conjugates of zeros of b inside |k| < 1/2 in the upper half plane
-        (b*(conj k) = conj(b(k))).  The always-present zero of b at i/2
-        maps to the excluded circle around -i/2 and is dropped.  The
-        factor k multiplied into both functions cancels their k = 0 pole
-        so windings stay clean near the origin.
+        True when |b| and |b*| stay under B_FLOOR at 40 coarse points on
+        Im k = 0.037, 0.13 <= Re k <= k_hi.  The probe runs once per
+        window; the sheeted root, the cut search and the b* zero search
+        all ask it.
         """
-        ccfg = ccfg or ContourConfig()
-        W = self.k_window(ccfg)
-        probes = np.linspace(0.13, W, 40) + 0.037j
-        _, bprobe, _, bsprobe = self.ab_coarse(probes)
-        scale = max(np.max(np.abs(bprobe)), np.max(np.abs(bsprobe)))
-        if scale < 1e-12:
+        if k_hi not in self._vanishes:
+            probes = np.linspace(0.13, k_hi, 40) + 0.037j
+            _, b, _, bstar = self.ab_coarse(probes)
+            scale = float(max(np.max(np.abs(b)), np.max(np.abs(bstar))))
+            self._vanishes[k_hi] = scale < B_FLOOR
+        return self._vanishes[k_hi]
+
+    def bstar_zeros(self, ccfg=None):
+        """Zeros of b* on -i(0, 1/2 - EPS_CIRCLE): the only candidate poles.
+
+        The selected root R has (R, 1) as an eigenvector of the monodromy
+        M(k) of the module docstring,
+
+            M (R, 1)^T = mu (R, 1)^T,     mu = e^{ik theta} (a* - b* R),
+
+        so R is the ratio of the wave-basis components (c1, c2) of a
+        Floquet solution psi, with psi(x + L) = mu psi(x).  With
+        psi(0) = c1 + c2 and psi'(0) = ik (c2 - c1), R has a pole exactly
+        where c2 = 0, i.e. psi'(0) = -ik psi(0).
+
+        In Im k > 0 off the vertical cuts, mu + 1/mu = Delta and |mu| = 1
+        only where Delta is in [-2, 2], which happens nowhere there; at
+        infinity mu -> e^{ik theta}.  So |mu| < 1 on that connected
+        region, and psi decays as x -> +infinity.  (At lam = 0 the
+        decaying solution e^{-x/2} has c1 = 0, which is the anchor
+        R(i/2) = 0 that selects the sheet.)  Multiply
+        psi'' = psi/4 + lam w psi, with w = m0 + 1 > 0, by conj(psi) and
+        integrate over (0, infinity) using psi'(0) = -ik psi(0):
+
+            ik |psi(0)|^2 - int |psi'|^2 - (1/4) int |psi|^2
+                = lam int w |psi|^2,          lam = -k^2 - 1/4.
+
+        The imaginary part gives
+        Re k (|psi(0)|^2 + 2 Im k int w |psi|^2) = 0, so Re k = 0; the
+        real part at k = is gives (s^2 - 1/4) int w |psi|^2 < 0, so
+        s < 1/2.  Im k < 0 is the mirror case on (-infinity, 0).  Poles
+        therefore lie on +-i(0, 1/2): none in the upper-outer region
+        |k| > 1/2, and in the lower-inner one only on -i(0, 1/2).
+
+        There b(-conj k) = conj b(k) makes b(i nu) real and
+        b*(-i nu) = b(i nu), so the zeros come from sign changes of b on
+        the nu grid of the imaginary-axis trace scan, whose samples the
+        cache already holds.  Zeros inside the excluded circle about -i/2
+        are not reported (b vanishes at i/2 for every profile).  Whether
+        a zero is a pole of the selected root or lies on the other sheet
+        is decided by the residue ring check in SheetedR.
+        """
+        if self.b_vanishes(self.k_window(ccfg)):
             raise IdenticallyZero("b vanishes identically; no poles to find")
-        ymin, ymax = 1e-3, MU_SEARCH_HEIGHT
-        # zeros inside the exclusion disk at i/2 are never reported, so a
-        # square inscribed in it is masked from the search; this keeps the
-        # ever-present zero of b at i/2 from driving deep quadtree descent.
-        # off-round numbers keep stray zeros off the artificial seams.
-        hw = 0.699 * EPS_CIRCLE
-        sq = (-1.005 * hw + 1j * (0.5 - 0.995 * hw),
-              0.995 * hw + 1j * (0.5 + 1.005 * hw))
-        rect = (-W + 1j * ymin, W + 1j * ymax)
-        rect_in = (-0.5617 + 1j * ymin, 0.5617 + 1j * min(0.5617, ymax))
-        upper = self._zeros_in_rect(lambda z: z * self.ab_coarse(z)[3],
-                                    _rect_minus_square(rect, sq),
-                                    polish=lambda z: z * self.ab(z)[3])
-        inner = self._zeros_in_rect(lambda z: z * self.ab_coarse(z)[1],
-                                    _rect_minus_square(rect_in, sq),
-                                    polish=lambda z: z * self.ab(z)[1])
-        keep_u = [z for z in upper
-                  if abs(z) > 0.5 and abs(z - 0.5j) > EPS_CIRCLE]
-        keep_l = [np.conj(z) for z in inner
-                  if abs(z) < 0.5 and abs(z - 0.5j) > EPS_CIRCLE]
-        for z in keep_u:
-            if 2 * abs(z.real) > 1e-8 and \
-               not any(abs(w + np.conj(z)) < 1e-8 for w in keep_u):
-                raise VerificationFailure(
-                    f"zero {z:.6f} lacks its mirror under k -> -conj(k)")
-        return BStarZeroSet(tuple(keep_u), tuple(keep_l),
-                            (1,) * (len(keep_u) + len(keep_l)))
+        top = 0.5 - EPS_CIRCLE
+        nus = IMAG_SCAN_NUS[:np.searchsorted(IMAG_SCAN_NUS, top) + 1]
+        return tuple(complex(0.0, -nu) for nu in self._axis_zeros(nus, 1)
+                     if nu < top)
 
     def k_window(self, ccfg=None):
         """Half-width of the truncation window on the real axis."""
         ccfg = ccfg or ContourConfig()
         return ccfg.k_window_factor * np.pi / self.theta
-
-    def _zeros_in_rect(self, f, rects, polish=None):
-        """Level-synchronous quadtree by argument-principle winding.
-
-        rects seeds the tree (several cells allowed, e.g. a rectangle with
-        a masked hole).  Windings are integers, so f may be a cheap
-        low-accuracy evaluator; polish (default f) is used for the final
-        Newton refinement and its residual check and should be accurate.
-        """
-        polish = polish or f
-        cells = list(rects)
-        zeros = []
-        min_cell = 1e-3
-        while cells:
-            windings = self._windings_batched(f, cells, WINDING_NODES)
-            nxt = []
-            for (lo, hi), wnd in zip(cells, windings):
-                if wnd == 0:
-                    continue
-                size = max(hi.real - lo.real, hi.imag - lo.imag)
-                if wnd == 1 and size <= CELL_SIZE:
-                    z = self._newton_zero(polish, 0.5 * (lo + hi))
-                    if abs(z - 0.5 * (lo + hi)) > 2 * size and size > min_cell:
-                        nxt += _subdivide(lo, hi)   # polish left the cell
-                    else:
-                        zeros.append(z)
-                    continue
-                if size <= min_cell:
-                    raise ClusterUnresolved(
-                        f"winding {wnd} persists in a {size:.1e} cell at "
-                        f"{0.5 * (lo + hi):.4f}")
-                nxt += _subdivide(lo, hi)
-            cells = nxt
-        out = []
-        for z in zeros:
-            if not any(abs(z - w) < 1e-9 for w in out):
-                out.append(z)
-        for i, z in enumerate(out):
-            for w in out[:i]:
-                if abs(z - w) < 1e-6:
-                    raise ClusterUnresolved(
-                        f"zeros {z:.8f} and {w:.8f} closer than 1e-6")
-        return out
 
     def _windings_batched(self, f, cells, base_nodes):
         out = [None] * len(cells)
@@ -499,23 +468,6 @@ class ScatteringData:
     def _winding(self, f, lo, hi, nodes=256):
         return self._windings_batched(f, [(lo, hi)], nodes)[0]
 
-    def _newton_zero(self, f, z):
-        for _ in range(NEWTON_MAXIT):
-            h = FD_STEP * max(1.0, abs(z))
-            f0, fp, fm = f(np.array([z, z + h, z - h]))
-            df = (fp - fm) / (2 * h)
-            if abs(df) < 1e-12:
-                raise DerivativeTooSmall(f"flat spot in Newton polish at {z:.6f}")
-            step = f0 / df
-            z = z - step
-            if abs(step) < NEWTON_TOL * max(1.0, abs(z)):
-                break
-        resid = abs(f(np.array([z]))[0])
-        if resid > 1e-9:
-            raise ClusterUnresolved(
-                f"Newton polish stalled at {z:.8f}, |f| = {resid:.2e}")
-        return complex(z)
-
 
 def _unpack_monodromy(ks, T, theta):
     """Spectral functions (a, b, a*, b*) from T via the wave basis."""
@@ -535,37 +487,6 @@ def _unpack_monodromy(ks, T, theta):
 def _lstsq_resid(X, y):
     c, *_ = np.linalg.lstsq(X, y, rcond=None)
     return c, float(np.max(np.abs(X @ c - y)))
-
-
-def _rect_minus_square(rect, hole):
-    """Cover rect minus a rectangular hole with up to four rectangles."""
-    lo, hi = rect
-    hlo, hhi = hole
-    out = []
-    if hlo.real >= hi.real or hhi.real <= lo.real or \
-       hlo.imag >= hi.imag or hhi.imag <= lo.imag:
-        return [rect]
-    if hlo.real > lo.real:
-        out.append((lo, hlo.real + 1j * hi.imag))
-    if hhi.real < hi.real:
-        out.append((hhi.real + 1j * lo.imag, hi))
-    xl, xr = max(hlo.real, lo.real), min(hhi.real, hi.real)
-    if hlo.imag > lo.imag:
-        out.append((xl + 1j * lo.imag, xr + 1j * hlo.imag))
-    if hhi.imag < hi.imag:
-        out.append((xl + 1j * hhi.imag, xr + 1j * hi.imag))
-    return out
-
-
-def _subdivide(lo, hi):
-    # midpoints nudged off center so a zero on an exact bisector line
-    # cannot land on the shared boundary of the children
-    mx = lo.real + 0.513 * (hi.real - lo.real)
-    my = lo.imag + 0.487 * (hi.imag - lo.imag)
-    return [(lo, mx + 1j * my),
-            (mx + 1j * lo.imag, hi.real + 1j * my),
-            (lo.real + 1j * my, mx + 1j * hi.imag),
-            (mx + 1j * my, hi)]
 
 
 def _phase_winding(v):

@@ -3,6 +3,7 @@ and cut pairing, the sheeted root pair with its boundary values and origin
 limits, and the pole/residue machinery.
 """
 
+import copy
 import json
 
 import numpy as np
@@ -382,13 +383,16 @@ def test_boundary_guards(sr_bump, sr_hbump):
 # --------------------------------------------------------- poles/residues
 
 
+# the two zeros of b* of asym at window 5.5, mirrors under k -> -conj(k)
+MU_ASYM = 6.741005022412 + 0.031206534215j
+MUS_ASYM = (-np.conj(MU_ASYM), MU_ASYM)
+RES_FAULT = 1.69657403 + 3.94442659j    # residue at MU_ASYM, flipped sheet
+
+
 def test_no_poles_on_selected_sheet(sr_asym):
     assert sr_asym.poles == ()
-    zs = sorted(sr_asym.other_sheet_zeros, key=lambda z: z.real)
-    assert len(zs) == 2
-    assert abs(zs[1] - (6.741005022 + 0.031206534j)) < 1e-7
-    assert abs(zs[0] - (-6.741005022 + 0.031206534j)) < 1e-7
-    for z in zs:
+    assert sr_asym.other_sheet_zeros == ()   # off the axis: not searched
+    for z in MUS_ASYM:
         with pytest.raises(NotAPole):
             residues_of_R(sr_asym, z)
 
@@ -400,26 +404,23 @@ def test_trivial_has_no_poles(sr_zero):
 
 def test_fault_exposes_companion_poles(sr_fault):
     assert sr_fault.same_branch is False
-    assert sr_fault.other_sheet_zeros == ()
-    poles = sorted(sr_fault.poles, key=lambda p: p.mu.real)
-    assert len(poles) == 2
-    assert abs(poles[1].mu - (6.741005022 + 0.031206534j)) < 1e-7
-    assert abs(poles[1].residue - (1.69657403 + 3.94442659j)) < 1e-6
-    for p in poles:
+    assert sr_fault.poles == () and sr_fault.other_sheet_zeros == ()
+    c1, c2 = (sr_fault._residue_at(z) for z in MUS_ASYM)
+    assert abs(c2.residue - RES_FAULT) < 1e-6
+    for p in (c1, c2):
         scale = max(1.0, abs(p.residue))
         assert abs(p.residue - p.residue_ring) <= 1e-7 * scale
     # reflection symmetry of the root forces residue antisymmetry across
     # the mirror pair {mu, -conj(mu)}
-    c1, c2 = poles[0].residue, poles[1].residue
-    assert abs(c1 + np.conj(c2)) < 1e-7
+    assert abs(c1.residue + np.conj(c2.residue)) < 1e-7
 
 
 def test_fault_residue_lookup_and_guards(sr_fault):
-    mu = max(sr_fault.poles, key=lambda p: p.mu.real).mu
-    got = residues_of_R(sr_fault, mu)
-    assert abs(got - (1.69657403 + 3.94442659j)) < 1e-6
+    fault = copy.copy(sr_fault)
+    fault.poles = (sr_fault._residue_at(MU_ASYM),)
+    assert abs(residues_of_R(fault, MU_ASYM) - RES_FAULT) < 1e-6
     with pytest.raises(NearPole):
-        sr_fault.R(mu + 5e-5)
+        fault.R(MU_ASYM + 5e-5)
 
 
 def test_ring_check_needs_clearance(sr_bump):
@@ -448,7 +449,7 @@ def test_branch_report_round_trip(sr_asym):
     assert rep["sigma"] == 1.0 and rep["same_branch"] is True
     assert len(rep["cuts"]) == 11
     assert len(rep["branch_points"]) == 22
-    assert len(rep["other_sheet_zeros"]) == 2
+    assert rep["other_sheet_zeros"] == []
     assert rep["poles"] == []
     assert abs(rep["theta"] - 2.341040005) < 1e-8
 

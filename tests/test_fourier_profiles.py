@@ -1,0 +1,99 @@
+"""Sheet selection and pole search on low Fourier-mode profiles
+
+    m0 = sum_j a_j sin(2 pi j x / L) + b_j (cos(2 pi j x / L) - 1),
+
+which vanish at the period ends for any coefficients.  Four pinned
+profiles cover a build that a ray-decay sheet test could not settle, a
+build whose b* zero search must not trip over a winding cell, a zero of
+b* on the other sheet, and a genuine pole too close to the origin cut;
+a hypothesis sweep covers the family at large.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from perch.branch import SheetedR, residues_of_R
+from perch.config import ContourConfig
+from perch.errors import (ClusterUnresolved, ContourClash, NotAPole,
+                          PerchError)
+from perch.initial import InitialProfile, compute_momentum, solve_helmholtz
+from perch.scattering import ScatteringData
+
+WINDOW = ContourConfig(k_window_factor=5.5)
+N = 128
+
+
+def fourier_m0(L, modes):
+    x = np.arange(N) * (L / N)
+    m0 = np.zeros(N)
+    for j, a, b in modes:
+        w = 2 * np.pi * j * x / L
+        m0 += a * np.sin(w) + b * (np.cos(w) - 1.0)
+    return x, m0
+
+
+def fourier_sd(L, modes):
+    x, m0 = fourier_m0(L, modes)
+    prof = InitialProfile(L=L, n=N, x=x, u0=solve_helmholtz(m0, L), m0=m0,
+                          source="fourier")
+    return ScatteringData(compute_momentum(prof))
+
+
+def assert_valid_sheet(sr):
+    assert sr.same_branch is True
+    for p in sr.poles:
+        assert p.mu.real == 0.0 and -0.5 < p.mu.imag < 0.0
+
+
+def test_sheet_anchor_settles_where_ray_decay_did_not():
+    # far-field ratio of the two signs only 642 at the ray probes
+    sr = SheetedR(fourier_sd(1.918961, [(1, 0.917972, -1.359565)]),
+                  ccfg=WINDOW)
+    assert sr.sigma == 1.0
+    assert_valid_sheet(sr)
+
+
+def test_pole_search_needs_no_winding_cells():
+    sr = SheetedR(fourier_sd(1.852375, [(1, -0.15386, 0.026207)]),
+                  ccfg=WINDOW)
+    assert_valid_sheet(sr)
+
+
+def test_axis_zero_of_bstar_on_the_other_sheet():
+    sd = fourier_sd(2.142463, [(1, 0.386074, 0.024151),
+                               (2, -0.17186, 0.168875),
+                               (3, 0.095531, -0.141196)])
+    sr = SheetedR(sd, ccfg=WINDOW)
+    assert_valid_sheet(sr)
+    assert sr.poles == ()
+    (z,) = sr.other_sheet_zeros
+    assert z.real == 0.0 and abs(z - (-0.2098951285j)) < 1e-10
+    assert abs(sd.ab(np.array([z]))[3][0]) < 1e-12
+    with pytest.raises(NotAPole):
+        residues_of_R(sr, z)
+
+
+def test_pole_next_to_the_origin_cut_is_refused():
+    sd = fourier_sd(2.736101, [(1, -0.313834, -0.15928),
+                               (2, -0.141982, 0.103046),
+                               (3, 0.155356, 0.061261)])
+    with pytest.raises(ContourClash, match=r"residue disk at 0-0\.0114626j"):
+        SheetedR(sd, ccfg=WINDOW)
+
+
+coef = st.floats(-0.35, 0.35, allow_nan=False)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(L=st.floats(1.0, 4.0), ab=st.lists(coef, min_size=6, max_size=6))
+def test_fourier_family_builds_or_raises_typed(L, ab):
+    modes = [(j + 1, ab[2 * j], ab[2 * j + 1]) for j in range(3)]
+    assume(np.min(fourier_m0(L, modes)[1]) > -0.9)
+    try:
+        sr = SheetedR(fourier_sd(L, modes), ccfg=WINDOW)
+    except PerchError as exc:
+        assert not isinstance(exc, ClusterUnresolved)
+        return
+    assert_valid_sheet(sr)
