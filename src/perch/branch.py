@@ -10,14 +10,29 @@ quadratic
     -e^{2ik theta} b* K^2 + (e^{2ik theta} a* - a) K + b = 0,
 
 whose root pair involves sqrt(Delta^2 - 4) and therefore lives on a
-two-sheeted surface branched at the simple zeros of Delta^2 - 4.  In
-the spectral variable lam = -k^2 - 1/4 the trace is a real sine-type
-function, which pins every zero of Delta and of Delta^2 - 4 to the two
-axes: the real axis carries bands (Delta^2 < 4) separated by narrow
-gaps, the segment i(-1/2, 1/2) may carry further bands, and above i/2
-(lam > 0) the trace stays larger than 2.  Below i/2 nothing keeps the
-bands away: a vertical cut can end just under i/2, inside the excluded
-circle about it, and SheetedR then raises ContourClash.
+two-sheeted surface branched at the simple zeros of Delta^2 - 4.  Delta
+is the discriminant of the weighted Hill equation
+
+    -psi'' + psi/4 = mu w psi,     mu = k^2 + 1/4,  w = m0 + 1 > 0,
+
+on the period [0, L]: Delta = 2 at its periodic eigenvalues P_n and
+Delta = -2 at its antiperiodic ones A_n.  By the oscillation theorem
+(Magnus-Winkler, Hill's Equation; Eastham, The Spectral Theory of
+Periodic Differential Equations, for the weighted form) they interlace,
+
+    P0 < A0 <= A1 < P1 <= P2 < A2 <= A3 < P3 <= ...,
+
+and |Delta| > 2 exactly on the gaps (-inf, P0), (A0, A1), (P1, P2), ...,
+while the bands [P0, A0], [A1, P1], ... carry |Delta| <= 2.  Every
+eigenvalue is real, so every zero of Delta^2 - 4 lies on the two axes:
+mu > 1/4 is k = +-sqrt(mu - 1/4) on the real axis, mu < 1/4 is
+k = +-i sqrt(1/4 - mu) on the imaginary one.  -D^2 + 1/4 and w are
+positive, so every eigenvalue is positive and nothing lies on or above
+i/2 (mu <= 0); the gap (-inf, P0) holds all of it.  Below i/2 nothing
+keeps the bands away: a vertical cut can end just under i/2, inside the
+excluded circle about it, and SheetedR then raises ContourClash.
+locate_branch_points reads the cuts off one Fourier-Galerkin solve of
+this eigenproblem.
 
 Cut placement follows the root that vanishes at i/2.  Its realization
 below is
@@ -71,17 +86,18 @@ whichever numerator is better conditioned; the two are tied by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import eigh, toeplitz
 
 from .config import DISK_RADIUS, EPS_CIRCLE, ContourConfig
 from .errors import (BadGeometry, BranchSelectionError, ContourClash,
                      CrossValidationFailure, DoubleZeroUnresolved,
                      NearPole, NonGenericCase, NotAPole,
                      TooCloseToContour, VerificationFailure, WindowTooSmall)
-from .scattering import IMAG_SCAN_NUS, ORIGIN_OFFSET
-
-IMAG_AXIS_TOP = float(IMAG_SCAN_NUS[-1])   # just under i/2
+from .initial import _fourier_modes
+from .scattering import ORIGIN_OFFSET
 POLE_GUARD = 1e-4
 RING_RADIUS = 1e-3
 RING_NODES = 64
@@ -181,7 +197,7 @@ class DroppedGap:
     axis: str
     position: float
     width: float
-    excess: float       # |Delta| - 2 at the gap extremum
+    excess: float       # |Delta| - 2 at the gap midpoint
 
 
 @dataclass(frozen=True)
@@ -230,31 +246,54 @@ def _segment_distance(z, cut):
 # ------------------------------------------------------------ root finding
 
 
-def _refine_brackets(fun, lo, hi, rounds=5, fanout=14):
-    """Narrow sign-change brackets by batched multisection.
+def _hill_spectrum(m0, L, n_modes):
+    """Periodic and antiperiodic eigenvalues of -psi'' + psi/4 = mu w psi.
 
-    fun maps a flat float array to floats; every pair (lo[i], hi[i])
-    must bracket a sign change of fun.  Each round evaluates fanout
-    interior points of every bracket in a single call.
+    Fourier-Galerkin in e^{i(2 pi j + phi) x / L}, |j| <= n_modes, with
+    phi = 0 (periodic) and phi = pi (antiperiodic).  The weight
+    w = m0 + 1 enters through the Toeplitz matrix of the coefficients of
+    the trigonometric interpolant of m0, the function the RK8 kernel
+    integrates.  Returns the two ascending eigenvalue lists; the top few
+    carry the truncation error, the bottom ones converge spectrally.
     """
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    rows = np.arange(lo.size)
-    for _ in range(rounds):
-        flo = np.sign(fun(lo))
-        flo[flo == 0] = 1.0
-        t = np.linspace(0.0, 1.0, fanout + 2)[1:-1]
-        grid = lo[:, None] + (hi - lo)[:, None] * t[None, :]
-        vals = fun(grid.ravel()).reshape(grid.shape)
-        crossed = np.sign(vals) * flo[:, None] <= 0
-        any_cross = crossed.any(axis=1)
-        first = np.argmax(crossed, axis=1)
-        new_hi = np.where(any_cross, grid[rows, first], hi)
-        new_lo = np.where(any_cross & (first > 0),
-                          grid[rows, np.maximum(first - 1, 0)], lo)
-        new_lo = np.where(~any_cross, grid[rows, -1], new_lo)
-        lo, hi = new_lo, new_hi
-    return 0.5 * (lo + hi)
+    c, freq = _fourier_modes(m0)
+    span = 2 * n_modes
+    what = np.zeros(2 * span + 1, dtype=complex)     # w_d for |d| <= span
+    near = np.abs(freq) <= span
+    np.add.at(what, freq[near] + span, c[near])
+    what[span] += 1.0
+    weight = toeplitz(what[span:], what[span::-1])
+    j = np.arange(-n_modes, n_modes + 1)
+    return tuple(eigh(np.diag(((2 * np.pi * j + phi) / L) ** 2 + 0.25),
+                      weight, eigvals_only=True)
+                 for phi in (0.0, np.pi))
+
+
+class _Edge(NamedTuple):
+    """A Hill eigenvalue mu, named P<n> or A<n>, where Delta = level."""
+    name: str
+    mu: float
+    level: float
+
+
+def _spectral_gaps(periodic, anti):
+    """The instability intervals (lo, hi) of the interlaced eigenvalues.
+
+    P0 < A0 <= A1 < P1 <= P2 < A2 <= A3 < ...: gap 0 is (-inf, P0), gap
+    i >= 1 is (A_{i-1}, A_i) for odd i and (P_{i-1}, P_i) for even i.
+    The ends are _Edge records; gap 0 has lo None.
+    """
+    lists = {"P": (periodic, 2.0), "A": (anti, -2.0)}
+
+    def edge(name, i):
+        vals, level = lists[name]
+        return _Edge(f"{name}{i}", float(vals[i]), level)
+
+    gaps = [(None, edge("P", 0))]
+    for i in range(1, min(len(periodic), len(anti))):
+        name = "A" if i % 2 else "P"
+        gaps.append((edge(name, i - 1), edge(name, i)))
+    return gaps
 
 
 def _polish_level(tf, axis, x, level, iters=3):
@@ -266,115 +305,6 @@ def _polish_level(tf, axis, x, level, iters=3):
         safe = np.abs(df) > 1e-300
         x = x - np.where(safe, f / np.where(safe, df, 1.0), 0.0)
     return x
-
-
-def _scan_half_axis(tf, axis, x_hi, delta_gap):
-    """Locate simple zeros of Delta -+ 2 on the positive half of one axis.
-
-    Returns (points, dropped, step): polished kept zeros in ascending
-    order, dropped-gap records, and the scan grid spacing.  Zeros are
-    found twice over: directly from sign changes of Delta -+ 2 on the
-    grid, and around every interior extremum of the trace, which by the
-    band-gap alternation satisfies |Delta| >= 2 and flags sub-grid gaps
-    that the direct pass cannot see.
-    """
-    theta = tf.theta
-    if axis == "real":
-        n = max(160, int(24 * x_hi * theta / np.pi) + 1)
-        grid = np.linspace(ORIGIN_OFFSET, x_hi, n)
-    else:
-        grid = IMAG_SCAN_NUS
-        n = len(grid)
-    vals = tf.on_axis(axis, grid)
-    step = grid[1] - grid[0]
-
-    candidates = []
-    for level in (2.0, -2.0):
-        f = vals - level
-        sg = np.sign(f)
-        sg[sg == 0] = 1.0
-        idx = np.nonzero(sg[:-1] * sg[1:] < 0)[0]
-        if idx.size:
-            fun = lambda xs, lv=level: tf.on_axis(axis, xs) - lv
-            mids = _refine_brackets(fun, grid[idx], grid[idx + 1])
-            candidates.extend(_polish_level(tf, axis, mids, level).tolist())
-
-    dropped = []
-    d = np.diff(vals)
-    ds = np.sign(d)
-    ds[ds == 0] = 1.0
-    turns = np.nonzero(ds[:-1] * ds[1:] < 0)[0]
-    if turns.size:
-        xe = _refine_brackets(lambda xs: tf.axis_slope(axis, xs),
-                              grid[turns], grid[turns + 2])
-        de = tf.on_axis(axis, xe)
-        for sign_e in (1.0, -1.0):
-            blo, bhi, bx0, bex = [], [], [], []
-            for x0, v0 in zip(xe, de):
-                if abs(v0) < 2.0 - 1e-7:
-                    raise VerificationFailure(
-                        f"trace extremum inside (-2, 2) at {axis} {x0:.6g}: "
-                        f"Delta = {v0:.9g}")
-                if np.sign(v0) != sign_e:
-                    continue
-                i1 = int(np.searchsorted(grid, x0))
-                i_lo, i_hi = max(i1 - 1, 0), min(i1, n - 1)
-                if sign_e * vals[i_lo] > 2.0 or sign_e * vals[i_hi] > 2.0:
-                    continue    # grid sees this gap; the direct pass has it
-                excess = abs(v0) - 2.0
-                if excess <= 1e-13:
-                    dropped.append(DroppedGap(axis, float(x0), 0.0, excess))
-                    continue
-                blo.append(grid[i_lo])
-                bhi.append(grid[i_hi])
-                bx0.append(x0)
-                bex.append(excess)
-            if not bx0:
-                continue
-            gfun = lambda xs, se=sign_e: se * tf.on_axis(axis, xs) - 2.0
-            lo_e = _refine_brackets(gfun, np.array(blo), np.array(bx0))
-            hi_e = _refine_brackets(gfun, np.array(bx0), np.array(bhi))
-            lo_e = _polish_level(tf, axis, lo_e, sign_e * 2.0)
-            hi_e = _polish_level(tf, axis, hi_e, sign_e * 2.0)
-            for zl, zh, x0, ex in zip(lo_e, hi_e, bx0, bex):
-                if zh - zl < delta_gap:
-                    dropped.append(DroppedGap(axis, float(x0), float(zh - zl), ex))
-                else:
-                    candidates.extend([float(zl), float(zh)])
-
-    pts = np.sort(np.asarray(candidates, dtype=float))
-    if pts.size:
-        keep = np.ones(pts.size, dtype=bool)
-        keep[1:] = np.diff(pts) > 0.2 * delta_gap
-        pts = pts[keep]
-
-    # demote kept pairs bounding gaps narrower than the threshold
-    if pts.size:
-        bounds = np.concatenate(([grid[0]], pts, [x_hi]))
-        mids = 0.5 * (bounds[:-1] + bounds[1:])
-        mvals = np.abs(tf.on_axis(axis, mids))
-        dead = np.zeros(pts.size, dtype=bool)
-        for i in range(1, len(mids) - 1):
-            width = bounds[i + 1] - bounds[i]
-            if mvals[i] > 2.0 and width < delta_gap:
-                dead[i - 1] = dead[i] = True
-                dropped.append(DroppedGap(axis, float(mids[i]), float(width),
-                                          float(mvals[i] - 2.0)))
-        if mvals[0] > 2.0 and 2.0 * pts[0] < delta_gap:
-            dead[0] = True
-            dropped.append(DroppedGap(axis, 0.0, float(2.0 * pts[0]),
-                                      float(mvals[0] - 2.0)))
-        pts = pts[~dead]
-
-    if pts.size:
-        slopes = tf.axis_slope(axis, pts)
-        weak = np.abs(slopes) <= TAU_SIMPLE
-        if np.any(weak):
-            bad = pts[weak][0]
-            raise DoubleZeroUnresolved(
-                f"|Delta'| = {np.abs(slopes[weak][0]):.3g} at {axis} "
-                f"{bad:.9g}: zero too close to double")
-    return pts, dropped, step
 
 
 def _check_alternation(tf, axis, half_cuts, x_hi):
@@ -410,122 +340,167 @@ def _check_alternation(tf, axis, half_cuts, x_hi):
                 f"{'gap' if is_gap else 'band'} interval")
 
 
-def _pair_real_axis(tf, pts, origin_in_gap, window, step, x_hi):
-    """Pair kept real-axis zeros across gap intervals."""
-    pts = [float(p) for p in pts]
-    cuts, log = [], []
-    half = []
-    if pts and min(abs(p - window) for p in pts) < step:
-        edge = min(pts, key=lambda p: abs(p - window))
-        raise WindowTooSmall(
-            f"branch point {edge:.6g} within one scan step of the window "
-            f"edge {window:.6g}; widen the window")
-    if origin_in_gap:
-        if not pts:
-            raise WindowTooSmall(
-                "|Delta(0)| > 2 but no real branch point found: the gap "
-                "through the origin spans the whole scan range")
-        z0, pts = pts[0], pts[1:]
-        cuts.append(Cut("real", -z0, z0))
-        half.append((0.0, z0))
-        log.append(f"real: cut through 0 up to +-{z0:.9g}")
-    if len(pts) % 2:
-        raise WindowTooSmall(
-            f"unpaired real branch point {pts[-1]:.6g}: its gap partner "
-            "lies beyond the scan range; widen the window")
-    for i in range(0, len(pts), 2):
-        lo, hi = pts[i], pts[i + 1]
-        half.append((lo, hi))
-        if lo > window:
-            log.append(f"real: gap [{lo:.9g}, {hi:.9g}] beyond the window, "
-                       "not stored")
+def _polish_edges(tf, axis, edges):
+    """Polished coordinates of (coord, level) edges, checked simple."""
+    if not edges:
+        return []
+    x, level = (np.array(v) for v in zip(*edges))
+    x = _polish_level(tf, axis, x, level)
+    slopes = np.abs(tf.axis_slope(axis, x))
+    weak = slopes <= TAU_SIMPLE
+    if np.any(weak):
+        raise DoubleZeroUnresolved(
+            f"|Delta'| = {slopes[weak][0]:.3g} at {axis} "
+            f"{x[weak][0]:.9g}: zero too close to double")
+    return x.tolist()
+
+
+def _pair_cuts(tf, gaps, k_max, x_hi, delta_gap, trivial):
+    """Cuts, dropped gaps and pairing log read off the spectral gaps.
+
+    mu = k^2 + 1/4 puts mu > 1/4 on the real axis and mu < 1/4 on
+    i(0, 1/2).  A gap above 1/4 is a real cut and its mirror, the gap
+    holding 1/4 the real origin cut; a band below 1/4 is a vertical cut
+    pair, the band holding 1/4 the vertical origin cut.  Gaps narrower
+    than delta_gap in k (real) or nu (imaginary) close, which merges
+    their neighbouring bands; the real axis is read up to x_hi.
+    """
+    def along(mu):       # k for mu > 1/4, nu for mu < 1/4
+        return float(np.sqrt(abs(mu - 0.25)))
+
+    def name(g):
+        return f"({'-inf' if g[0] is None else g[0].name}, {g[1].name})"
+
+    open_gaps, closed = [], {"real": [], "imag": []}
+    for g in gaps:
+        lo, hi = g
+        if lo is not None and lo.mu > 0.25:
+            axis, a, b = "real", along(lo.mu), along(hi.mu)
+        elif lo is not None and hi.mu < 0.25:
+            axis, a, b = "imag", along(hi.mu), along(lo.mu)
+        else:
+            axis, a, b = None, 0.0, np.inf      # the gap holding 1/4
+        if b - a >= delta_gap:
+            open_gaps.append(g)
+        elif axis == "imag" or 0.5 * (a + b) <= x_hi:
+            closed[axis].append((g, a, b))
+
+    dropped, log = [], []
+    for axis, recs in closed.items():
+        if not recs:
             continue
-        cuts.append(Cut("real", lo, hi))
-        cuts.append(Cut("real", -hi, -lo))
-        log.append(f"real: cut [{lo:.9g}, {hi:.9g}] width {hi - lo:.3g} "
-                   "and mirror")
-    _check_alternation(tf, "real", half, x_hi)
-    if not cuts:
+        mids = np.array([0.5 * (a + b) for _, a, b in recs])
+        excess = np.abs(tf.on_axis(axis, mids)) - 2.0
+        for (g, a, b), x, ex in zip(recs, mids, excess):
+            dropped.append(DroppedGap(axis, float(x), b - a, float(ex)))
+            dropped.append(DroppedGap(axis, -float(x), b - a, float(ex)))
+            log.append(f"{axis}: gap {name(g)} closed at +-{x:.9g}, width "
+                       f"{b - a:.3g}")
+    if trivial:
+        log.append("trivial data: empty cut set")
+        return [], dropped, log
+
+    # (label, lo, hi) per axis, with (coordinate, level) ends along the
+    # axis and lo None on a cut through the origin
+    spans = {"real": [], "imag": []}
+    real_half = []
+    for g in open_gaps:
+        lo, hi = g
+        if hi.mu <= 0.25:
+            continue
+        kl = 0.0 if lo is None or lo.mu < 0.25 else along(lo.mu)
+        kh = along(hi.mu)
+        if kl > x_hi:
+            break
+        if kl < k_max < kh:
+            raise WindowTooSmall(
+                f"window edge {k_max:.6g} inside the gap {name(g)} = "
+                f"[{kl:.6g}, {kh:.6g}]; widen or narrow the window")
+        real_half.append((kl, kh))
+        if kl > k_max:
+            log.append(f"real: gap {name(g)} [{kl:.9g}, {kh:.9g}] beyond "
+                       "the window, not stored")
+        else:
+            spans["real"].append((f"gap {name(g)}",
+                                  None if kl == 0.0 else (kl, lo.level),
+                                  (kh, hi.level)))
+    beyond = (_Edge("+inf", np.inf, None), None)   # past every eigenvalue
+    for g, nxt in zip(open_gaps, open_gaps[1:] + [beyond]):
+        lo, hi = g[1], nxt[0]                  # the band [lo, hi] in mu
+        if lo.mu < 0.25:
+            spans["imag"].append((f"band [{lo.name}, {hi.name}]",
+                                  None if hi.mu > 0.25 else
+                                  (along(hi.mu), hi.level),
+                                  (along(lo.mu), lo.level)))
+    spans["imag"].reverse()                    # ascending nu
+    _check_alternation(tf, "real", real_half, x_hi)
+    _check_alternation(tf, "imag", [(0.0 if lo is None else lo[0], hi[0])
+                                    for _, lo, hi in spans["imag"]],
+                       0.5 - ORIGIN_OFFSET)
+
+    cuts = []
+    for axis, recs in spans.items():
+        unit = "" if axis == "real" else "i"
+        ends = [e for _, lo, hi in recs for e in (lo, hi) if e is not None]
+        fixed = iter(_polish_edges(tf, axis, ends))
+        for label, lo, hi in recs:
+            a = None if lo is None else next(fixed)
+            b = next(fixed)
+            if a is None:
+                cuts.append(Cut(axis, -b, b))
+                log.append(f"{axis}: {label} -> cut through 0 up to "
+                           f"+-{unit}{b:.9g}")
+                continue
+            cuts.extend([Cut(axis, a, b), Cut(axis, -b, -a)])
+            log.append(f"{axis}: {label} -> cut [{unit}{a:.9g}, {unit}{b:.9g}]"
+                       f" width {b - a:.3g} and mirror")
+    if not spans["real"]:
         log.append("real: no open gaps within the window")
-    return cuts, log
-
-
-def _pair_imag_axis(tf, pts, origin_in_gap, x_hi):
-    """Pair kept imaginary-axis zeros across band intervals."""
-    pts = [float(p) for p in pts]
-    cuts, log = [], []
-    half = []
-    if not origin_in_gap:
-        if not pts:
-            raise VerificationFailure(
-                "|Delta(0)| < 2 yet no zero found on i(0, 1/2): the band "
-                "through the origin cannot reach i/2, where the trace "
-                "exceeds 2")
-        z0, pts = pts[0], pts[1:]
-        cuts.append(Cut("imag", -z0, z0))
-        half.append((0.0, z0))
-        log.append(f"imag: cut through 0 up to +-i{z0:.9g}")
-    if len(pts) % 2:
-        raise VerificationFailure(
-            f"unpaired zero at i{pts[-1]:.6g}: a band interval appears to "
-            "reach the top of the imaginary scan, although the trace "
-            "exceeds 2 at i/2")
-    for i in range(0, len(pts), 2):
-        lo, hi = pts[i], pts[i + 1]
-        half.append((lo, hi))
-        cuts.append(Cut("imag", lo, hi))
-        cuts.append(Cut("imag", -hi, -lo))
-        log.append(f"imag: cut [i{lo:.9g}, i{hi:.9g}] and mirror")
-    _check_alternation(tf, "imag", half, x_hi)
-    if not cuts:
+    if not spans["imag"]:
         log.append("imag: no band intervals, hence no vertical cuts")
-    return cuts, log
+    return cuts, dropped, log
 
 
 def locate_branch_points(tf, k_max=None, gap_threshold=None, *, ccfg=None):
     """Find branch points on both axes and pair them into cuts.
 
-    Scans |Re k| <= k_max plus margin on the real axis and i(0, 1/2) on
-    the imaginary axis (both halves follow from Delta(-k) = Delta(k)),
-    keeps gaps at least gap_threshold wide, and pairs consecutive kept
-    zeros: across gap intervals (Delta^2 > 4 at the midpoint) on the
-    real axis, across band intervals (Delta^2 < 4) on the imaginary
-    axis.  Whether the first zero of each axis closes a cut straddling
-    the origin is decided by |Delta(0)| against 2; the two axes resolve
-    this consistently because they share the value at 0.
+    The trace is the discriminant of the weighted Hill equation
+
+        -psi'' + psi/4 = mu w psi,     mu = k^2 + 1/4,  w = m0 + 1 > 0,
+
+    so Delta = 2 at its periodic eigenvalues P_n and Delta = -2 at its
+    antiperiodic ones A_n.  These interlace, P0 < A0 <= A1 < P1 <= P2
+    < A2 <= A3 < ... (oscillation theorem), and |Delta| > 2 exactly on
+    the gaps (-inf, P0), (A0, A1), (P1, P2), ..., the bands being
+    [P0, A0], [A1, P1], ....  One Fourier-Galerkin eigen solve
+    (_hill_spectrum) therefore gives every branch point with its
+    pairing by index.  mu > 1/4 maps to k = +-sqrt(mu - 1/4) on the
+    real axis, mu < 1/4 to k = +-i sqrt(1/4 - mu) on the imaginary
+    one.  -D^2 + 1/4 and w are positive, so every eigenvalue is
+    positive and no branch point lies on or above i/2.
+
+    The real axis is read up to k_max plus a margin; gaps narrower
+    than gap_threshold close (and are logged), and the kept edges are
+    polished by Newton steps on the integrated trace.  A window edge
+    inside a kept real gap raises WindowTooSmall.  The pairing log
+    names the eigenvalue interval of each cut and dropped gap.
     """
     ccfg = ccfg or ContourConfig()
     delta_gap = DELTA_GAP if gap_threshold is None else float(gap_threshold)
     k_max = float(k_max) if k_max is not None else tf.sd.k_window(ccfg)
     trivial = tf.sd.b_vanishes(k_max)
-    margin = 0.75 * np.pi / tf.theta
+    x_hi = k_max + 0.75 * np.pi / tf.theta
 
     d0 = float(tf.on_axis("real", np.array([ORIGIN_OFFSET]))[0])
     if not trivial and abs(abs(d0) - 2.0) < 1e-6:
         raise NonGenericCase(
             f"|Delta(0)| = {abs(d0):.9g} sits at a band edge: the origin "
             "itself is a branch point")
-    origin_in_gap = abs(d0) > 2.0
 
-    cuts, dropped, log = [], [], []
-    for axis, x_hi, window in (("real", k_max + margin, k_max),
-                               ("imag", IMAG_AXIS_TOP, IMAG_AXIS_TOP)):
-        pts, drp, step = _scan_half_axis(tf, axis, x_hi, delta_gap)
-        dropped.extend(drp)
-        dropped.extend(DroppedGap(g.axis, -g.position, g.width, g.excess)
-                       for g in drp if g.position > 0)
-        if trivial:
-            continue
-        if axis == "real":
-            new_cuts, new_log = _pair_real_axis(tf, pts, origin_in_gap,
-                                                window, step, x_hi)
-        else:
-            new_cuts, new_log = _pair_imag_axis(tf, pts, origin_in_gap, x_hi)
-        cuts.extend(new_cuts)
-        log.extend(new_log)
-
-    if trivial:
-        log.append("trivial data: empty cut set")
+    mp = tf.sd.mp
+    n_modes = int(np.ceil(x_hi * tf.sd.wmax * mp.L / np.pi)) + 32
+    gaps = _spectral_gaps(*_hill_spectrum(mp.m0, mp.L, n_modes))
+    cuts, dropped, log = _pair_cuts(tf, gaps, k_max, x_hi, delta_gap, trivial)
     return _finalize_cut_set(tf, k_max, cuts, dropped, log)
 
 

@@ -60,8 +60,7 @@ FD_STEP = 1e-6            # central-difference step for k-derivatives
 ZERO_FIT_RADII = (1e-3, 2e-3)   # |k| radii for the k->0 pole fit
 B_FLOOR = 1e-12           # b and b* under this on the probe line: b == 0
 ORIGIN_OFFSET = 1e-4      # axis scans and boundary values stay this far from 0
-# nu grid of the trace scan on i(0, 1/2) (branch._scan_half_axis); the b*
-# zero scan samples the same k, so every sample is a cache hit
+# nu grid of the sign-change scan for zeros of b* on i(0, 1/2)
 IMAG_SCAN_NUS = np.linspace(ORIGIN_OFFSET, 0.4999, 480)
 
 
@@ -414,11 +413,11 @@ class ScatteringData:
 
         There b(-conj k) = conj b(k) makes b(i nu) real and
         b*(-i nu) = b(i nu), so the zeros come from sign changes of b on
-        the nu grid of the imaginary-axis trace scan, whose samples the
-        cache already holds.  Zeros inside the excluded circle about -i/2
-        are not reported (b vanishes at i/2 for every profile).  Whether
-        a zero is a pole of the selected root or lies on the other sheet
-        is decided by the residue ring check in SheetedR.
+        the nu grid IMAG_SCAN_NUS, refined by bisection.  Zeros inside
+        the excluded circle about -i/2 are not reported (b vanishes at
+        i/2 for every profile).  Whether a zero is a pole of the
+        selected root or lies on the other sheet is decided by the
+        residue ring check in SheetedR.
         """
         if self.b_vanishes(self.k_window(ccfg)):
             raise IdenticallyZero("b vanishes identically; no poles to find")

@@ -67,6 +67,6 @@ def sr_asym(sd_asym):
 
 @pytest.fixture(scope="session")
 def sr_hbump(sd_hbump):
-    # integer window factors park the window edge on a gap accumulation
-    # point n*pi/theta for this profile; the half step clears it
+    # a half-step factor, so the window edge sits in a band away from
+    # the gaps near n*pi/theta; the default factor 12 builds as well
     return SheetedR(sd_hbump, ccfg=ContourConfig(k_window_factor=12.5))

@@ -12,14 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perch import branch
+from perch.assembly import CUT_TAGS, JumpSpec, build_master_contour, panelize
 from perch.branch import (SheetedR, TraceFunction, branch_report,
                           gap_sensitivity, locate_branch_points,
                           residues_of_R)
+from perch.config import ContourConfig
 from perch.errors import (BadGeometry, BranchSelectionError,
                           CrossValidationFailure, DoubleZeroUnresolved,
                           NearPole, NonGenericCase, NotAPole,
                           TooCloseToContour, WindowTooSmall)
 from perch.initial import compute_momentum, load_initial_data
+from perch.mat2 import det2
 from perch.scattering import ScatteringData
 
 L = 2.0
@@ -184,6 +187,22 @@ def test_band_edge_at_origin_rejected():
 def test_window_edge_collision_rejected(sr_asym):
     with pytest.raises(WindowTooSmall):
         locate_branch_points(sr_asym.trace, k_max=6.7097, ccfg=sr_asym.ccfg)
+
+
+@pytest.mark.parametrize("name,factor", [
+    ("sd_hbump", 12.0), ("sd_bump", 4.0), ("sd_bump", 6.0)])
+def test_integer_window_factors_build(request, name, factor):
+    # these window edges lie next to gaps near n pi / theta but inside
+    # bands, so the sheet builds, validated, with unimodular jumps
+    sd = request.getfixturevalue(name)
+    sr = SheetedR(sd, ccfg=ContourConfig(k_window_factor=factor))
+    assert sr.same_branch is True
+    mc = build_master_contour(sr)
+    js = JumpSpec(sd, sr, mc)
+    for p in panelize(mc).panels:
+        side = "plus" if p.label in CUT_TAGS else None
+        J = js.jump_stack(0.0, 0.0, p.nodes, p.label, side)
+        assert np.max(np.abs(det2(J) - 1.0)) <= 1e-12, p.label
 
 
 def test_double_zero_guard(sr_asym, monkeypatch):
