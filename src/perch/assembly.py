@@ -4,13 +4,15 @@ build_master_contour lays out the oriented segment set the solver
 integrates over: the truncated real axis, the circle |k| = 1/2, small
 circles of radius eps about +-i/2, every branch cut of the selected
 root, and one positively oriented disk per root pole carrying its
-residue condition as an equivalent jump.  Orientations follow one fixed
-rule set: real-axis pieces run left to right, the circle runs from +1/2
-toward -1/2 through each half-plane (counterclockwise above, clockwise
-below), the eps-circle at i/2 is clockwise and its mirror at -i/2
-counterclockwise, vertical cuts run away from the origin, and residue
-disks are counterclockwise.  The plus side of every piece is the left
-side when walking along it.
+residue condition as an equivalent jump.  The sheet settles eps
+(SheetedR.eps) and checks every residue disk against the rest of the
+contour, so the layout here takes both as given.  Orientations follow
+one fixed rule set: real-axis pieces run left to right, the circle runs
+from +1/2 toward -1/2 through each half-plane (counterclockwise above,
+clockwise below), the eps-circle at i/2 is clockwise and its mirror at
+-i/2 counterclockwise, vertical cuts run away from the origin, and
+residue disks are counterclockwise.  The plus side of every piece is
+the left side when walking along it.
 
 Region tags on segments select the jump formula:
 
@@ -26,8 +28,11 @@ The jumps are built from one root R of the global-relation quadratic.
 SheetedR validation enforces the anchor R(i/2) = 0 (same_branch), so
 the root anchored at i/2 is R itself: the shifted G-functions use the
 same root, and the eps-circle arcs carry the diagonal jump
-diag(e^{ik(L - theta)}, e^{-ik(L - theta)}).  JumpSpec refuses a sheet
-without the anchor.
+D = diag(e^{ik(L - theta)}, e^{-ik(L - theta)}).  The shifted
+G-functions are exactly e^{-2ik(L - theta)} G and e^{2ik(L - theta)} G1,
+so the piece of |k| = 1/2 inside the eps-circles carries the circle jump
+conjugated by that same D: circle_eps = D J_circle D^{-1}.  JumpSpec
+refuses a sheet without the anchor.
 
 The time dependence enters through the scalar phase
 p(y, t, k) = y - t / (2 (k^2 + 1/4)): the jump at (y, t) is the k-fixed
@@ -35,17 +40,15 @@ matrix conjugated by exp(-i k p sigma3), except on residue disks, where
 the phase is evaluated at the pole itself.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DISK_RADIUS, EPS_CIRCLE
-from .branch import _segment_distance
+from .config import DISK_RADIUS
 from .contour import Segment, build_panels
 from .errors import (BadGeometry, BranchSelectionError, DenominatorCollapse,
-                     DiskOverlap, CrossValidationFailure,
-                     JumpConsistencyError, SideRequired, UnknownRegion)
+                     CrossValidationFailure, JumpConsistencyError,
+                     SideRequired, UnknownRegion)
 from .mat2 import det2, frob, sigma1_conj
 
 REAL_TAGS = ("real_outer", "real_inner", "cut_hor_outer", "cut_hor_inner")
@@ -54,8 +57,6 @@ CUT_TAGS = ("cut_hor_outer", "cut_hor_inner", "cut_vert")
 ALL_TAGS = REAL_TAGS + UPPER_LOWER_TAGS + ("cut_vert", "disk")
 
 ORIGIN_STUB = 0.03        # ungraded panel length abutting k = 0
-EPS_FLOOR = 0.02          # smallest admissible eps-circle radius
-CLEARANCE = 0.01          # required gap between eps-circles and cuts
 AXIS_TOL = 1e-9           # how close to an axis counts as on it
 PANEL_ORDER = 12          # Gauss-Legendre nodes per panel
 PANEL_REAL = 1.0          # target panel length on the real axis
@@ -75,50 +76,6 @@ class MasterContour:
 
     def by_label(self, label):
         return [s for s in self.segments if s.label == label]
-
-
-def _shrunk_eps(sr):
-    """Largest eps <= EPS_CIRCLE clearing cuts and disks."""
-    bound = EPS_CIRCLE
-    for c in sr.cuts.cuts:
-        for z in (0.5j, -0.5j):
-            bound = min(bound, _segment_distance(z, c) - CLEARANCE)
-    for p in sr.poles:
-        for mu in (p.mu, np.conj(p.mu)):
-            for z in (0.5j, -0.5j):
-                bound = min(bound, abs(mu - z) - 1.25 * DISK_RADIUS)
-    if bound < EPS_FLOOR:
-        raise BadGeometry(
-            f"no admissible eps-circle radius: best candidate {bound:.3g} "
-            f"is under the floor {EPS_FLOOR:g}")
-    if bound < EPS_CIRCLE:
-        warnings.warn(f"eps-circle radius shrunk from {EPS_CIRCLE:g} to "
-                      f"{bound:.6g} to clear cuts and residue disks",
-                      stacklevel=3)
-    return bound
-
-
-def _check_disks(centers, eps, imag_cuts):
-    """Residue disks must be pairwise disjoint and clear of everything."""
-    r_d = DISK_RADIUS
-    pad = 1.25 * r_d
-    for i, z in enumerate(centers):
-        if abs(z.imag) < pad:
-            raise DiskOverlap(f"residue disk at {z:.6g} touches the real axis")
-        if abs(abs(z) - 0.5) < pad:
-            raise DiskOverlap(f"residue disk at {z:.6g} touches |k| = 1/2")
-        for c in (0.5j, -0.5j):
-            if abs(z - c) < eps + pad:
-                raise DiskOverlap(f"residue disk at {z:.6g} touches the "
-                                  f"eps-circle at {c}")
-        for c in imag_cuts:
-            if abs(z.real) < pad and c.lo - pad < z.imag < c.hi + pad:
-                raise DiskOverlap(f"residue disk at {z:.6g} touches a "
-                                  "vertical cut")
-        for w in centers[i + 1:]:
-            if abs(z - w) < 2 * r_d + 0.5 * r_d:
-                raise DiskOverlap(f"residue disks at {z:.6g} and {w:.6g} "
-                                  "collide")
 
 
 def _real_axis_segments(sr, k_max, notes):
@@ -230,26 +187,25 @@ def _disk_segments(sr):
 def build_master_contour(sr, *, ccfg=None):
     """Assemble the full oriented contour for one set of scattering data.
 
-    Shrinks the eps-circles (with a warning) when the configured radius
-    would clash with cuts or residue disks, splits every piece so that
-    each segment carries a single region tag, and keeps k = 0, +-1/2 and
-    +-i/2 as segment endpoints only, never interior quadrature targets.
-    The window comes from sr; ccfg is accepted for callers that pass
-    the window config along (perfbench/workloads.py) and is not read.
+    The eps-circles take the radius the sheet settled (sr.eps), whose
+    residue disks it has already checked against every other piece.
+    Splits every piece so that each segment carries a single region
+    tag, and keeps k = 0, +-1/2 and +-i/2 as segment endpoints only,
+    never interior quadrature targets.  The circle_eps pieces carry the
+    circle jump conjugated by D = diag(e^{ik(L - theta)},
+    e^{-ik(L - theta)}), the diagonal jump of the eps arcs.  The window
+    comes from sr; ccfg is accepted for callers that pass the window
+    config along (perfbench/workloads.py) and is not read.
     """
     notes = []
-    eps = _shrunk_eps(sr)
-    centers = []
-    for p in sr.poles:
-        centers.extend((complex(p.mu), complex(np.conj(p.mu))))
-    _check_disks(centers, eps, sr.cuts.imag_cuts)
     segs = _real_axis_segments(sr, sr.k_max, notes)
-    segs += _circle_segments(eps)
-    segs += _eps_segments(eps)
+    segs += _circle_segments(sr.eps)
+    segs += _eps_segments(sr.eps)
     segs += _vertical_cut_segments(sr)
     segs += _disk_segments(sr)
-    if centers:
-        notes.append(f"{len(centers)} residue disks of radius {DISK_RADIUS:g}")
+    if sr.poles:
+        notes.append(f"{2 * len(sr.poles)} residue disks of radius "
+                     f"{DISK_RADIUS:g}")
     return MasterContour(segments=segs, notes=notes)
 
 
@@ -327,51 +283,35 @@ def _guard_denominator(name, value, floor=1e-10):
 
 
 def _g_core(sd, sr, ks, side):
-    """Vectorized quartet (G, G1, Gt, Gt1) with dual-form checks.
+    """Vectorized pair (G, G1) with dual-form checks.
 
-    Gt and Gt1 are G and G1 with (a, b) multiplied and (a*, b*) divided
-    by e^{ik(L - theta)}, and e^{-2ik theta} replaced by e^{-2ik L}.
-    Both pairs use the one root K: on a validated sheet the root
-    anchored at i/2 is K itself.  Each function is formed in two
-    algebraically equivalent ways that must agree, and every
-    denominator is guarded.
+    Each function is formed in two algebraically equivalent ways that
+    must agree, and every denominator is guarded.  The shifted pair of
+    the eps-circles is e^{-2ik(L - theta)} G and e^{2ik(L - theta)} G1
+    (JumpSpec._j0_upper).
     """
     flat = np.atleast_1d(np.asarray(ks, dtype=complex))
     if sr.trivial:
         z = np.zeros(flat.shape, dtype=complex)
-        return (z,) * 4
-    theta, L = sr.theta, sd.mp.L
-    a, b, astar, bstar = sd.ab(flat)
-    phL = np.exp(1j * flat * (L - theta))
-    at, bt = a * phL, b * phL
-    bts = bstar / phL
+        return z, z
+    a, b, _, bstar = sd.ab(flat)
     if side == "off":
         K, Ks = sr.R(flat), sr.R_star(flat)
     elif side in ("plus", "minus"):
         K, Ks = _sided_roots(sr, flat, side)
     else:
         raise BadGeometry(f"unknown side {side!r}")
-    e2t = np.exp(-2j * flat * theta)
-    e2L = np.exp(-2j * flat * L)
+    e2t = np.exp(-2j * flat * sr.theta)
     den = a - b * Ks
-    dent = at - bt * Ks
     _guard_denominator("a", a)
-    _guard_denominator("a~", at)
     _guard_denominator("a - b K*", den)
-    _guard_denominator("a~ - b~ K*", dent)
     G_div = Ks / (a * den)
     G = Ks * e2t + bstar / a
     G1_div = a * K / (den * e2t)
     G1 = a * a * K - a * b
-    Gt_div = Ks / (at * dent)
-    Gt = Ks * e2L + bts / at
-    Gt1_div = at * K / (dent * e2L)
-    Gt1 = at * at * K - at * bt
     _cross_check("G", G_div, G, flat)
     _cross_check("G1", G1_div, G1, flat)
-    _cross_check("G~", Gt_div, Gt, flat)
-    _cross_check("G~1", Gt1_div, Gt1, flat)
-    return G, G1, Gt, Gt1
+    return G, G1
 
 
 # ------------------------------------------------------------ jumps
@@ -412,7 +352,7 @@ class JumpSpec:
         mid[..., 1, 0] = -r
         mid[..., 1, 1] = 1.0
         g_side = side if tag.startswith("cut_hor") else "off"
-        G, G1, _, _ = _g_core(self.sd, self.sr, flat, g_side)
+        G, G1 = _g_core(self.sd, self.sr, flat, g_side)
         left = np.zeros_like(out)
         right = np.zeros_like(out)
         left[..., 0, 0] = left[..., 1, 1] = 1.0
@@ -427,15 +367,18 @@ class JumpSpec:
 
     def _j0_upper(self, flat, tag):
         out = np.zeros(flat.shape + (2, 2), dtype=complex)
-        if tag in ("circle", "circle_eps"):
-            G, G1, Gt, Gt1 = _g_core(self.sd, self.sr, flat, "off")
-            up, lo = (Gt1, Gt) if tag == "circle_eps" else (G1, G)
-            out[..., 0, 0] = 1.0 - up * lo
-            out[..., 0, 1] = -up
-            out[..., 1, 0] = lo
-            out[..., 1, 1] = 1.0
-            return out
         ph = np.exp(1j * flat * (self.L - self.theta))
+        if tag in ("circle", "circle_eps"):
+            G, G1 = _g_core(self.sd, self.sr, flat, "off")
+            out[..., 0, 0] = 1.0 - G1 * G
+            out[..., 0, 1] = -G1
+            out[..., 1, 0] = G
+            out[..., 1, 1] = 1.0
+            if tag == "circle_eps":
+                # D J D^{-1}, D = diag(ph, 1/ph): the eps arcs' jump
+                out[..., 0, 1] *= ph * ph
+                out[..., 1, 0] /= ph * ph
+            return out
         out[..., 0, 0] = ph
         out[..., 1, 1] = 1.0 / ph
         return out

@@ -29,8 +29,10 @@ mu > 1/4 is k = +-sqrt(mu - 1/4) on the real axis, mu < 1/4 is
 k = +-i sqrt(1/4 - mu) on the imaginary one.  -D^2 + 1/4 and w are
 positive, so every eigenvalue is positive and nothing lies on or above
 i/2 (mu <= 0); the gap (-inf, P0) holds all of it.  Below i/2 nothing
-keeps the bands away: a vertical cut can end just under i/2, inside the
-excluded circle about it, and SheetedR then raises ContourClash.
+keeps the bands away: a vertical cut can end just under i/2.  The
+contour's eps-circles about +-i/2 then shrink from EPS_CIRCLE to keep
+CLEARANCE from every cut (SheetedR.eps), and SheetedR raises
+ContourClash only when that would take them under EPS_FLOOR.
 locate_branch_points reads the cuts off one Fourier-Galerkin solve of
 this eigenproblem.
 
@@ -85,19 +87,20 @@ whichever numerator is better conditioned; the two are tied by
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh, toeplitz
 
-from .config import DISK_RADIUS, EPS_CIRCLE, ContourConfig
+from .config import DISK_RADIUS, ORIGIN_OFFSET, ContourConfig
 from .errors import (BadGeometry, BranchSelectionError, ContourClash,
                      CrossValidationFailure, DoubleZeroUnresolved,
                      NearPole, NonGenericCase, NotAPole,
                      TooCloseToContour, VerificationFailure, WindowTooSmall)
 from .initial import _fourier_modes
-from .scattering import ORIGIN_OFFSET
+
 POLE_GUARD = 1e-4
 RING_RADIUS = 1e-3
 RING_NODES = 64
@@ -105,6 +108,9 @@ ANCHOR_ZERO = 1e-9        # |R(i/2)| at most this on the selected sheet
 ANCHOR_APART = 1e-3       # and at least this with the other sign
 DELTA_GAP = 1e-6          # gaps narrower than this count as closed
 TAU_SIMPLE = 1e-7         # |Delta'| floor for a simple-zero label
+EPS_CIRCLE = 0.1          # radius of the circles about +-i/2, at most
+EPS_FLOOR = 0.02          # smallest admissible eps-circle radius
+CLEARANCE = 0.01          # required gap between eps-circles and cuts
 
 
 # ------------------------------------------------------------ trace
@@ -550,20 +556,50 @@ def _anchored_sign(anchor):
         f"{anchor[1.0]:.3g} (sigma +1), {anchor[-1.0]:.3g} (sigma -1)")
 
 
-def _check_geometry(cut_set, poles):
-    """Cuts must clear the excluded circles at +-i/2 and the pole disks."""
-    centers = [0.5j, -0.5j]
-    for c in cut_set.cuts:
-        for z in centers:
-            if _segment_distance(z, c) < EPS_CIRCLE:
+def _eps_radius(cuts):
+    """Radius of the eps-circles about +-i/2: they keep CLEARANCE from cuts.
+
+    EPS_CIRCLE unless a cut comes nearer; a radius under EPS_FLOOR
+    raises ContourClash, and a shrunk one warns.
+    """
+    eps = EPS_CIRCLE
+    for c in cuts:
+        for z, name in ((0.5j, "i/2"), (-0.5j, "-i/2")):
+            d = _segment_distance(z, c)
+            if d - CLEARANCE < EPS_FLOOR:
                 raise ContourClash(
-                    f"cut [{c.lo:.6g}, {c.hi:.6g}] on the {c.axis} axis "
-                    f"enters the excluded circle at {z}")
-        for mu in poles:
-            if _segment_distance(mu, c) < DISK_RADIUS:
-                raise ContourClash(
-                    f"cut on the {c.axis} axis enters the residue disk "
-                    f"at {mu:.6g}")
+                    f"cut [{c.lo:.6g}, {c.hi:.6g}] on the {c.axis} axis comes "
+                    f"within {d:.6g} of {name}: no eps-circle of radius "
+                    f"{EPS_FLOOR:g} clears it by {CLEARANCE:g}")
+            eps = min(eps, d - CLEARANCE)
+    if eps < EPS_CIRCLE:
+        warnings.warn(f"eps-circle radius shrunk from {EPS_CIRCLE:g} to "
+                      f"{eps:.6g} to clear the cuts", stacklevel=3)
+    return eps
+
+
+def _check_geometry(cuts, poles, eps):
+    """Every residue disk must clear the rest of the contour.
+
+    The disks sit at each pole mu and its mirror conj(mu).  With one pad
+    of 1.25 DISK_RADIUS, each centre must keep that far from the real
+    axis, the circle |k| = 1/2, the eps-circles of radius eps about
+    +-i/2 and every cut, and twice that far from every other centre.
+    """
+    pad = 1.25 * DISK_RADIUS
+    centers = [z for mu in poles for z in (complex(mu), complex(np.conj(mu)))]
+    for i, z in enumerate(centers):
+        gaps = [("the real axis", abs(z.imag)),
+                ("|k| = 1/2", abs(abs(z) - 0.5))]
+        gaps += [(f"the eps-circle about {name}", abs(z - c) - eps)
+                 for c, name in ((0.5j, "i/2"), (-0.5j, "-i/2"))]
+        gaps += [(f"the cut [{c.lo:.6g}, {c.hi:.6g}] on the {c.axis} axis",
+                  _segment_distance(z, c)) for c in cuts]
+        gaps += [(f"the residue disk at {w:.6g}", abs(z - w) - pad)
+                 for w in centers[i + 1:]]
+        for what, gap in gaps:
+            if gap < pad:
+                raise ContourClash(f"residue disk at {z:.6g} meets {what}")
 
 
 class SheetedR:
@@ -587,6 +623,13 @@ class SheetedR:
     the sign after the choice, simulating a mislabeled sheet for
     negative controls; with validate=False such a sheet is built
     (same_branch False), but JumpSpec refuses it.
+
+    eps is the radius of the contour's circles about +-i/2, derived from
+    the cuts, not set: EPS_CIRCLE, shrunk to keep CLEARANCE from every
+    cut (_eps_radius).  The b* zero search runs up to 1/2 - eps, and
+    every residue disk must clear the real axis, |k| = 1/2, the
+    eps-circles, the cuts and the other disks (_check_geometry); either
+    rule raises ContourClash.
     """
 
     def __init__(self, sd, cuts=None, *, ccfg=None, fault_branch_sign=False,
@@ -604,6 +647,7 @@ class SheetedR:
                 pairing=("trivial data: empty cut set",))
             self.sigma = 1.0
             self.same_branch = True
+            self.eps = EPS_CIRCLE
             self.poles = ()
             self.other_sheet_zeros = ()
             return
@@ -617,8 +661,9 @@ class SheetedR:
             # looks at it, so validation gets a fair shot at catching it
             self.sigma = -self.sigma
         self.same_branch = anchor[self.sigma] <= ANCHOR_ZERO
+        self.eps = _eps_radius(self.cuts.cuts)
         self.poles, self.other_sheet_zeros = self._classify_poles()
-        _check_geometry(self.cuts, [p.mu for p in self.poles])
+        _check_geometry(self.cuts.cuts, [p.mu for p in self.poles], self.eps)
         if validate:
             self._validate()
 
@@ -805,7 +850,7 @@ class SheetedR:
 
     def _classify_poles(self):
         poles, others = [], []
-        for mu in self.sd.bstar_zeros(self.ccfg):
+        for mu in self.sd.bstar_zeros(self.eps, self.ccfg):
             data = self._residue_at(mu)
             if data is None:
                 others.append(complex(mu))

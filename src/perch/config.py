@@ -1,16 +1,17 @@
-"""The truncation window and the radii shared by several modules.
+"""The truncation window and the constants shared by several modules.
 
 ContourConfig holds the one knob callers set, the real-axis window; it
 is a plain frozen dataclass, so pass a modified copy to override it.
-EPS_CIRCLE and DISK_RADIUS are read by the branch, scattering and
-assembly layers alike, so they live here.  Every other threshold is a
-constant in the one module that reads it.
+DISK_RADIUS is read by the branch and assembly layers, ORIGIN_OFFSET by
+the scattering and branch layers, so they live here.  Every other
+threshold is a constant in the one module that reads it; the radius of
+the eps-circles about +-i/2 is decided by the sheet (SheetedR.eps).
 """
 
 from dataclasses import dataclass
 
-EPS_CIRCLE = 0.1          # radius of the circles around +-i/2
 DISK_RADIUS = 0.02        # residue disks around poles of the sheeted root
+ORIGIN_OFFSET = 1e-4      # axis scans and boundary values stay this far from 0
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ class TooCloseToContour(PerchError):
 # ---- initial data ----
 
 class ParseError(PerchError):
-    """Malformed CSV or preset string."""
+    """Malformed CSV or preset string, or a non-finite sample."""
 
 
 class UnknownPreset(PerchError):
@@ -111,11 +111,16 @@ class CrossValidationFailure(PerchError):
     """Two independent computations of one quantity disagree."""
 
 
-# ---- assembly ----
-
 class ContourClash(PerchError):
-    """Residue disk intersects another piece of the master contour."""
+    """The sheet leaves no room for the contour's pieces.
 
+    A cut comes so near +-i/2 that the eps-circles there would fall
+    under their floor, or a residue disk meets the real axis, |k| = 1/2,
+    an eps-circle, a cut or another disk.
+    """
+
+
+# ---- assembly ----
 
 class DenominatorCollapse(PerchError):
     """A G-function denominator vanished; the sheet labeling is wrong."""
@@ -127,10 +132,6 @@ class UnknownRegion(PerchError):
 
 class SideRequired(PerchError):
     """Jump or G evaluation on a cut without a side argument."""
-
-
-class DiskOverlap(PerchError):
-    """Residue disks collide with each other or with another segment."""
 
 
 class JumpConsistencyError(PerchError):

@@ -10,15 +10,15 @@ x = L).  Admissible data carry a change of spatial variable
 
     y(x) = int_0^x sqrt(m0(s) + 1) ds,    theta = y(L),
 
-which is strictly increasing; its inverse x(y) and the resample
-mhat0(y) = m0(x(y)) on a uniform y-grid feed the downstream spectral
-machinery.  Raw data with a nonzero endpoint momentum A and dispersion
+which is strictly increasing; theta sets the phases of the spectral
+functions, and MomentumProfile evaluates y(x) and its inverse x(y)
+pointwise.  Raw data with a nonzero endpoint momentum A and dispersion
 omega are first reduced to this normalized form by the affine gauge
 u -> (u - A)/(A + omega).
 """
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,6 +117,10 @@ class InitialProfile:
     def validate(self):
         if self.n < 16:
             raise ParseError(f"need n >= 16 samples, got {self.n}")
+        for name, v in (("u0", self.u0), ("m0", self.m0)):
+            if v is not None and not np.all(np.isfinite(v)):
+                raise ParseError(f"{name} holds {np.sum(~np.isfinite(v))} "
+                                 "non-finite samples (NaN or inf)")
         frac = _tail_energy_fraction(self.u0 if self.m0 is None else self.m0)
         if frac > TAIL_BUDGET:
             raise SmoothnessViolation(
@@ -127,17 +131,14 @@ class InitialProfile:
 
 @dataclass(frozen=True)
 class MomentumProfile:
-    """Momentum, weight q0 = (m0+1)^(1/4), and the y-coordinate geometry."""
+    """Momentum and the y-coordinate geometry."""
     L: float
     n: int
     x: np.ndarray        # shape (n,)
     u0: np.ndarray
     m0: np.ndarray
-    q0: np.ndarray
     theta: float
     y: np.ndarray        # y(x_j) for j = 0..n, with y[n] = theta
-    yhat: np.ndarray     # uniform grid j*theta/n, j = 0..n-1
-    mhat0: np.ndarray    # m0(x(yhat_j))
 
     def m0_at(self, x):
         return trig_eval(self.m0, self.L, x)
@@ -317,17 +318,12 @@ def compute_momentum(profile, eps_end=EPS_END):
     if abs(m0[0]) > eps_end:
         raise EndpointViolation(
             f"|m0(0)| = {abs(m0[0]):.3e} exceeds the {eps_end:.0e} budget")
-    q0 = (m0 + 1.0) ** 0.25
     w = lambda x: np.sqrt(trig_eval(m0, L, x) + 1.0)
     h = L / n
     cells = np.array([_gl_integral(w, j * h, (j + 1) * h) for j in range(n)])
     y = np.concatenate([[0.0], np.cumsum(cells)])
     theta = float(y[-1])
-    mp = MomentumProfile(L, n, profile.x, profile.u0, m0, q0, theta, y,
-                         yhat=np.arange(n) * (theta / n),
-                         mhat0=np.zeros(n))
-    mhat0 = mp.m0_at(mp.x_of_y(mp.yhat))
-    return replace(mp, mhat0=mhat0)
+    return MomentumProfile(L, n, profile.x, profile.u0, m0, theta, y)
 
 
 # ---------------------------------------------------------------- gauge

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate._ivp import dop853_coefficients as _dop
 
-from .config import EPS_CIRCLE, ContourConfig
+from .config import ORIGIN_OFFSET, ContourConfig
 from .errors import (BasisSingular, ClusterUnresolved, DerivativeTooSmall,
                      IdenticallyZero, MultiplicityDetected, NonGenericCase,
                      StiffnessFailure, VerificationFailure)
@@ -59,7 +59,6 @@ IMAG_GUARD = 60.0         # refuse |Im k| * theta beyond this
 FD_STEP = 1e-6            # central-difference step for k-derivatives
 ZERO_FIT_RADII = (1e-3, 2e-3)   # |k| radii for the k->0 pole fit
 B_FLOOR = 1e-12           # b and b* under this on the probe line: b == 0
-ORIGIN_OFFSET = 1e-4      # axis scans and boundary values stay this far from 0
 # nu grid of the sign-change scan for zeros of b* on i(0, 1/2)
 IMAG_SCAN_NUS = np.linspace(ORIGIN_OFFSET, 0.4999, 480)
 
@@ -379,8 +378,8 @@ class ScatteringData:
             self._vanishes[k_hi] = scale < B_FLOOR
         return self._vanishes[k_hi]
 
-    def bstar_zeros(self, ccfg=None):
-        """Zeros of b* on -i(0, 1/2 - EPS_CIRCLE): the only candidate poles.
+    def bstar_zeros(self, eps, ccfg=None):
+        """Zeros of b* on -i(0, 1/2 - eps): the only candidate poles.
 
         The selected root R has (R, 1) as an eigenvector of the monodromy
         M(k) of the module docstring,
@@ -413,15 +412,17 @@ class ScatteringData:
 
         There b(-conj k) = conj b(k) makes b(i nu) real and
         b*(-i nu) = b(i nu), so the zeros come from sign changes of b on
-        the nu grid IMAG_SCAN_NUS, refined by bisection.  Zeros inside
-        the excluded circle about -i/2 are not reported (b vanishes at
-        i/2 for every profile).  Whether a zero is a pole of the
-        selected root or lies on the other sheet is decided by the
-        residue ring check in SheetedR.
+        the nu grid IMAG_SCAN_NUS, refined by bisection.  The scan runs up
+        to nu = 1/2 - eps, where eps is the radius of the eps-circles
+        that the sheet settled (SheetedR.eps); zeros inside the circle
+        about -i/2 are not reported (b vanishes at i/2 for every
+        profile).  Whether a zero is a pole of the selected root or lies
+        on the other sheet is decided by the residue ring check in
+        SheetedR.
         """
         if self.b_vanishes(self.k_window(ccfg)):
             raise IdenticallyZero("b vanishes identically; no poles to find")
-        top = 0.5 - EPS_CIRCLE
+        top = 0.5 - eps
         nus = IMAG_SCAN_NUS[:np.searchsorted(IMAG_SCAN_NUS, top) + 1]
         return tuple(complex(0.0, -nu) for nu in self._axis_zeros(nus, 1)
                      if nu < top)
@@ -431,33 +432,6 @@ class ScatteringData:
         ccfg = ccfg or ContourConfig()
         return ccfg.k_window_factor * np.pi / self.theta
 
-    def _windings_batched(self, f, cells, base_nodes):
-        out = [None] * len(cells)
-        todo = list(range(len(cells)))
-        for mult in (1, 4, 16):
-            pts = [_rect_boundary(*cells[i], base_nodes * mult,
-                                  self._samples_per_unit() * mult)
-                   for i in todo]
-            vals = f(np.concatenate(pts)) if pts else np.empty(0)
-            ofs = 0
-            retry = []
-            for i, p in zip(todo, pts):
-                v = vals[ofs:ofs + len(p)]
-                ofs += len(p)
-                wnd = _phase_winding(v)
-                if wnd is None:
-                    retry.append(i)
-                else:
-                    out[i] = wnd
-            todo = retry
-            if not todo:
-                break
-        if todo:
-            raise ClusterUnresolved(
-                f"{len(todo)} winding cells kept failing after 16x "
-                "densification; a zero sits on or next to a cell boundary")
-        return out
-
     def _samples_per_unit(self):
         # phase rate of b, b* along real directions is bounded by the
         # oscillation of e^{+-ik theta} and e^{+-ikL}: keep steps well
@@ -465,7 +439,19 @@ class ScatteringData:
         return 4.0 * (2 * self.theta + self.mp.L + 2.0)
 
     def _winding(self, f, lo, hi, nodes=256):
-        return self._windings_batched(f, [(lo, hi)], nodes)[0]
+        """Winding number of f about the rectangle with corners lo, hi.
+
+        The boundary samples are densified 4x and then 16x while the
+        phase continuation cannot resolve them.
+        """
+        for mult in (1, 4, 16):
+            wnd = _phase_winding(f(_rect_boundary(
+                lo, hi, nodes * mult, self._samples_per_unit() * mult)))
+            if wnd is not None:
+                return wnd
+        raise ClusterUnresolved(
+            "the winding cell kept failing after 16x densification; a zero "
+            "sits on or next to its boundary")
 
 
 def _unpack_monodromy(ks, T, theta):

@@ -1,6 +1,7 @@
 """Tests for the jump assembly: unimodular jumps on every region tag, the
-(y, t) phase conjugation, the diagonal eps-circle jumps, and the guards on
-region tags, cut sides and the sheet anchor.
+(y, t) phase conjugation, the diagonal eps-circle jumps, the circle jump
+inside the eps-circles against the shifted G-functions written out, and
+the guards on region tags, cut sides and the sheet anchor.
 """
 
 import numpy as np
@@ -93,6 +94,41 @@ def test_eps_jumps_are_diagonal(jumps, name):
         assert np.max(np.abs(J[:, 0, 0] - ph)) < 1e-14, tag
         assert np.max(np.abs(J[:, 1, 1] - 1.0 / ph)) < 1e-14, tag
         assert np.all(J[:, 0, 1] == 0.0) and np.all(J[:, 1, 0] == 0.0), tag
+
+
+def shifted_circle_jump(sd, sr, k):
+    """Circle jump from the shifted G-functions, upper half plane.
+
+    They are G and G1 with (a, b) multiplied and b* divided by
+    e^{ik(L - theta)}, and e^{-2ik theta} replaced by e^{-2ik L}.
+    """
+    L = sd.mp.L
+    a, b, _, bstar = sd.ab(k)
+    ph = np.exp(1j * k * (L - sr.theta))
+    at, bt, bts = a * ph, b * ph, bstar / ph
+    K, Ks = sr.R(k), sr.R_star(k)
+    G_shift = Ks * np.exp(-2j * k * L) + bts / at
+    G1_shift = at * at * K - at * bt
+    J = np.ones(k.shape + (2, 2), dtype=complex)
+    J[:, 0, 0] = 1.0 - G1_shift * G_shift
+    J[:, 0, 1] = -G1_shift
+    J[:, 1, 0] = G_shift
+    return J
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_circle_eps_jump_is_the_shifted_circle_jump(jumps, name):
+    js, panels = jumps(name)
+    k = np.concatenate([p.nodes for p in panels["circle_eps"]])
+    k = k[k.imag > 0]
+    assert len(k) > 0
+    ref = shifted_circle_jump(js.sd, js.sr, k)
+    scale = max(1.0, np.max(np.abs(ref)))
+    assert np.max(np.abs(js.j0_stack(k, "circle_eps") - ref)) < 1e-13 * scale
+    if not js.sr.trivial:
+        # the plain circle jump differs there, so the check has teeth
+        plain = js.j0_stack(k, "circle")
+        assert np.max(np.abs(plain - ref)) > 1e-3 * scale
 
 
 def test_jumps_refused_without_anchor(sd_asym, sr_asym):

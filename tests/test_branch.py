@@ -17,7 +17,7 @@ from perch.branch import (SheetedR, TraceFunction, branch_report,
                           gap_sensitivity, locate_branch_points,
                           residues_of_R)
 from perch.config import ContourConfig
-from perch.errors import (BadGeometry, BranchSelectionError,
+from perch.errors import (BadGeometry, BranchSelectionError, ContourClash,
                           CrossValidationFailure, DoubleZeroUnresolved,
                           NearPole, NonGenericCase, NotAPole,
                           TooCloseToContour, WindowTooSmall)
@@ -476,3 +476,49 @@ def test_branch_report_round_trip(sr_asym):
 def test_cut_set_describe(sr_bump):
     lines = sr_bump.cuts.describe()
     assert any("17 cuts" in ln for ln in lines)
+
+
+# ------------------------------------------------------------ contour room
+
+
+def origin_cut(gap):
+    """Vertical origin cut ending gap below i/2 (and above -i/2)."""
+    return branch.Cut("imag", -(0.5 - gap), 0.5 - gap)
+
+
+def test_far_cuts_keep_the_full_eps_radius():
+    assert branch._eps_radius((origin_cut(0.3), branch.Cut("real", 1, 2))) \
+        == branch.EPS_CIRCLE
+
+
+@pytest.mark.parametrize("gap, eps", [(0.105, 0.095), (0.0952, 0.0852)])
+def test_eps_radius_keeps_clearance_from_cuts(gap, eps):
+    with pytest.warns(UserWarning, match="shrunk from 0.1 to"):
+        assert abs(branch._eps_radius((origin_cut(gap),)) - eps) < 1e-15
+
+
+def test_eps_radius_floor():
+    with pytest.raises(ContourClash, match="comes within 0.025 of i/2"):
+        branch._eps_radius((origin_cut(0.025),))
+
+
+def poles_at(*nus):
+    return [complex(0.0, -nu) for nu in nus]
+
+
+# one pad of 1.25 DISK_RADIUS = 0.025 about each disk centre
+@pytest.mark.parametrize("nus, cuts, meets", [
+    ((0.38,), (), "the eps-circle about -i/2"),
+    ((0.222,), (origin_cut(0.3),), r"the cut \[-0.2, 0.2\]"),
+    ((0.2, 0.24), (), "the residue disk at 0-0.24j"),
+    ((0.02,), (), "the real axis"),
+    ((0.48,), (), r"\|k\| = 1/2"),
+])
+def test_residue_disk_clash(nus, cuts, meets):
+    pattern = rf"residue disk at 0-\S+j meets {meets}"
+    with pytest.raises(ContourClash, match=pattern):
+        branch._check_geometry(cuts, poles_at(*nus), 0.1)
+
+
+def test_residue_disks_with_room_pass():
+    branch._check_geometry((origin_cut(0.3),), poles_at(0.25, 0.32), 0.1)

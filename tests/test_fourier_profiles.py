@@ -2,11 +2,12 @@
 
     m0 = sum_j a_j sin(2 pi j x / L) + b_j (cos(2 pi j x / L) - 1),
 
-which vanish at the period ends for any coefficients.  Four pinned
-profiles cover a build that a ray-decay sheet test could not settle, a
-build whose b* zero search must not trip over a winding cell, a zero of
-b* on the other sheet, and a genuine pole too close to the origin cut;
-a hypothesis sweep covers the family at large.
+which vanish at the period ends for any coefficients.  Pinned profiles
+cover a build that a ray-decay sheet test could not settle, a build
+whose b* zero search must not trip over a winding cell, a zero of b* on
+the other sheet, a genuine pole too close to the origin cut, and two
+vertical origin cuts ending near i/2 that shrink the eps-circles; a
+hypothesis sweep covers the family at large.
 """
 
 import numpy as np
@@ -14,12 +15,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from perch.branch import SheetedR, residues_of_R
+from perch.assembly import build_master_contour
+from perch.branch import CLEARANCE, EPS_CIRCLE, SheetedR, residues_of_R
 from perch.config import ContourConfig
 from perch.errors import (ClusterUnresolved, ContourClash, NotAPole,
                           PerchError)
 from perch.initial import InitialProfile, compute_momentum, solve_helmholtz
 from perch.scattering import ScatteringData
+
+NEAR_I_HALF = {
+    # seed of the family sweep: (L, modes, eps the sheet settles)
+    1068: (3.442408, [(1, 0.31887, -0.68657), (2, 0.491956, -0.314687),
+                      (3, -0.356243, -0.638427)], 0.0954725),
+    1184: (2.93397, [(1, -0.253945, -1.152444), (2, -0.434289, -0.735677)],
+           0.0851854),
+}
 
 WINDOW = ContourConfig(k_window_factor=5.5)
 N = 128
@@ -81,6 +91,32 @@ def test_pole_next_to_the_origin_cut_is_refused():
                                (3, 0.155356, 0.061261)])
     with pytest.raises(ContourClash, match=r"residue disk at 0-0\.0114626j"):
         SheetedR(sd, ccfg=WINDOW)
+
+
+@pytest.mark.parametrize("seed", sorted(NEAR_I_HALF))
+def test_cut_near_half_i_shrinks_the_eps_circles(seed, monkeypatch):
+    # 1184's cut ends 0.0952 below i/2, inside a circle of radius
+    # EPS_CIRCLE; it builds once the circles keep CLEARANCE from it
+    L, modes, eps = NEAR_I_HALF[seed]
+    scans = []
+    scan = ScatteringData._axis_zeros
+
+    def spy(self, nus, comp):
+        scans.append((comp, nus))
+        return scan(self, nus, comp)
+    monkeypatch.setattr(ScatteringData, "_axis_zeros", spy)
+    with pytest.warns(UserWarning, match="eps-circle radius shrunk"):
+        sr = SheetedR(fourier_sd(L, modes), ccfg=WINDOW)
+    assert_valid_sheet(sr)
+    assert abs(sr.eps - eps) < 1e-7 and sr.eps < EPS_CIRCLE
+    (cut,) = sr.cuts.imag_cuts
+    assert abs(0.5 - cut.hi - sr.eps - CLEARANCE) < 1e-15
+    # the b* scan reaches the circle, past the 0.4 of a fixed radius
+    (nus,) = [nus for comp, nus in scans if comp == 1]
+    assert nus[-2] < 0.5 - sr.eps <= nus[-1]
+    radii = {seg.radius for seg in build_master_contour(sr).segments
+             if seg.label in ("eps_outer", "eps_inner")}
+    assert radii == {sr.eps}
 
 
 coef = st.floats(-0.35, 0.35, allow_nan=False)

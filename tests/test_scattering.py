@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from perch.branch import EPS_CIRCLE
 from perch.config import ContourConfig
 from perch.errors import (BasisSingular, IdenticallyZero, NonGenericCase,
                           StiffnessFailure)
@@ -277,17 +278,18 @@ def test_discrete_spectrum_asym(sd_asym):
 
 def test_bstar_zeros_identically_zero(sd_zero):
     with pytest.raises(IdenticallyZero):
-        sd_zero.bstar_zeros()
+        sd_zero.bstar_zeros(EPS_CIRCLE)
 
 
 def test_bstar_zeros_empty_for_bump(sd_bump):
-    assert sd_bump.bstar_zeros() == ()
+    assert sd_bump.bstar_zeros(EPS_CIRCLE) == ()
 
 
 def test_bstar_zeros_asym(sd_asym):
     # asym's two zeros of b* lie off the imaginary axis, at mu and
     # -conj(mu), where the sheeted root has no poles; the search reports
     # only zeros on -i(0, 1/2)
-    assert sd_asym.bstar_zeros(ContourConfig(k_window_factor=5.5)) == ()
+    assert sd_asym.bstar_zeros(EPS_CIRCLE,
+                               ContourConfig(k_window_factor=5.5)) == ()
     mu = 6.741005022412 + 0.031206534215j
     assert np.max(np.abs(sd_asym.ab(np.array([mu, -np.conj(mu)]))[3])) < 1e-9
