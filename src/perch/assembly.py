@@ -25,14 +25,13 @@ Region tags on segments select the jump formula:
   disk                           residue disks
 
 The jumps are built from one root R of the global-relation quadratic.
-SheetedR validation enforces the anchor R(i/2) = 0 (same_branch), so
-the root anchored at i/2 is R itself: the shifted G-functions use the
-same root, and the eps-circle arcs carry the diagonal jump
+SheetedR picks the sheet by the anchor R(i/2) = 0, so the root anchored
+at i/2 is R itself: the shifted G-functions use the same root, and the
+eps-circle arcs carry the diagonal jump
 D = diag(e^{ik(L - theta)}, e^{-ik(L - theta)}).  The shifted
 G-functions are exactly e^{-2ik(L - theta)} G and e^{2ik(L - theta)} G1,
 so the piece of |k| = 1/2 inside the eps-circles carries the circle jump
-conjugated by that same D: circle_eps = D J_circle D^{-1}.  JumpSpec
-refuses a sheet without the anchor.
+conjugated by that same D: circle_eps = D J_circle D^{-1}.
 
 The time dependence enters through the scalar phase
 p(y, t, k) = y - t / (2 (k^2 + 1/4)): the jump at (y, t) is the k-fixed
@@ -46,8 +45,8 @@ import numpy as np
 
 from .config import DISK_RADIUS
 from .contour import Segment, build_panels
-from .errors import (BadGeometry, BranchSelectionError, DenominatorCollapse,
-                     CrossValidationFailure, JumpConsistencyError,
+from .errors import (BadGeometry, CrossValidationFailure,
+                     DenominatorCollapse, JumpConsistencyError,
                      SideRequired, UnknownRegion)
 from .mat2 import det2, frob, sigma1_conj
 
@@ -323,16 +322,10 @@ class JumpSpec:
     j0_stack gives the t-independent matrix per region tag; jump_stack
     conjugates it with the phase exponential.  Residue disks are the one
     exception: their nilpotent entry carries the phase evaluated at the
-    pole, exactly as the residue conditions prescribe.  The sheet must
-    carry the anchor R(i/2) = 0 (same_branch), which the jumps rely on;
-    a sheet without it raises BranchSelectionError.
+    pole, exactly as the residue conditions prescribe.
     """
 
     def __init__(self, sd, sr, mc):
-        if not sr.same_branch:
-            raise BranchSelectionError(
-                "the sheet's root does not vanish at k = i/2; no jumps "
-                "are assembled on it")
         self.sd = sd
         self.sr = sr
         self.mc = mc

@@ -467,7 +467,7 @@ def _pair_cuts(tf, gaps, k_max, x_hi, delta_gap, trivial):
     return cuts, dropped, log
 
 
-def locate_branch_points(tf, k_max=None, gap_threshold=None, *, ccfg=None):
+def locate_branch_points(tf, k_max, gap_threshold=DELTA_GAP):
     """Find branch points on both axes and pair them into cuts.
 
     The trace is the discriminant of the weighted Hill equation
@@ -491,10 +491,7 @@ def locate_branch_points(tf, k_max=None, gap_threshold=None, *, ccfg=None):
     inside a kept real gap raises WindowTooSmall.  The pairing log
     names the eigenvalue interval of each cut and dropped gap.
     """
-    ccfg = ccfg or ContourConfig()
-    delta_gap = DELTA_GAP if gap_threshold is None else float(gap_threshold)
-    k_max = float(k_max) if k_max is not None else tf.sd.k_window(ccfg)
-    trivial = tf.sd.b_vanishes(k_max)
+    trivial = tf.sd.b_vanishes()
     x_hi = k_max + 0.75 * np.pi / tf.theta
 
     d0 = float(tf.on_axis("real", np.array([ORIGIN_OFFSET]))[0])
@@ -506,7 +503,8 @@ def locate_branch_points(tf, k_max=None, gap_threshold=None, *, ccfg=None):
     mp = tf.sd.mp
     n_modes = int(np.ceil(x_hi * tf.sd.wmax * mp.L / np.pi)) + 32
     gaps = _spectral_gaps(*_hill_spectrum(mp.m0, mp.L, n_modes))
-    cuts, dropped, log = _pair_cuts(tf, gaps, k_max, x_hi, delta_gap, trivial)
+    cuts, dropped, log = _pair_cuts(tf, gaps, k_max, x_hi, gap_threshold,
+                                    trivial)
     return _finalize_cut_set(tf, k_max, cuts, dropped, log)
 
 
@@ -554,6 +552,11 @@ def _anchored_sign(anchor):
     raise BranchSelectionError(
         f"no sign isolates the anchor R(i/2) = 0: |R(i/2)| = "
         f"{anchor[1.0]:.3g} (sigma +1), {anchor[-1.0]:.3g} (sigma -1)")
+
+
+def _richardson(v1, v2, v4):
+    """Two Richardson stages over values at probe radii r, r/2, r/4."""
+    return (4.0 * (2.0 * v4 - v2) - (2.0 * v2 - v1)) / 3.0
 
 
 def _eps_radius(cuts):
@@ -611,18 +614,14 @@ class SheetedR:
     That root is the component ratio of the Floquet solution that decays
     as x -> +infinity when Im k > 0 (see ScatteringData.bstar_zeros),
     so it vanishes as k -> infinity in both half planes;
-    test_far_field_decay checks this consequence.  Off the cuts R is evaluated from the
-    principal-branch product form carrying sigma times sign(Im k); on a
-    cut the one-sided limits come from exact boundary formulas, so no
-    continuity bookkeeping is needed.
+    test_far_field_decay checks this consequence.  Off the cuts R is
+    evaluated from the principal-branch product form carrying sigma
+    times sign(Im k); on a cut the one-sided limits come from exact
+    boundary formulas, so no continuity bookkeeping is needed.
 
-    Build-time checks hard-fail on a wrong sheet label: quadratic
-    residual, the unimodularity identity (a - b R*)(a* - b* R) = 1, the
-    reflection identity R(-k) = R*(k), and the anchor values at i/2 and
-    0.  The anchor R(i/2) = 0 is same_branch.  fault_branch_sign flips
-    the sign after the choice, simulating a mislabeled sheet for
-    negative controls; with validate=False such a sheet is built
-    (same_branch False), but JumpSpec refuses it.
+    _anchored_sign is the one home of sigma.  The window k_max is read
+    from ccfg here, once, and handed down as a value; whether b vanishes
+    identically is one cached probe (ScatteringData.b_vanishes).
 
     eps is the radius of the contour's circles about +-i/2, derived from
     the cuts, not set: EPS_CIRCLE, shrunk to keep CLEARANCE from every
@@ -632,35 +631,28 @@ class SheetedR:
     rule raises ContourClash.
     """
 
-    def __init__(self, sd, cuts=None, *, ccfg=None, fault_branch_sign=False,
-                 validate=True):
+    def __init__(self, sd, cuts=None, *, ccfg=None, validate=True):
         self.sd = sd
         self.ccfg = ccfg or ContourConfig()
         self.trace = TraceFunction(sd)
         self.theta = sd.theta
         self.k_max = sd.k_window(self.ccfg)
-        self.trivial = sd.b_vanishes(self.k_max)
+        self.trivial = sd.b_vanishes()
         if self.trivial:
             self.cuts = cuts if cuts is not None else BranchCutSet(
                 theta=self.theta, k_max=self.k_max, cuts=(), kept_gaps=(),
                 dropped=(), branch_points=(),
                 pairing=("trivial data: empty cut set",))
             self.sigma = 1.0
-            self.same_branch = True
             self.eps = EPS_CIRCLE
             self.poles = ()
             self.other_sheet_zeros = ()
             return
         self.cuts = cuts if cuts is not None else locate_branch_points(
-            self.trace, ccfg=self.ccfg)
+            self.trace, self.k_max)
         anchor = {s: abs(complex(self._raw(np.array([0.5j]), sigma=s)[0]))
                   for s in (1.0, -1.0)}
         self.sigma = _anchored_sign(anchor)
-        if fault_branch_sign:
-            # test hook: corrupt the sheet before anything downstream
-            # looks at it, so validation gets a fair shot at catching it
-            self.sigma = -self.sigma
-        self.same_branch = anchor[self.sigma] <= ANCHOR_ZERO
         self.eps = _eps_radius(self.cuts.cuts)
         self.poles, self.other_sheet_zeros = self._classify_poles()
         _check_geometry(self.cuts.cuts, [p.mu for p in self.poles], self.eps)
@@ -850,7 +842,7 @@ class SheetedR:
 
     def _classify_poles(self):
         poles, others = [], []
-        for mu in self.sd.bstar_zeros(self.eps, self.ccfg):
+        for mu in self.sd.bstar_zeros(self.eps):
             data = self._residue_at(mu)
             if data is None:
                 others.append(complex(mu))
@@ -886,10 +878,8 @@ class SheetedR:
         if self.trivial:
             return 0.0j
         r = 1e-3
-        m1, m2, m4 = (self._origin_mean(s) for s in (r, r / 2, r / 4))
-        a1 = 2.0 * m2 - m1
-        a2 = 2.0 * m4 - m2
-        return complex((4.0 * a2 - a1) / 3.0)
+        return complex(_richardson(
+            *(self._origin_mean(s) for s in (r, r / 2, r / 4))))
 
     def slope_at_zero(self, r=1e-3):
         """Sided linear coefficient of the root at k = 0.
@@ -935,12 +925,8 @@ class SheetedR:
             root_star = np.conj(self._raw(np.conj(k)))
             vals.append((complex(a[0] - b[0] * root_star[0]),
                          complex(astar[0] - bstar[0] * root[0])))
-
-        def extrap(v1, v2, v4):
-            return (4.0 * (2.0 * v4 - v2) - (2.0 * v2 - v1)) / 3.0
-
-        return (complex(extrap(*(v[0] for v in vals))),
-                complex(extrap(*(v[1] for v in vals))))
+        return (complex(_richardson(*(v[0] for v in vals))),
+                complex(_richardson(*(v[1] for v in vals))))
 
     def kappa(self):
         """Limit of a - b K* at k = 0 along the cut-free approach axis.
@@ -972,6 +958,16 @@ class SheetedR:
     # ---------------------------------------------- validation
 
     def _validate(self):
+        """Identity checks on the built sheet.
+
+        The quadratic residual, the unimodularity identity
+        (a - b R*)(a* - b* R) = 1 and the reflection identity
+        R(-k) = R*(k) raise BranchSelectionError.  The origin limit
+        R(0) = -1 is an accuracy check of value_at_zero, not a sheet
+        check: at k = 0 the quadratic is -(i rho / k)(K + 1)^2 to
+        leading order, so both roots tend to -1, and a miss raises
+        VerificationFailure.
+        """
         rng = np.random.default_rng(20)
         n = 32
         pts = (rng.uniform(-0.85, 0.85, n) * self.k_max +
@@ -996,17 +992,9 @@ class SheetedR:
         if np.max(refl) > 1e-9:
             raise BranchSelectionError(
                 f"reflection defect {np.max(refl):.3g} > 1e-9")
-        # the product identity is blind to a coherent sign flip (both
-        # roots swap together), so anchor the sheet at an interior point
-        if not self.same_branch:
-            raise BranchSelectionError(
-                "selected root does not vanish at k = i/2: wrong sheet sign")
-        try:
-            v0 = self.value_at_zero()
-        except NonGenericCase:
-            v0 = None
-        if v0 is not None and abs(v0 + 1.0) > 1e-6:
-            raise BranchSelectionError(
+        v0 = self.value_at_zero()
+        if abs(v0 + 1.0) > 1e-6:
+            raise VerificationFailure(
                 f"origin anchor R(0) = {v0:.9g} differs from -1")
 
 
@@ -1040,7 +1028,7 @@ def gap_sensitivity(sr, n_probes=8):
         return {"max_abs_delta": 0.0, "halved_threshold": DELTA_GAP / 2,
                 "cuts": 0, "cuts_halved": 0}
     half = DELTA_GAP / 2.0
-    cuts2 = locate_branch_points(sr.trace, gap_threshold=half, ccfg=sr.ccfg)
+    cuts2 = locate_branch_points(sr.trace, sr.k_max, gap_threshold=half)
     sr2 = SheetedR(sr.sd, cuts2, ccfg=sr.ccfg, validate=False)
     rng = np.random.default_rng(11)
     pts = (rng.uniform(-0.8, 0.8, n_probes) * sr.k_max +
@@ -1069,7 +1057,6 @@ def branch_report(sr):
         "theta": float(sr.theta),
         "k_max": float(cs.k_max),
         "sigma": float(sr.sigma),
-        "same_branch": bool(sr.same_branch),
         "trivial": bool(sr.trivial),
         "branch_points": [[z.real, z.imag] for z in cs.branch_points],
         "cuts": [{"axis": c.axis, "lo": c.lo, "hi": c.hi}

@@ -88,7 +88,7 @@ class IdenticallyZero(PerchError):
 # ---- branch structure ----
 
 class WindowTooSmall(PerchError):
-    """Sign pattern of the discriminant still changing at the window edge."""
+    """The real-axis window edge falls inside a kept spectral gap."""
 
 
 class DoubleZeroUnresolved(PerchError):

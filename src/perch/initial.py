@@ -104,6 +104,12 @@ def _tail_energy_fraction(samples):
 
 # ---------------------------------------------------------------- profiles
 
+def _refuse_non_finite(name, v):
+    if not np.all(np.isfinite(v)):
+        raise ParseError(f"{name} holds {np.sum(~np.isfinite(v))} "
+                         "non-finite samples (NaN or inf)")
+
+
 @dataclass(frozen=True)
 class InitialProfile:
     """Sampled periodic initial data on x_j = j L / n, j = 0..n-1."""
@@ -118,9 +124,8 @@ class InitialProfile:
         if self.n < 16:
             raise ParseError(f"need n >= 16 samples, got {self.n}")
         for name, v in (("u0", self.u0), ("m0", self.m0)):
-            if v is not None and not np.all(np.isfinite(v)):
-                raise ParseError(f"{name} holds {np.sum(~np.isfinite(v))} "
-                                 "non-finite samples (NaN or inf)")
+            if v is not None:
+                _refuse_non_finite(name, v)
         frac = _tail_energy_fraction(self.u0 if self.m0 is None else self.m0)
         if frac > TAIL_BUDGET:
             raise SmoothnessViolation(
@@ -220,8 +225,10 @@ def load_initial_data(source, L=2.0, n=256):
     if m:
         try:
             c = float(m.group(1))
-        except ValueError as exc:
-            raise ParseError(f"bad bump amplitude in {source!r}") from exc
+        except ValueError:
+            c = np.nan
+        if not np.isfinite(c):
+            raise ParseError(f"bad bump amplitude in {source!r}")
         x = np.arange(n) * (L / n)
         m0 = c * np.sin(np.pi * x / L) ** 2
         u0 = solve_helmholtz(m0, L)
@@ -287,6 +294,7 @@ def read_csv(path):
     n = len(x)
     x0 = x - x[0]
     if kind == "momentum":
+        _refuse_non_finite("m0", v)    # before the FFT of the Helmholtz solve
         u0 = solve_helmholtz(v, L)
         return InitialProfile(float(L), n, x0, u0, v, str(path)).validate()
     return InitialProfile(float(L), n, x0, v, None, str(path)).validate()

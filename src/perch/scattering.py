@@ -194,7 +194,7 @@ class ScatteringData:
         self.wmax = float(np.sqrt(np.max(mp.m0) + 1.0))
         self._cache = {}
         self._coarse = {}
-        self._vanishes = {}
+        self._vanishes = None
 
     # -------------------------------------------------- core evaluation
 
@@ -363,22 +363,22 @@ class ScatteringData:
 
     # -------------------------------------------------- b* zero search
 
-    def b_vanishes(self, k_hi):
-        """Whether b vanishes identically, probed up to Re k = k_hi.
+    def b_vanishes(self):
+        """Whether b vanishes identically.
 
         True when |b| and |b*| stay under B_FLOOR at 40 coarse points on
-        Im k = 0.037, 0.13 <= Re k <= k_hi.  The probe runs once per
-        window; the sheeted root, the cut search and the b* zero search
-        all ask it.
+        Im k = 0.037, 0.13 <= Re k <= k_window(), the default window.
+        The probe runs once; the sheeted root, the cut search and the
+        b* zero search all ask it.
         """
-        if k_hi not in self._vanishes:
-            probes = np.linspace(0.13, k_hi, 40) + 0.037j
+        if self._vanishes is None:
+            probes = np.linspace(0.13, self.k_window(), 40) + 0.037j
             _, b, _, bstar = self.ab_coarse(probes)
             scale = float(max(np.max(np.abs(b)), np.max(np.abs(bstar))))
-            self._vanishes[k_hi] = scale < B_FLOOR
-        return self._vanishes[k_hi]
+            self._vanishes = scale < B_FLOOR
+        return self._vanishes
 
-    def bstar_zeros(self, eps, ccfg=None):
+    def bstar_zeros(self, eps):
         """Zeros of b* on -i(0, 1/2 - eps): the only candidate poles.
 
         The selected root R has (R, 1) as an eigenvector of the monodromy
@@ -420,7 +420,7 @@ class ScatteringData:
         on the other sheet is decided by the residue ring check in
         SheetedR.
         """
-        if self.b_vanishes(self.k_window(ccfg)):
+        if self.b_vanishes():
             raise IdenticallyZero("b vanishes identically; no poles to find")
         top = 0.5 - eps
         nus = IMAG_SCAN_NUS[:np.searchsorted(IMAG_SCAN_NUS, top) + 1]

@@ -1,7 +1,7 @@
 """Tests for the jump assembly: unimodular jumps on every region tag, the
 (y, t) phase conjugation, the diagonal eps-circle jumps, the circle jump
 inside the eps-circles against the shifted G-functions written out, and
-the guards on region tags, cut sides and the sheet anchor.
+the guards on region tags and cut sides.
 """
 
 import numpy as np
@@ -9,8 +9,7 @@ import pytest
 
 from perch.assembly import (ALL_TAGS, CUT_TAGS, JumpSpec,
                             build_master_contour, panelize)
-from perch.branch import SheetedR
-from perch.errors import BranchSelectionError, SideRequired, UnknownRegion
+from perch.errors import SideRequired, UnknownRegion
 from perch.mat2 import det2
 
 FIXTURES = ["sr_zero", "sr_hbump"]
@@ -129,12 +128,3 @@ def test_circle_eps_jump_is_the_shifted_circle_jump(jumps, name):
         # the plain circle jump differs there, so the check has teeth
         plain = js.j0_stack(k, "circle")
         assert np.max(np.abs(plain - ref)) > 1e-3 * scale
-
-
-def test_jumps_refused_without_anchor(sd_asym, sr_asym):
-    # a flipped sheet sign built without validation: R(i/2) != 0
-    sr = SheetedR(sd_asym, sr_asym.cuts, ccfg=sr_asym.ccfg,
-                  fault_branch_sign=True, validate=False)
-    assert sr.same_branch is False
-    with pytest.raises(BranchSelectionError):
-        JumpSpec(sd_asym, sr, build_master_contour(sr))

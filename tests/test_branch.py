@@ -13,14 +13,15 @@ from hypothesis import strategies as st
 
 from perch import branch
 from perch.assembly import CUT_TAGS, JumpSpec, build_master_contour, panelize
-from perch.branch import (SheetedR, TraceFunction, branch_report,
-                          gap_sensitivity, locate_branch_points,
-                          residues_of_R)
+from perch.branch import (ANCHOR_APART, ANCHOR_ZERO, SheetedR, TraceFunction,
+                          branch_report, gap_sensitivity,
+                          locate_branch_points, residues_of_R)
 from perch.config import ContourConfig
 from perch.errors import (BadGeometry, BranchSelectionError, ContourClash,
                           CrossValidationFailure, DoubleZeroUnresolved,
                           NearPole, NonGenericCase, NotAPole,
-                          TooCloseToContour, WindowTooSmall)
+                          TooCloseToContour, VerificationFailure,
+                          WindowTooSmall)
 from perch.initial import compute_momentum, load_initial_data
 from perch.mat2 import det2
 from perch.scattering import ScatteringData
@@ -30,10 +31,14 @@ L = 2.0
 
 @pytest.fixture(scope="module")
 def sr_fault(sd_asym, sr_asym):
-    # deliberately corrupted sheet sign; reuses the honest cut set so the
-    # expensive location step runs once per session
-    return SheetedR(sd_asym, sr_asym.cuts, ccfg=sr_asym.ccfg,
-                    fault_branch_sign=True, validate=False)
+    # the other sheet, on purpose: the anchored sign is flipped while the
+    # sheet is built; reuses the honest cut set so the expensive location
+    # step runs once per session
+    anchored = branch._anchored_sign
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(branch, "_anchored_sign", lambda anchor: -anchored(anchor))
+        return SheetedR(sd_asym, sr_asym.cuts, ccfg=sr_asym.ccfg,
+                        validate=False)
 
 
 def cut_mid(c):
@@ -96,7 +101,7 @@ def test_trace_anchor_at_half_i(sd_bump):
 
 
 def test_trivial_data_empty_cut_set(sd_zero):
-    cs = locate_branch_points(TraceFunction(sd_zero))
+    cs = locate_branch_points(TraceFunction(sd_zero), sd_zero.k_window())
     assert cs.cuts == () and cs.branch_points == ()
     assert any("trivial" in line for line in cs.pairing)
     # every zero of Delta -+ 2 is a double zero at a trace extremum: all
@@ -161,10 +166,9 @@ def test_cut_interiors_and_mirror_symmetry(sr_bump):
             assert abs(d) < 2.0
 
 
-def test_window_stability_keeps_interior_cuts(sr_asym, sd_asym):
-    base = sd_asym.k_window(sr_asym.ccfg)
-    wide = locate_branch_points(sr_asym.trace, k_max=base + 1.0,
-                                ccfg=sr_asym.ccfg)
+def test_window_stability_keeps_interior_cuts(sr_asym):
+    base = sr_asym.k_max
+    wide = locate_branch_points(sr_asym.trace, base + 1.0)
     inner = [c for c in sr_asym.cuts.real_cuts if c.hi <= base]
     assert len(inner) == 10
     for c in inner:
@@ -181,12 +185,12 @@ def test_band_edge_at_origin_rejected():
     sd = ScatteringData(compute_momentum(load_initial_data("bump(1e-6)",
                                                            L=L, n=64)))
     with pytest.raises(NonGenericCase):
-        locate_branch_points(TraceFunction(sd))
+        locate_branch_points(TraceFunction(sd), sd.k_window())
 
 
 def test_window_edge_collision_rejected(sr_asym):
     with pytest.raises(WindowTooSmall):
-        locate_branch_points(sr_asym.trace, k_max=6.7097, ccfg=sr_asym.ccfg)
+        locate_branch_points(sr_asym.trace, 6.7097)
 
 
 @pytest.mark.parametrize("name,factor", [
@@ -196,7 +200,7 @@ def test_integer_window_factors_build(request, name, factor):
     # bands, so the sheet builds, validated, with unimodular jumps
     sd = request.getfixturevalue(name)
     sr = SheetedR(sd, ccfg=ContourConfig(k_window_factor=factor))
-    assert sr.same_branch is True
+    assert abs(sr.R(0.5j)) <= ANCHOR_ZERO
     mc = build_master_contour(sr)
     js = JumpSpec(sd, sr, mc)
     for p in panelize(mc).panels:
@@ -208,7 +212,7 @@ def test_integer_window_factors_build(request, name, factor):
 def test_double_zero_guard(sr_asym, monkeypatch):
     monkeypatch.setattr(branch, "TAU_SIMPLE", 1e3)
     with pytest.raises(DoubleZeroUnresolved):
-        locate_branch_points(sr_asym.trace, ccfg=sr_asym.ccfg)
+        locate_branch_points(sr_asym.trace, sr_asym.k_max)
 
 
 # ------------------------------------------------------- sheet selection
@@ -218,10 +222,34 @@ def test_double_zero_guard(sr_asym, monkeypatch):
 def test_sheet_flags(request, name):
     sr = request.getfixturevalue(name)
     assert sr.sigma == 1.0
-    assert sr.same_branch is True
     assert not sr.trivial
-    assert abs(sr.R(0.5j)) <= 1e-9
+    assert abs(sr.R(0.5j)) <= ANCHOR_ZERO
     assert abs(sr.R(-0.5j)) <= 1e-9
+
+
+@pytest.mark.parametrize("sigma", [1.0, -1.0])
+def test_anchored_sign_isolates_the_anchor(sigma):
+    anchor = {sigma: ANCHOR_ZERO, -sigma: ANCHOR_APART}
+    assert branch._anchored_sign(anchor) == sigma
+
+
+@pytest.mark.parametrize("small,other", [
+    (0.0, 0.5 * ANCHOR_ZERO),           # both roots vanish at i/2
+    (2 * ANCHOR_ZERO, 1.0),             # neither does
+    (0.0, 0.5 * ANCHOR_APART),          # the other sign is not apart
+])
+def test_anchored_sign_refuses_unsettled_anchors(small, other):
+    for anchor in ({1.0: small, -1.0: other}, {1.0: other, -1.0: small}):
+        with pytest.raises(BranchSelectionError, match="no sign isolates"):
+            branch._anchored_sign(anchor)
+
+
+def test_origin_miss_is_an_accuracy_failure(sr_asym, monkeypatch):
+    # both roots tend to -1 at k = 0, so the check cannot tell the sheets
+    # apart: a miss is a failure of value_at_zero, not of the sheet
+    monkeypatch.setattr(SheetedR, "value_at_zero", lambda self: -1.0 + 2e-6)
+    with pytest.raises(VerificationFailure, match="origin anchor"):
+        sr_asym._validate()
 
 
 def test_far_field_decay(sr_bump):
@@ -232,16 +260,10 @@ def test_far_field_decay(sr_bump):
     assert np.max(far) < 0.05
 
 
-def test_corrupted_sheet_sign_detected(sd_asym, sr_asym):
-    with pytest.raises(BranchSelectionError, match="vanish at k = i/2"):
-        SheetedR(sd_asym, sr_asym.cuts, ccfg=sr_asym.ccfg,
-                 fault_branch_sign=True)
-
-
 def test_trivial_root_vanishes(sr_zero):
     ks = np.array([0.3, 1.0 + 0.2j, -0.4j, 5.0])
     assert np.max(np.abs(sr_zero.R(ks))) == 0.0
-    assert sr_zero.trivial and sr_zero.same_branch
+    assert sr_zero.trivial
     assert sr_zero.kappa() == 1.0
     assert sr_zero.kappa_pair() == (1.0, 1.0)
     assert sr_zero.value_at_zero() == 0.0
@@ -422,7 +444,7 @@ def test_trivial_has_no_poles(sr_zero):
 
 
 def test_fault_exposes_companion_poles(sr_fault):
-    assert sr_fault.same_branch is False
+    assert abs(sr_fault.R(0.5j)) >= ANCHOR_APART
     assert sr_fault.poles == () and sr_fault.other_sheet_zeros == ()
     c1, c2 = (sr_fault._residue_at(z) for z in MUS_ASYM)
     assert abs(c2.residue - RES_FAULT) < 1e-6
@@ -465,7 +487,7 @@ def test_gap_sensitivity_trivial(sr_zero):
 
 def test_branch_report_round_trip(sr_asym):
     rep = json.loads(json.dumps(branch_report(sr_asym)))
-    assert rep["sigma"] == 1.0 and rep["same_branch"] is True
+    assert rep["sigma"] == 1.0
     assert len(rep["cuts"]) == 11
     assert len(rep["branch_points"]) == 22
     assert rep["other_sheet_zeros"] == []

@@ -16,7 +16,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from perch.assembly import build_master_contour
-from perch.branch import CLEARANCE, EPS_CIRCLE, SheetedR, residues_of_R
+from perch.branch import (ANCHOR_ZERO, CLEARANCE, EPS_CIRCLE, SheetedR,
+                          residues_of_R)
 from perch.config import ContourConfig
 from perch.errors import (ClusterUnresolved, ContourClash, NotAPole,
                           PerchError)
@@ -52,7 +53,7 @@ def fourier_sd(L, modes):
 
 
 def assert_valid_sheet(sr):
-    assert sr.same_branch is True
+    assert abs(sr.R(0.5j)) <= ANCHOR_ZERO
     for p in sr.poles:
         assert p.mu.real == 0.0 and -0.5 < p.mu.imag < 0.0
 

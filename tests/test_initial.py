@@ -1,5 +1,7 @@
 """Initial data ingestion, momentum, gauge reduction, and the y-map."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,23 +149,27 @@ def test_unknown_preset_and_bad_amplitude():
         load_initial_data("bump(abc)", L=1.0, n=32)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_samples_refused_at_load(tmp_path, bad):
-    # refused at load, before the y-map meets it
+    # refused at load, before numpy or the y-map meets them: any warning
+    # on the way fails the test
     L, n = 2.0, 32
     x = np.arange(n) * (L / n)
     u0 = np.zeros(n)
     u0[7] = bad
-    with pytest.raises(ParseError, match="non-finite"):
-        InitialProfile(L, n, x, u0, None, "bad").validate()
     m0 = 0.3 * np.sin(np.pi * x / L) ** 2
     m0[5] = bad
     path = tmp_path / "bad.csv"
     rows = [f"{xi:.17g},{mi:.17g}" for xi, mi in zip(x, m0)]
     path.write_text("\n".join(["# kind=momentum L=2"] + rows) + "\n")
-    with pytest.raises(ParseError, match="non-finite"):
-        read_csv(str(path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="non-finite"):
+            InitialProfile(L, n, x, u0, None, "bad").validate()
+        with pytest.raises(ParseError, match="non-finite"):
+            read_csv(str(path))
+        with pytest.raises(ParseError, match="bad bump amplitude"):
+            load_initial_data(f"bump({bad})", L=L, n=n)
 
 
 def test_out_of_range():

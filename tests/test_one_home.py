@@ -1,6 +1,7 @@
 """Every UPPER_CASE constant of the package has one home: it is assigned
 in exactly one module, and a constant that a second module imports lives
-in config.
+in config.  The window config has one reader besides the window formula:
+the sheet, which hands its k_max down as a value.
 """
 
 import ast
@@ -41,3 +42,26 @@ def test_shared_constants_live_in_config():
                            for a in node.names if CONSTANT.match(a.name)
                            and node.module != "config"]
     assert strays == []
+
+
+def functions(tree, prefix=""):
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from functions(node, f"{prefix}{node.name}.")
+        elif isinstance(node, ast.FunctionDef):
+            yield f"{prefix}{node.name}", node
+
+
+def test_window_config_read_only_by_the_sheet_and_the_window():
+    # a function may accept a ccfg it does not read (callers pass it
+    # along), but only these two may read one
+    readers = []
+    for name, tree in modules():
+        for qual, fn in functions(tree):
+            args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+            if any(a.arg == "ccfg" for a in args) and any(
+                    isinstance(n, ast.Name) and n.id == "ccfg"
+                    and isinstance(n.ctx, ast.Load) for n in ast.walk(fn)):
+                readers.append(f"{name}.{qual}")
+    assert readers == ["branch.SheetedR.__init__",
+                       "scattering.ScatteringData.k_window"]

@@ -10,7 +10,6 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from perch.branch import EPS_CIRCLE
-from perch.config import ContourConfig
 from perch.errors import (BasisSingular, IdenticallyZero, NonGenericCase,
                           StiffnessFailure)
 from perch.initial import trig_eval
@@ -289,7 +288,6 @@ def test_bstar_zeros_asym(sd_asym):
     # asym's two zeros of b* lie off the imaginary axis, at mu and
     # -conj(mu), where the sheeted root has no poles; the search reports
     # only zeros on -i(0, 1/2)
-    assert sd_asym.bstar_zeros(EPS_CIRCLE,
-                               ContourConfig(k_window_factor=5.5)) == ()
+    assert sd_asym.bstar_zeros(EPS_CIRCLE) == ()
     mu = 6.741005022412 + 0.031206534215j
     assert np.max(np.abs(sd_asym.ab(np.array([mu, -np.conj(mu)]))[3])) < 1e-9
