@@ -554,11 +554,6 @@ def _anchored_sign(anchor):
         f"{anchor[1.0]:.3g} (sigma +1), {anchor[-1.0]:.3g} (sigma -1)")
 
 
-def _richardson(v1, v2, v4):
-    """Two Richardson stages over values at probe radii r, r/2, r/4."""
-    return (4.0 * (2.0 * v4 - v2) - (2.0 * v2 - v1)) / 3.0
-
-
 def _eps_radius(cuts):
     """Radius of the eps-circles about +-i/2: they keep CLEARANCE from cuts.
 
@@ -852,8 +847,8 @@ class SheetedR:
 
     # ---------------------------------------------- anchors at k = 0
 
-    def _origin_probes(self, r):
-        """Probe pair (+p, -p) for origin limits, off every cut.
+    def _origin_mean(self, r):
+        """Mean of the root over the probe pair (+p, -p), off every cut.
 
         Generically the origin lies on exactly one cut: on a vertical
         (imaginary-axis) cut the approach is along the real axis, where
@@ -861,11 +856,10 @@ class SheetedR:
         horizontal (real-axis) cut it is along the imaginary axis.
         """
         if self.cuts.on_cut("real", 0.0) is not None:
-            return np.array([1j * r, -1j * r])
-        return np.array([r, -r], dtype=complex)
-
-    def _origin_mean(self, r):
-        return np.mean(self._raw(self._origin_probes(r)))
+            probes = np.array([1j * r, -1j * r])
+        else:
+            probes = np.array([r, -r], dtype=complex)
+        return np.mean(self._raw(probes))
 
     def value_at_zero(self):
         """Limit of the root at k = 0, extrapolated; -1 generically.
@@ -878,82 +872,8 @@ class SheetedR:
         if self.trivial:
             return 0.0j
         r = 1e-3
-        return complex(_richardson(
-            *(self._origin_mean(s) for s in (r, r / 2, r / 4))))
-
-    def slope_at_zero(self, r=1e-3):
-        """Sided linear coefficient of the root at k = 0.
-
-        On a horizontal origin cut the upper boundary value is smooth
-        through 0 and a single coefficient serves both sides, recovered
-        by a Richardson-refined central difference.  On a vertical cut
-        the two real half-axes carry distinct slopes (minus conjugates
-        of each other); the positive half-axis slope is returned, from
-        a quadratic fit at radii r, r/2, r/4.
-        """
-        if self.trivial:
-            return 0.0j
-        if self.cuts.on_cut("real", 0.0) is not None:
-            pair = np.array([r, -r])
-            d1 = np.diff(self.boundary("real", pair, +1))[0] / (-2 * r)
-            d2 = np.diff(self.boundary("real", pair / 2, +1))[0] / (-r)
-            return complex((4.0 * d2 - d1) / 3.0)
-        xs = np.array([r, r / 2, r / 4])
-        vals = self._raw(xs.astype(complex))
-        return complex(np.polyfit(xs, vals, 2)[-2])
-
-    def kappa_pair(self):
-        """Origin limits (kappa, kappa_tilde) of the unimodular pair.
-
-        kappa is the limit of a - b K* and kappa_tilde that of
-        a* - b* K along the cut-free approach axis: the upper imaginary
-        half-axis when the origin cut is horizontal, the positive real
-        half-axis when it is vertical.  The pole parts of a and b
-        cancel against the roots' common limit -1.  The product is 1
-        exactly; the factors are generally not +-1.  On a horizontal
-        origin cut both are real with kappa_tilde = 1/kappa; on a
-        vertical cut they are unit-modulus complex conjugates, and the
-        opposite half-axis carries the swapped pair.
-        """
-        if self.trivial:
-            return complex(1.0), complex(1.0)
-        vals = []
-        for s in (1e-3, 5e-4, 2.5e-4):
-            k = self._origin_probes(s)[:1]
-            a, b, astar, bstar = self.sd.ab(k)
-            root = self._raw(k)
-            root_star = np.conj(self._raw(np.conj(k)))
-            vals.append((complex(a[0] - b[0] * root_star[0]),
-                         complex(astar[0] - bstar[0] * root[0])))
-        return (complex(_richardson(*(v[0] for v in vals))),
-                complex(_richardson(*(v[1] for v in vals))))
-
-    def kappa(self):
-        """Limit of a - b K* at k = 0 along the cut-free approach axis.
-
-        The companion limit of a* - b* K must multiply with it to 1,
-        and the value must match the series form built from a0, b0,
-        rho and the sided origin slope; either failure raises
-        VerificationFailure.  Real on a horizontal origin cut, unit
-        modulus on a vertical one; generally not +-1 in either case.
-        """
-        if self.trivial:
-            return complex(1.0)
-        kap, kat = self.kappa_pair()
-        if abs(kap * kat - 1.0) > 1e-8:
-            raise VerificationFailure(
-                f"kappa pair product {kap * kat:.9g} differs from 1")
-        zexp = self.sd.expand_at_zero()
-        k1 = self.slope_at_zero()
-        if self.cuts.on_cut("real", 0.0) is not None:
-            formula = zexp.a0 + zexp.b0 + 1j * zexp.rho * k1
-        else:
-            formula = zexp.a0 + zexp.b0 + 1j * zexp.rho * np.conj(k1)
-        if abs(kap - formula) > 5e-4 * max(1.0, abs(kap)):
-            raise VerificationFailure(
-                f"kappa probes disagree: direct {kap:.9g} vs series "
-                f"{formula:.9g}")
-        return complex(kap)
+        v1, v2, v4 = (self._origin_mean(s) for s in (r, r / 2, r / 4))
+        return complex((4.0 * (2.0 * v4 - v2) - (2.0 * v2 - v1)) / 3.0)
 
     # ---------------------------------------------- validation
 
@@ -964,8 +884,9 @@ class SheetedR:
         (a - b R*)(a* - b* R) = 1 and the reflection identity
         R(-k) = R*(k) raise BranchSelectionError.  The origin limit
         R(0) = -1 is an accuracy check of value_at_zero, not a sheet
-        check: at k = 0 the quadratic is -(i rho / k)(K + 1)^2 to
-        leading order, so both roots tend to -1, and a miss raises
+        check: a and b have the simple pole a ~ i rho / k, b ~ -i rho / k
+        at k = 0, so there the quadratic is -(i rho / k)(K + 1)^2 to
+        leading order, both roots tend to -1, and a miss raises
         VerificationFailure.
         """
         rng = np.random.default_rng(20)

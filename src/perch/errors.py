@@ -66,19 +66,7 @@ class StiffnessFailure(PerchError):
 
 
 class NonGenericCase(PerchError):
-    """rho = 0 at k = 0: the generic-case machinery does not apply."""
-
-
-class MultiplicityDetected(PerchError):
-    """Argument-principle count exceeds the number of simple zeros found."""
-
-
-class DerivativeTooSmall(PerchError):
-    """da/dk or b too small to trust a norming constant."""
-
-
-class ClusterUnresolved(PerchError):
-    """A winding count kept failing: a zero sits on or next to the cell."""
+    """The origin is a branch point (|Delta(0)| = 2): not the generic case."""
 
 
 class IdenticallyZero(PerchError):

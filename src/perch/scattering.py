@@ -24,25 +24,32 @@ Here theta = y(L) and a*(k) = conj(a(conj(k))), b*(k) = conj(b(conj(k))).
 One integration per k yields all four functions; det T = 1 forces
 a a* - b b* = 1, and a(-k) = conj(a(conj(k))) ties the two half planes.
 
-Also computed here: the k -> 0 pole data (a ~ i rho / k + a0,
-b ~ -i rho / k + b0), the zeros of a on the segment (0, i/2) with their
-norming constants, and the zeros of b* on -i(0, 1/2), the only places
-where the sheeted quadratic root can have poles.  a and b are real on
-the imaginary axis, so both searches are sign-change scans refined by
-batched bisection; an argument-principle winding (phase continuation on
-a cell boundary) confirms the count of zeros of a.
+Also found here: the zeros of b* on -i(0, 1/2), the only places where
+the sheeted quadratic root can have poles (bstar_zeros derives why).  b
+is real on the imaginary axis, so the search is a sign-change scan
+refined by batched bisection.
+
+The zeros of a need no search and carry no residue condition.  a is
+real on i(0, 1/2) as well and can change sign there (bump(0.5) near
+i 0.0601, inside its vertical origin cut), but it enters the jump
+matrices only as a denominator: in the G-functions (assembly._g_core,
+on real-axis and circle nodes) and in the reflection coefficients b*/a
+and b/a* of the real-axis jump (JumpSpec._j0_real).  On the real axis
+a* = conj(a) and b* = conj(b), so a a* - b b* = 1 reads
+|a|^2 = 1 + |b|^2 >= 1 and neither a nor a* can vanish; every node
+that reaches _g_core, real or circle, also passes
+_guard_denominator("a", a).  The vertical-cut jump uses only the sided
+roots, never a.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate._ivp import dop853_coefficients as _dop
 
 from .config import ORIGIN_OFFSET, ContourConfig
-from .errors import (BasisSingular, ClusterUnresolved, DerivativeTooSmall,
-                     IdenticallyZero, MultiplicityDetected, NonGenericCase,
-                     StiffnessFailure, VerificationFailure)
+from .errors import (BasisSingular, IdenticallyZero, StiffnessFailure,
+                     VerificationFailure)
 from .initial import trig_eval_steps
 
 _STAGES = _dop.N_STAGES                       # 12-stage order-8 scheme
@@ -57,7 +64,6 @@ ODE_STEPS_PER_K = 12.0    # extra steps ~ this * |k| * L
 SLAB_STEPK = 8192         # steps x k per pass of the kernel, about 6 MB
 IMAG_GUARD = 60.0         # refuse |Im k| * theta beyond this
 FD_STEP = 1e-6            # central-difference step for k-derivatives
-ZERO_FIT_RADII = (1e-3, 2e-3)   # |k| radii for the k->0 pole fit
 B_FLOOR = 1e-12           # b and b* under this on the probe line: b == 0
 # nu grid of the sign-change scan for zeros of b* on i(0, 1/2)
 IMAG_SCAN_NUS = np.linspace(ORIGIN_OFFSET, 0.4999, 480)
@@ -163,25 +169,6 @@ def _step_count(kabs, wmax, L, steps_min, steps_per_k):
     return ((n + 63) // 64) * 64               # bucket for batch reuse
 
 
-@dataclass(frozen=True)
-class ZeroExpansion:
-    """Pole data of a and b at k = 0: a ~ i rho / k + a0, b ~ -i rho/k + b0."""
-    rho: float
-    a0: float
-    b0: float
-    rho_from_b: float
-    fit_residual: float
-
-
-@dataclass(frozen=True)
-class EigenRecord:
-    """One zero i nu of a on (0, i/2) with its norming data."""
-    nu: float
-    b_j: complex
-    c_j: complex
-    adot: complex
-
-
 class ScatteringData:
     """Cached evaluator of (a, b, a*, b*) built from one MomentumProfile."""
 
@@ -202,8 +189,8 @@ class ScatteringData:
         """Vectorized (a, b, a*, b*) at the given k values (k != 0)."""
         ks = np.atleast_1d(np.asarray(ks, dtype=complex))
         if np.any(ks == 0):
-            raise BasisSingular("the wave basis is singular at k = 0; "
-                                "use expand_at_zero for the pole data")
+            raise BasisSingular("the wave basis is singular at k = 0, where "
+                                "a and b have a simple pole")
         guard = np.max(np.abs(ks.imag)) * self.theta
         if guard > IMAG_GUARD:
             raise StiffnessFailure(
@@ -231,11 +218,11 @@ class ScatteringData:
                 self._cache[k] = (A[i], Bv[i], As[i], Bs[i])
 
     def ab_coarse(self, ks):
-        """Low-accuracy (~1e-4) evaluation for windings and the b probe.
+        """Low-accuracy (~1e-4) evaluation for the b probe of b_vanishes.
 
         One step bucket per batch, set by its largest |k|, makes each
-        batch one integrator call; integer windings are insensitive to
-        this accuracy.
+        batch one integrator call; comparing |b| with B_FLOOR needs no
+        more accuracy than this.
         """
         ks = np.atleast_1d(np.asarray(ks, dtype=complex))
         missing = [k for k in ks.tolist() if k not in self._coarse]
@@ -265,92 +252,23 @@ class ScatteringData:
         vm = self.ab(ks - hs)
         return tuple((p - m) / (2 * hs) for p, m in zip(vp, vm))
 
-    # -------------------------------------------------- k -> 0 expansion
+    def _axis_zeros(self, nus):
+        """Zeros i nu of b between the samples i nus.
 
-    def expand_at_zero(self):
-        """Fit the simple pole of a and b at k = 0 on small circles."""
-        n_fit, tau_rho = 16, 1e-8
-        rows, va, vb = [], [], []
-        for r in ZERO_FIT_RADII:
-            ang = (np.arange(n_fit) + 0.5) * (2 * np.pi / n_fit)
-            kc = r * np.exp(1j * ang)
-            a, b, _, _ = self.ab(kc)
-            rows.append(np.stack([1.0 / kc, np.ones(n_fit), kc, kc**2], axis=1))
-            va.append(a)
-            vb.append(b)
-        X = np.vstack(rows)
-        ca, res_a = _lstsq_resid(X, np.concatenate(va))
-        cb, res_b = _lstsq_resid(X, np.concatenate(vb))
-        rho_a = complex(-1j * ca[0])
-        rho_b = complex(1j * cb[0])
-        scale = max(abs(rho_a), abs(rho_b))
-        if scale < tau_rho:
-            raise NonGenericCase(
-                f"|rho| = {scale:.2e} below {tau_rho:.0e}: k = 0 is not a "
-                "simple pole of a, the generic-case pipeline does not apply")
-        r0 = min(ZERO_FIT_RADII)
-        if max(res_a, res_b) > 1e-6 * (scale / r0):
-            raise VerificationFailure(
-                f"pole fit residual {max(res_a, res_b):.2e} too large")
-        for name, v in (("rho", rho_a), ("a0", complex(ca[1])),
-                        ("b0", complex(cb[1]))):
-            if abs(v.imag) > 1e-8 * max(1.0, abs(v)):
-                raise VerificationFailure(
-                    f"{name} = {v:.3e} should be real to 1e-8")
-        if abs(rho_a - rho_b) > 1e-6 * max(1.0, scale):
-            raise VerificationFailure(
-                f"rho from a ({rho_a:.6e}) and from b ({rho_b:.6e}) disagree")
-        return ZeroExpansion(rho_a.real, ca[1].real, cb[1].real,
-                             rho_b.real, float(max(res_a, res_b)))
-
-    # -------------------------------------------------- discrete spectrum
-
-    def discrete_spectrum(self):
-        """Zeros i nu of a on (0, i/2): nu, b_j = b(i nu), c_j = 1/(b_j da)."""
-        edge = 1e-3
-        roots = self._axis_zeros(np.linspace(edge, 0.5 - edge, 600), 0)
-        count = self._winding(lambda z: self.ab_coarse(z)[0],
-                              -0.05 + 1j * edge, 0.05 + 1j * (0.5 - edge))
-        if count != len(roots):
-            raise MultiplicityDetected(
-                f"argument principle counts {count} zeros of a in the strip, "
-                f"scan found {len(roots)}")
-        recs = []
-        for nu in roots:
-            k0 = 1j * nu
-            da = self.ab_deriv(np.array([k0]))[0][0]
-            b_j = self.ab(np.array([k0]))[1][0]
-            if abs(da) < 1e-8:
-                raise DerivativeTooSmall(f"|da/dk| = {abs(da):.2e} at k = {k0}")
-            if abs(b_j) < 1e-12:
-                raise DerivativeTooSmall(f"|b| = {abs(b_j):.2e} at k = {k0}")
-            c_j = 1.0 / (b_j * da)
-            if abs(c_j.real) > 1e-6 * abs(c_j):
-                raise VerificationFailure(
-                    f"norming constant {c_j:.3e} should be purely imaginary")
-            recs.append(EigenRecord(float(nu), complex(b_j), complex(c_j),
-                                    complex(da)))
-        return recs
-
-    def _axis_zeros(self, nus, comp):
-        """Zeros i nu of a or b (comp 0 or 1) between the samples i nus.
-
-        Both are real on the imaginary axis, by a(-conj k) = conj a(k)
-        and likewise for b.  Each sign change between neighbouring
-        samples is refined by batched grid bisection: one evaluator call
-        per 17x shrink.
+        b is real on the imaginary axis, by b(-conj k) = conj b(k).  Each
+        sign change between neighbouring samples is refined by batched
+        grid bisection: one evaluator call per 17x shrink.
         """
-        v = self.ab(1j * nus)[comp]
+        v = self.ab(1j * nus)[1]
         if np.max(np.abs(v.imag)) > 1e-7 * (1 + np.max(np.abs(v))):
-            raise VerificationFailure(
-                f"{'ab'[comp]} is not real on the imaginary axis")
+            raise VerificationFailure("b is not real on the imaginary axis")
         v = v.real
         roots = []
         for i in np.flatnonzero(np.signbit(v[:-1]) != np.signbit(v[1:])):
             lo, hi = nus[i], nus[i + 1]
             for _ in range(14):
                 grid = np.linspace(lo, hi, 18)
-                vals = self.ab(1j * grid)[comp].real
+                vals = self.ab(1j * grid)[1].real
                 idx = np.flatnonzero(np.signbit(vals[:-1])
                                      != np.signbit(vals[1:]))
                 if len(idx) == 0:
@@ -424,34 +342,13 @@ class ScatteringData:
             raise IdenticallyZero("b vanishes identically; no poles to find")
         top = 0.5 - eps
         nus = IMAG_SCAN_NUS[:np.searchsorted(IMAG_SCAN_NUS, top) + 1]
-        return tuple(complex(0.0, -nu) for nu in self._axis_zeros(nus, 1)
+        return tuple(complex(0.0, -nu) for nu in self._axis_zeros(nus)
                      if nu < top)
 
     def k_window(self, ccfg=None):
         """Half-width of the truncation window on the real axis."""
         ccfg = ccfg or ContourConfig()
         return ccfg.k_window_factor * np.pi / self.theta
-
-    def _samples_per_unit(self):
-        # phase rate of b, b* along real directions is bounded by the
-        # oscillation of e^{+-ik theta} and e^{+-ikL}: keep steps well
-        # under a radian of worst-case phase
-        return 4.0 * (2 * self.theta + self.mp.L + 2.0)
-
-    def _winding(self, f, lo, hi, nodes=256):
-        """Winding number of f about the rectangle with corners lo, hi.
-
-        The boundary samples are densified 4x and then 16x while the
-        phase continuation cannot resolve them.
-        """
-        for mult in (1, 4, 16):
-            wnd = _phase_winding(f(_rect_boundary(
-                lo, hi, nodes * mult, self._samples_per_unit() * mult)))
-            if wnd is not None:
-                return wnd
-        raise ClusterUnresolved(
-            "the winding cell kept failing after 16x densification; a zero "
-            "sits on or next to its boundary")
 
 
 def _unpack_monodromy(ks, T, theta):
@@ -467,32 +364,3 @@ def _unpack_monodromy(ks, T, theta):
     m22 = 0.5 * (tw01 + tw11 / ik)
     ph = np.exp(1j * ks * theta)
     return m11 * ph, -m12 * ph, m22 / ph, -m21 / ph
-
-
-def _lstsq_resid(X, y):
-    c, *_ = np.linalg.lstsq(X, y, rcond=None)
-    return c, float(np.max(np.abs(X @ c - y)))
-
-
-def _phase_winding(v):
-    """Winding number from phase continuation; None if sampling too coarse."""
-    if np.any(~np.isfinite(v)) or np.any(v == 0):
-        return None
-    dphi = np.angle(v[1:] / v[:-1])
-    if np.max(np.abs(dphi)) > 2.2:
-        return None
-    return int(np.rint(np.sum(dphi) / (2 * np.pi)))
-
-
-def _rect_boundary(lo, hi, min_nodes, per_unit):
-    """Closed sample loop on a rectangle boundary, density per unit length."""
-    x0, y0, x1, y1 = lo.real, lo.imag, hi.real, hi.imag
-    sides = []
-    for p, q in (((x0, y0), (x1, y0)), ((x1, y0), (x1, y1)),
-                 ((x1, y1), (x0, y1)), ((x0, y1), (x0, y0))):
-        length = np.hypot(q[0] - p[0], q[1] - p[1])
-        m = max(int(min_nodes) // 4, int(np.ceil(length * per_unit)), 8)
-        t = np.arange(m) / m
-        sides.append(p[0] + (q[0] - p[0]) * t + 1j * (p[1] + (q[1] - p[1]) * t))
-    loop = np.concatenate(sides)
-    return np.append(loop, loop[0])

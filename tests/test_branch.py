@@ -264,8 +264,6 @@ def test_trivial_root_vanishes(sr_zero):
     ks = np.array([0.3, 1.0 + 0.2j, -0.4j, 5.0])
     assert np.max(np.abs(sr_zero.R(ks))) == 0.0
     assert sr_zero.trivial
-    assert sr_zero.kappa() == 1.0
-    assert sr_zero.kappa_pair() == (1.0, 1.0)
     assert sr_zero.value_at_zero() == 0.0
 
 
@@ -361,50 +359,6 @@ def test_value_at_zero(request, name, want):
     v0 = request.getfixturevalue(name).value_at_zero()
     assert abs(v0 - want) <= 1e-6
     assert abs(v0 - want) <= 2e-8     # regression margin
-
-
-def test_slope_at_zero_frozen(sr_bump, sr_hbump, sr_asym):
-    s = sr_bump.slope_at_zero()
-    assert abs(s - 7.88412097196) < 1e-6
-    assert abs(s.imag) < 1e-10
-    s = sr_hbump.slope_at_zero()
-    assert abs(s - (-6.46518698467j)) < 1e-6
-    assert abs(s.real) < 1e-8
-    s = sr_asym.slope_at_zero()
-    assert abs(s - (6.12365950877 + 0.473042392232j)) < 1e-6
-
-
-def test_kappa_vertical_configuration(sr_bump):
-    kap = sr_bump.kappa()
-    assert abs(kap - (0.877193201925 - 0.480137573284j)) < 1e-7
-    assert abs(abs(kap) - 1.0) < 5e-8
-    kp, kt = sr_bump.kappa_pair()
-    assert abs(kp * kt - 1.0) <= 1e-8
-    assert abs(kt - np.conj(kap)) < 1e-7
-
-
-def test_kappa_horizontal_configuration(sr_hbump):
-    kap = sr_hbump.kappa()
-    kp, kt = sr_hbump.kappa_pair()
-    assert abs(kap - 1.87932710911) < 1e-7
-    assert abs(kt - 0.532105344746) < 1e-7
-    assert abs(kap.imag) < 1e-8 and abs(kt.imag) < 1e-8
-    assert abs(kp * kt - 1.0) <= 1e-8
-
-
-def test_kappa_asymmetric(sr_asym):
-    kap = sr_asym.kappa()
-    assert abs(kap - (0.804563255703 - 0.593866963354j)) < 1e-7
-    assert abs(abs(kap) - 1.0) < 5e-8
-
-
-def test_bump_family_zero_expansion_identity(sd_bump, sd_hbump):
-    # an artifact of the x -> L - x symmetry of this family, used by the
-    # horizontal-configuration analysis; not universal (the asymmetric
-    # preset violates it)
-    for sd in (sd_bump, sd_hbump):
-        z = sd.expand_at_zero()
-        assert abs(z.b0 - z.rho * sd.theta) < 1e-12
 
 
 # --------------------------------------------------- boundary conventions

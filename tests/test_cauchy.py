@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from perch.contour import Segment, build_panels
-from perch.cauchy import CauchyOperator, cauchy_transform, leg_P, leg_Q
+from perch.cauchy import CauchyOperator, cauchy_transform, leg_Q
 from perch.errors import BadGeometry, TooCloseToContour
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from perch.contour import Segment, PanelSet, build_panels, split_points
+from perch.contour import Segment, build_panels, split_points
 from perch.errors import BadGeometry
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from perch.initial import (GaugeRecord, InitialProfile, compute_momentum,
+from perch.initial import (InitialProfile, compute_momentum,
                            load_initial_data, normalize_gauge, read_csv,
                            save_csv, second_derivative, solve_helmholtz,
                            trig_eval, trig_eval_steps)

@@ -1,7 +1,8 @@
 """Every UPPER_CASE constant of the package has one home: it is assigned
 in exactly one module, and a constant that a second module imports lives
 in config.  The window config has one reader besides the window formula:
-the sheet, which hands its k_max down as a value.
+the sheet, which hands its k_max down as a value.  No module of the
+package or of its tests imports a name it never reads.
 """
 
 import ast
@@ -65,3 +66,21 @@ def test_window_config_read_only_by_the_sheet_and_the_window():
                 readers.append(f"{name}.{qual}")
     assert readers == ["branch.SheetedR.__init__",
                        "scattering.ScatteringData.k_window"]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # a linter's unused-import rule, from the standard library
+    unused = []
+    for path in sorted(Path(perch.__file__).parent.glob("*.py")) + sorted(
+            Path(__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.name} imports {name}" for name in
+                           ((a.asname or a.name).split(".")[0]
+                            for a in node.names) if name not in read]
+    assert unused == []

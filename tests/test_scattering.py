@@ -1,5 +1,5 @@
 """Tests for the direct-scattering layer: transfer matrices, spectral
-functions, the k -> 0 expansion, the discrete spectrum, and zero searches.
+functions, the zeros of a on the imaginary axis, and the b* zero search.
 """
 
 import numpy as np
@@ -10,11 +10,9 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from perch.branch import EPS_CIRCLE
-from perch.errors import (BasisSingular, IdenticallyZero, NonGenericCase,
-                          StiffnessFailure)
+from perch.errors import BasisSingular, IdenticallyZero, StiffnessFailure
 from perch.initial import trig_eval
-from perch.scattering import (SLAB_STEPK, ScatteringData, integrate_transfer,
-                              rk8_tableau)
+from perch.scattering import SLAB_STEPK, integrate_transfer, rk8_tableau
 
 L = 2.0
 
@@ -228,48 +226,31 @@ def test_identity_and_symmetry_property(sd_bump, re, im):
     assert abs(a[1] - astar[0]) < 1e-10
 
 
-# ------------------------------------------------------------ k -> 0 expansion
+# ------------------------------------------------------------- zeros of a
 
 
-def test_expand_at_zero_bump(sd_bump):
-    ze = sd_bump.expand_at_zero()
-    assert abs(ze.rho - ze.rho_from_b) < 1e-6
-    assert ze.fit_residual < 1e-6 * abs(ze.rho) / 1e-3
-    assert abs(ze.rho - (-0.060899021134)) < 1e-8
-    assert abs(ze.a0 - 1.013023867233) < 1e-8
-    assert abs(ze.b0 - (-0.135830666421)) < 1e-8
-
-
-def test_expand_at_zero_nongeneric(sd_zero):
-    with pytest.raises(NonGenericCase):
-        sd_zero.expand_at_zero()
-
-
-# ------------------------------------------------------------ discrete spectrum
-
-
-def test_discrete_spectrum_empty_for_zero_momentum(sd_zero):
-    assert sd_zero.discrete_spectrum() == []
-
-
-def test_discrete_spectrum_bump(sd_bump):
-    recs = sd_bump.discrete_spectrum()
-    assert len(recs) == 1
-    r = recs[0]
-    assert abs(r.nu - 0.060098883662) < 1e-9
-    assert abs(sd_bump.ab(np.array([1j * r.nu]))[0][0]) < 1e-9
-    assert abs(r.b_j.imag) < 1e-10
-    assert abs(r.c_j.real) < 1e-6 * abs(r.c_j)
-    assert abs(r.c_j - 0.06780179293598665j) < 1e-9
-    # unimodularity at a zero of a forces b* = -1/b there
-    bstar = sd_bump.ab(np.array([1j * r.nu]))[3][0]
-    assert abs(bstar + 1.0 / r.b_j) < 1e-8
-
-
-def test_discrete_spectrum_asym(sd_asym):
-    recs = sd_asym.discrete_spectrum()
-    assert [round(r.nu, 12) for r in recs] == [0.093792102786]
-    assert abs(recs[0].c_j.real) < 1e-6 * abs(recs[0].c_j)
+@pytest.mark.parametrize("name,nu,cut_hi", [
+    ("bump", 0.060098883662, 0.2238), ("asym", 0.093792102786, 0.2680),
+    ("hbump", None, None), ("zero", None, None)])
+def test_zeros_of_a_lie_inside_the_vertical_origin_cut(request, name, nu,
+                                                       cut_hi):
+    # a enters the jumps only as a denominator on real-axis and circle
+    # nodes, so its zeros on i(0, 1/2) need no residue condition; on the
+    # fixtures the one sign change of a sits inside the origin cut
+    sd = request.getfixturevalue(f"sd_{name}")
+    sr = request.getfixturevalue(f"sr_{name}")
+    nus = np.linspace(1e-3, 0.5 - 1e-3, 600)
+    a = sd.ab(1j * nus)[0]
+    assert np.max(np.abs(a.imag)) <= 1e-12 * (1 + np.max(np.abs(a)))
+    flips = np.flatnonzero(np.signbit(a.real[:-1]) != np.signbit(a.real[1:]))
+    if nu is None:
+        assert len(flips) == 0 and len(sr.cuts.imag_cuts) == 0
+        return
+    (i,) = flips
+    assert nus[i] < nu < nus[i + 1]
+    (cut,) = sr.cuts.imag_cuts
+    assert abs(cut.hi - cut_hi) < 1e-4
+    assert cut.lo < 0.0 < nus[i + 1] < cut.hi
 
 
 # ------------------------------------------------------------- zeros of b*
