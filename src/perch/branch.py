@@ -186,18 +186,6 @@ class Cut:
 
 
 @dataclass(frozen=True)
-class GapRecord:
-    """A kept (open) spectral gap between two branch points."""
-    axis: str
-    lo: float
-    hi: float
-
-    @property
-    def width(self):
-        return self.hi - self.lo
-
-
-@dataclass(frozen=True)
 class DroppedGap:
     """A gap narrower than the threshold, logged and closed over."""
     axis: str
@@ -212,7 +200,6 @@ class BranchCutSet:
     theta: float
     k_max: float
     cuts: tuple
-    kept_gaps: tuple
     dropped: tuple
     branch_points: tuple
     pairing: tuple = ()
@@ -526,10 +513,8 @@ def _finalize_cut_set(tf, k_max, cuts, dropped, log):
         if worst > 1e-8:
             raise VerificationFailure(
                 f"branch point residual |Delta^2 - 4| = {worst:.3g} > 1e-8")
-    gaps = tuple(GapRecord(c.axis, c.lo, c.hi)
-                 for c in cuts if c.axis == "real")
     return BranchCutSet(theta=tf.theta, k_max=k_max, cuts=tuple(cuts),
-                        kept_gaps=gaps, dropped=tuple(dropped),
+                        dropped=tuple(dropped),
                         branch_points=tuple(uniq), pairing=tuple(log))
 
 
@@ -635,9 +620,8 @@ class SheetedR:
         self.trivial = sd.b_vanishes()
         if self.trivial:
             self.cuts = cuts if cuts is not None else BranchCutSet(
-                theta=self.theta, k_max=self.k_max, cuts=(), kept_gaps=(),
-                dropped=(), branch_points=(),
-                pairing=("trivial data: empty cut set",))
+                theta=self.theta, k_max=self.k_max, cuts=(), dropped=(),
+                branch_points=(), pairing=("trivial data: empty cut set",))
             self.sigma = 1.0
             self.eps = EPS_CIRCLE
             self.poles = ()
@@ -982,8 +966,6 @@ def branch_report(sr):
         "branch_points": [[z.real, z.imag] for z in cs.branch_points],
         "cuts": [{"axis": c.axis, "lo": c.lo, "hi": c.hi}
                  for c in cs.cuts],
-        "kept_gaps": [{"axis": g.axis, "lo": g.lo, "hi": g.hi,
-                       "width": g.width} for g in cs.kept_gaps],
         "dropped_gaps": [{"axis": g.axis, "position": g.position,
                           "width": g.width, "excess": g.excess}
                          for g in cs.dropped],

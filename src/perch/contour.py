@@ -5,8 +5,8 @@ Each segment is parametrized by tau in [-1, 1]; its orientation is the
 direction of increasing tau, and the "+" side of the curve is the side on
 the left when walking in that direction.  build_panels subdivides every
 segment into panels, optionally grading panel lengths geometrically toward
-flagged endpoints (branch points, k = 0, factorization seams), and lays
-down Gauss-Legendre nodes on each panel.
+flagged endpoints (branch points, k = 0, the junctions at k = +-1/2), and
+lays down Gauss-Legendre nodes on each panel.
 
 The panel data is consumed by cauchy.py, which needs, for every panel, the
 parameter map s(tau) and enough geometry to decide when a target point is

@@ -118,12 +118,8 @@ class UnknownRegion(PerchError):
     """Jump requested for a region tag the contour does not define."""
 
 
-class SideRequired(PerchError):
-    """Jump or G evaluation on a cut without a side argument."""
-
-
 class JumpConsistencyError(PerchError):
-    """Assembled jump fails det/symmetry/seam checks beyond tolerance."""
+    """Assembled jump fails its det, symmetry-rule or junction checks."""
 
 
 # ---- verification ----

@@ -21,3 +21,9 @@ def frob(a):
 def sigma1_conj(a):
     """sigma1 @ a @ sigma1 for stacked matrices (swaps both indices)."""
     return np.asarray(a)[..., ::-1, ::-1]
+
+
+def inv2(a):
+    """Adjugate of stacked matrices: the inverse of each det-1 matrix."""
+    return np.swapaxes(np.asarray(a)[..., ::-1, ::-1], -1, -2) * np.array(
+        [[1, -1], [-1, 1]])

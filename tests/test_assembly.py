@@ -1,16 +1,17 @@
 """Tests for the jump assembly: unimodular jumps on every region tag, the
 (y, t) phase conjugation, the diagonal eps-circle jumps, the circle jump
-inside the eps-circles against the shifted G-functions written out, and
-the guards on region tags and cut sides.
+inside the eps-circles against the shifted G-functions written out, the
+guard on region tags, and check_jumps on its two symmetry rules and the
+junction at k = +-1/2.
 """
 
 import numpy as np
 import pytest
 
-from perch.assembly import (ALL_TAGS, CUT_TAGS, JumpSpec,
-                            build_master_contour, panelize)
-from perch.errors import SideRequired, UnknownRegion
-from perch.mat2 import det2
+from perch.assembly import (ALL_TAGS, UPPER_LOWER_TAGS, JumpSpec,
+                            build_master_contour, check_jumps, panelize)
+from perch.errors import JumpConsistencyError, UnknownRegion
+from perch.mat2 import det2, inv2
 
 FIXTURES = ["sr_zero", "sr_hbump"]
 
@@ -32,10 +33,6 @@ def jumps(request):
     return get
 
 
-def side_of(tag):
-    return "plus" if tag in CUT_TAGS else None
-
-
 @pytest.mark.parametrize("name", FIXTURES)
 def test_jump_det_one_on_every_tag(jumps, name):
     js, panels = jumps(name)
@@ -44,7 +41,7 @@ def test_jump_det_one_on_every_tag(jumps, name):
             "eps_outer", "eps_inner"} <= set(panels)
     for y, t in ((0.0, 0.0), (0.3 * js.theta, 0.7)):
         for tag, ps in panels.items():
-            J = js.jump_stack(y, t, ps[0].nodes, tag, side_of(tag))
+            J = js.jump_stack(y, t, ps[0].nodes, tag)
             assert np.max(np.abs(det2(J) - 1.0)) < 1e-12, tag
 
 
@@ -64,15 +61,6 @@ def test_jump_phase_conjugation(jumps, name):
 
 
 @pytest.mark.parametrize("name", FIXTURES)
-def test_cut_tag_needs_side(jumps, name):
-    js, panels = jumps(name)
-    for tag in CUT_TAGS:
-        nodes = panels[tag][0].nodes if tag in panels else np.array([0.3j])
-        with pytest.raises(SideRequired):
-            js.jump_stack(0.0, 0.0, nodes, tag)
-
-
-@pytest.mark.parametrize("name", FIXTURES)
 def test_unknown_tag_rejected(jumps, name):
     js, panels = jumps(name)
     with pytest.raises(UnknownRegion):
@@ -81,8 +69,9 @@ def test_unknown_tag_rejected(jumps, name):
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_eps_jumps_are_diagonal(jumps, name):
-    # the root vanishes at i/2, so both eps arcs carry
-    # diag(e^{ik(L - theta)}, e^{-ik(L - theta)}) in both half planes
+    # the root vanishes at i/2, so the upper eps arcs carry
+    # D = diag(e^{ik(L - theta)}, e^{-ik(L - theta)}) and the lower ones,
+    # by the antiholomorphic rule, D^{-1}
     js, panels = jumps(name)
     y, t = 0.3 * js.theta, 0.7
     for tag in ("eps_outer", "eps_inner"):
@@ -90,8 +79,9 @@ def test_eps_jumps_are_diagonal(jumps, name):
         assert np.any(k.imag > 0) and np.any(k.imag < 0)
         J = js.jump_stack(y, t, k, tag)
         ph = np.exp(1j * k * (js.L - js.theta))
-        assert np.max(np.abs(J[:, 0, 0] - ph)) < 1e-14, tag
-        assert np.max(np.abs(J[:, 1, 1] - 1.0 / ph)) < 1e-14, tag
+        d = np.where(k.imag > 0, ph, 1.0 / ph)
+        assert np.max(np.abs(J[:, 0, 0] - d)) < 1e-14, tag
+        assert np.max(np.abs(J[:, 1, 1] - 1.0 / d)) < 1e-14, tag
         assert np.all(J[:, 0, 1] == 0.0) and np.all(J[:, 1, 0] == 0.0), tag
 
 
@@ -128,3 +118,35 @@ def test_circle_eps_jump_is_the_shifted_circle_jump(jumps, name):
         # the plain circle jump differs there, so the check has teeth
         plain = js.j0_stack(k, "circle")
         assert np.max(np.abs(plain - ref)) > 1e-3 * scale
+
+
+@pytest.mark.parametrize("yt", [(0.0, 0.0), (0.3, 0.7)])
+@pytest.mark.parametrize("name", ["sr_zero", "sr_bump", "sr_hbump",
+                                  "sr_asym"])
+def test_check_jumps_passes(request, name, yt):
+    sr = request.getfixturevalue(name)
+    js = JumpSpec(sr.sd, sr, build_master_contour(sr))
+    d = check_jumps(js, y=yt[0] * sr.theta, t=yt[1])
+    assert d["nodes_checked"] == 200
+    assert max(d["det"], d["holomorphic"], d["antiholomorphic"],
+               d["junction"]) <= 1e-9
+
+
+class LowerArcsWithoutInverse(JumpSpec):
+    """Mutant: the lower arcs take sigma1 conj(J(conj k)) sigma1."""
+
+    def j0_stack(self, ks, tag):
+        out = super().j0_stack(ks, tag)
+        if tag in UPPER_LOWER_TAGS:
+            low = np.atleast_1d(ks).imag < 0
+            out[low] = inv2(out[low])
+        return out
+
+
+@pytest.mark.parametrize("name", ["sr_bump", "sr_hbump"])
+def test_check_jumps_catches_lower_arcs_without_inverse(request, name):
+    # on sr_zero both forms agree to rounding, so it cannot tell them apart
+    sr = request.getfixturevalue(name)
+    js = LowerArcsWithoutInverse(sr.sd, sr, build_master_contour(sr))
+    with pytest.raises(JumpConsistencyError):
+        check_jumps(js)

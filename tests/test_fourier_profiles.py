@@ -3,11 +3,11 @@
     m0 = sum_j a_j sin(2 pi j x / L) + b_j (cos(2 pi j x / L) - 1),
 
 which vanish at the period ends for any coefficients.  Pinned profiles
-cover a build that a ray-decay sheet test could not settle, a build
-whose b* zero search must not trip over a winding cell, a zero of b* on
-the other sheet, a genuine pole too close to the origin cut, and two
-vertical origin cuts ending near i/2 that shrink the eps-circles; a
-hypothesis sweep covers the family at large.
+cover a build that a ray-decay sheet test could not settle, a pole
+search that must end in a valid sheet, a zero of b* on the other sheet,
+a genuine pole too close to the origin cut, and two vertical origin cuts
+ending near i/2 that shrink the eps-circles; a hypothesis sweep covers
+the family at large.
 """
 
 import numpy as np
@@ -65,7 +65,7 @@ def test_sheet_anchor_settles_where_ray_decay_did_not():
     assert_valid_sheet(sr)
 
 
-def test_pole_search_needs_no_winding_cells():
+def test_pole_search_settles_a_valid_sheet():
     sr = SheetedR(fourier_sd(1.852375, [(1, -0.15386, 0.026207)]),
                   ccfg=WINDOW)
     assert_valid_sheet(sr)

@@ -1,8 +1,9 @@
 """Every UPPER_CASE constant of the package has one home: it is assigned
 in exactly one module, and a constant that a second module imports lives
 in config.  The window config has one reader besides the window formula:
-the sheet, which hands its k_max down as a value.  No module of the
-package or of its tests imports a name it never reads.
+the sheet, which hands its k_max down as a value.  In assembly only the
+sided roots read a cut side.  No module of the package or of its tests
+imports a name it never reads.
 """
 
 import ast
@@ -84,3 +85,13 @@ def test_no_module_imports_a_name_it_never_reads():
                            ((a.asname or a.name).split(".")[0]
                             for a in node.names) if name not in read]
     assert unused == []
+
+
+def test_only_the_sided_roots_read_a_cut_side():
+    # each node has one jump, the plus form on a cut; jump_stack may
+    # accept a side it does not read (perfbench passes one by position)
+    tree = dict(modules())["assembly"]
+    readers = [qual for qual, fn in functions(tree)
+               if any(isinstance(n, ast.Name) and n.id == "side"
+                      and isinstance(n.ctx, ast.Load) for n in ast.walk(fn))]
+    assert readers == ["_sided_roots"]
