@@ -13,7 +13,8 @@ clockwise below), the eps-circle at i/2 is clockwise and its mirror at
 -i/2 counterclockwise, vertical cuts run away from the origin, and
 residue disks are counterclockwise.  The plus side of every piece is
 the left side when walking along it.  Each node carries one jump J,
-M_+ = M_- J; on a cut it is built from the root's plus boundary values.
+M_+ = M_- J; on a cut it is built from the root's plus boundary values,
+and a residue disk's from the pole and residue in sr.poles.
 
 M(k) = sigma1 M(-k) sigma1 and M(k) = sigma1 conj(M(conj k)) sigma1 carry
 M_+ = M_- J from a piece to its image.  The rotation k -> -k keeps the
@@ -27,12 +28,18 @@ orientation
                  (b) J(k) = sigma1 conj(J(conj k)) sigma1
 
 k -> -k runs against every piece but the vertical cuts, which still run
-away from the origin; k -> conj(k) runs along every piece: it fixes the
-real axis and takes the upper circle arc and the clockwise eps-circle
-onto the lower arc and the counterclockwise one.  So the holomorphic
-rule takes the inverse on every tag but cut_vert and the antiholomorphic
-rule on every tag; the lower halves of the circle and eps pieces are
-built from the upper ones by the latter.  Where pieces cross, M stays
+away from the origin, and the residue disks; k -> conj(k) runs along
+every piece but the disks: it fixes the real axis and takes the upper
+circle arc and the clockwise eps-circle onto the lower arc and the
+counterclockwise one.  Poles lie on -i(0, 1/2), so both maps take the
+counterclockwise disk about mu onto the one about conj(mu) = -mu, the
+rotation keeping its sense and the reflection reversing it.  So the
+holomorphic rule takes the inverse on every tag but cut_vert and disk,
+the antiholomorphic rule on every tag but disk; the lower halves of the
+circle and eps pieces are built from the upper ones by the latter.  On
+the disks the holomorphic rule asks conj(c) = -c of the residue c, which
+holds as a, a* and b* are real on the imaginary axis (see
+branch.SheetedR._residue_at).  Where pieces cross, M stays
 bounded only if, counterclockwise around the point, the product of J
 over the pieces leaving it and J^{-1} over those arriving is I: at
 k = 1/2, J_real_outer J_circle,up J_real_inner^{-1} J_circle,low = I,
@@ -63,7 +70,7 @@ matrix conjugated by exp(-i k p sigma3), except on residue disks, where
 the phase is evaluated at the pole itself.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,24 +100,17 @@ GRADE_RATIO = 0.5         # size ratio between successive graded panels
 
 @dataclass
 class MasterContour:
-    """Oriented segments of the jump contour plus build notes."""
+    """Oriented segments of the jump contour."""
     segments: list
-    notes: list = field(default_factory=list)
-
-    def by_label(self, label):
-        return [s for s in self.segments if s.label == label]
 
 
-def _real_axis_segments(sr, k_max, notes):
-    cuts = sr.cuts.real_cuts
+def _real_axis_segments(sr):
+    k_max = sr.k_max
     pts = {-k_max, k_max, -0.5, 0.5, 0.0, -ORIGIN_STUB, ORIGIN_STUB}
     branch_pts = set()
-    for c in cuts:
+    for c in sr.cuts.real_cuts:
         pts.update((c.lo, c.hi))
         branch_pts.update((c.lo, c.hi))
-        if c.lo < -0.5 < c.hi or c.lo < 0.5 < c.hi:
-            notes.append(f"horizontal cut [{c.lo:.6g}, {c.hi:.6g}] straddles "
-                         "|k| = 1/2; split at the circle")
     xs = sorted(x for x in pts if -k_max <= x <= k_max)
     xs = [x for i, x in enumerate(xs) if i == 0 or x - xs[i - 1] > 1e-9]
     segs = []
@@ -189,21 +189,16 @@ def _disk_segments(sr):
     """Two half-circle arcs per residue disk, counterclockwise.
 
     Poles lie on -i(0, 1/2) (ScatteringData.bstar_zeros), so each pole
-    mu gets a lower-inner disk D3 and its mirror conj(mu) a disk D2.
+    mu gets a lower-inner disk D3 and its mirror conj(mu) a disk D2;
+    JumpSpec._disk_stack reads both from sr.poles.
     """
     segs = []
     for p in sr.poles:
-        mu = complex(p.mu)
-        c = complex(p.residue)
-        plain = ("D3", np.exp(2j * mu * sr.theta) * c)
-        conj = ("D2", np.exp(-2j * np.conj(mu) * sr.theta) * np.conj(c))
-        for center, (dreg, wconst) in ((mu, plain), (np.conj(mu), conj)):
-            meta = {"mu": center, "dregion": dreg, "wconst": wconst}
+        for center in (complex(p.mu), complex(np.conj(p.mu))):
             for p1, p2 in ((-np.pi / 2, np.pi / 2),
                            (np.pi / 2, 3 * np.pi / 2)):
                 segs.append(Segment("arc", center=center, radius=DISK_RADIUS,
-                                    phi1=p1, phi2=p2, label="disk",
-                                    meta=dict(meta)))
+                                    phi1=p1, phi2=p2, label="disk"))
     return segs
 
 
@@ -220,16 +215,12 @@ def build_master_contour(sr, *, ccfg=None):
     comes from sr; ccfg is accepted for callers that pass the window
     config along (perfbench/workloads.py) and is not read.
     """
-    notes = []
-    segs = _real_axis_segments(sr, sr.k_max, notes)
+    segs = _real_axis_segments(sr)
     segs += _circle_segments(sr.eps)
     segs += _eps_segments(sr.eps)
     segs += _vertical_cut_segments(sr)
     segs += _disk_segments(sr)
-    if sr.poles:
-        notes.append(f"{2 * len(sr.poles)} residue disks of radius "
-                     f"{DISK_RADIUS:g}")
-    return MasterContour(segments=segs, notes=notes)
+    return MasterContour(segments=segs)
 
 
 def panelize(mc, ccfg=None):
@@ -257,8 +248,8 @@ def _phase_raw(y, t, k):
 # ------------------------------------------------------------ G-functions
 
 
-def _sided_roots(sr, ks, side):
-    """Boundary values of the root and its conjugate on a cut.
+def _sided_roots(sr, ks):
+    """Plus boundary values of the root and its conjugate on a cut.
 
     plus is the left side of the contour orientation: the upper half
     plane on real cuts (they run rightward), the side away from the
@@ -273,18 +264,16 @@ def _sided_roots(sr, ks, side):
     if np.any(~(on_real | on_imag)):
         raise BadGeometry("sided evaluation requires points on an axis cut")
     if np.any(on_real):
-        app = 1.0 if side == "plus" else -1.0
         xs = flat.real[on_real]
-        K[on_real] = sr.boundary("real", xs, app)
-        Ks[on_real] = sr.boundary_star("real", xs, app)
+        K[on_real] = sr.boundary("real", xs, 1.0)
+        Ks[on_real] = sr.boundary_star("real", xs, 1.0)
     for sgn in (1.0, -1.0):
         sel = on_imag & (np.sign(flat.imag) == sgn)
         if not np.any(sel):
             continue
-        app = -sgn if side == "plus" else sgn
         xs = flat.imag[sel]
-        K[sel] = sr.boundary("imag", xs, app)
-        Ks[sel] = sr.boundary_star("imag", xs, app)
+        K[sel] = sr.boundary("imag", xs, -sgn)
+        Ks[sel] = sr.boundary_star("imag", xs, -sgn)
     return K, Ks
 
 
@@ -320,7 +309,7 @@ def _g_core(sd, sr, ks, on_cut=False):
         return z, z
     a, b, _, bstar = sd.ab(flat)
     if on_cut:
-        K, Ks = _sided_roots(sr, flat, "plus")
+        K, Ks = _sided_roots(sr, flat)
     else:
         K, Ks = sr.R(flat), sr.R_star(flat)
     e2t = np.exp(-2j * flat * sr.theta)
@@ -345,7 +334,8 @@ class JumpSpec:
     j0_stack gives the t-independent matrix per region tag; jump_stack
     conjugates it with the phase exponential.  Residue disks are the one
     exception: their nilpotent entry carries the phase evaluated at the
-    pole, exactly as the residue conditions prescribe.
+    pole, exactly as the residue conditions prescribe, so jump_stack
+    builds them whole and j0_stack has no disk rule.
     """
 
     def __init__(self, sd, sr, mc):
@@ -399,14 +389,15 @@ class JumpSpec:
         return out
 
     def _j0_vert(self, flat):
-        Kp, Ksp = _sided_roots(self.sr, flat, "plus")
-        Km, Ksm = _sided_roots(self.sr, flat, "minus")
+        # R(-conj k) = conj R(k) takes the plus side of the imaginary axis
+        # onto the minus side: K- = conj K+, so K+ - K- = 2i Im K+
+        Kp, Ksp = _sided_roots(self.sr, flat)
         out = np.zeros(flat.shape + (2, 2), dtype=complex)
         out[..., 0, 0] = out[..., 1, 1] = 1.0
         upper = flat.imag > 0
         e2t = np.exp(-2j * flat * self.theta)
-        out[..., 1, 0] = np.where(upper, e2t * (Ksp - Ksm), 0.0)
-        out[..., 0, 1] = np.where(upper, 0.0, (Kp - Km) / e2t)
+        out[..., 1, 0] = np.where(upper, e2t * (2j * Ksp.imag), 0.0)
+        out[..., 0, 1] = np.where(upper, 0.0, (2j * Kp.imag) / e2t)
         return out
 
     def j0_stack(self, ks, tag):
@@ -426,33 +417,26 @@ class JumpSpec:
             return out
         if tag == "cut_vert":
             return self._j0_vert(flat)
-        if tag == "disk":
-            return self.jump_stack(0.0, 0.0, flat, tag)
         raise UnknownRegion(f"no jump rule for region tag {tag!r}")
 
     # -------------------------------------------- disks
 
-    def _disk_meta(self, k):
-        best, dist = None, np.inf
-        for s in self.mc.by_label("disk"):
-            d = abs(complex(k) - s.center)
-            if d < dist:
-                best, dist = s, d
-        if best is None or dist > 3.0 * DISK_RADIUS:
-            raise BadGeometry(f"{complex(k):.6g} is not on a residue disk")
-        return best.meta
-
-    def _disk_stack(self, y, t, flat, meta):
-        mu = meta["mu"]
-        sgn = -1.0 if meta["dregion"] == "D3" else 1.0
-        w = meta["wconst"] * np.exp(sgn * 2j * mu * _phase_raw(y, t, mu))
+    def _disk_stack(self, y, t, flat):
+        # D3 about each pole mu with its residue c, D2 about conj(mu) with
+        # conj(c); the sheet keeps every other centre out of a disk's pad
+        k = complex(flat.ravel()[0])
+        disks = [(p.mu, p.residue, -1.0) for p in self.sr.poles]
+        disks += [(np.conj(mu), np.conj(c), 1.0) for mu, c, _ in disks]
+        for mu, c, sgn in disks:
+            if abs(k - mu) < 1.25 * DISK_RADIUS:
+                break
+        else:
+            raise BadGeometry(f"{k:.6g} is not on a residue disk")
+        w = (np.exp(-sgn * 2j * mu * self.theta) * c
+             * np.exp(sgn * 2j * mu * _phase_raw(y, t, mu)))
         out = np.zeros(flat.shape + (2, 2), dtype=complex)
         out[..., 0, 0] = out[..., 1, 1] = 1.0
-        entry = -w / (flat - mu)
-        if sgn < 0:
-            out[..., 0, 1] = entry
-        else:
-            out[..., 1, 0] = entry
+        out[(..., 0, 1) if sgn < 0 else (..., 1, 0)] = -w / (flat - mu)
         return out
 
     # -------------------------------------------- assembled jump
@@ -462,7 +446,7 @@ class JumpSpec:
         # side is not read; perfbench/workloads.py passes it by position
         flat = np.atleast_1d(np.asarray(ks, dtype=complex))
         if tag == "disk":
-            return self._disk_stack(y, t, flat, self._disk_meta(flat.ravel()[0]))
+            return self._disk_stack(y, t, flat)
         out = self.j0_stack(flat, tag).copy()
         e = np.exp(-2j * flat * _phase_raw(y, t, flat))
         out[..., 0, 1] *= e
@@ -495,7 +479,7 @@ def jump_diagnostics(js, y=0.0, t=0.0, n=200, seed=5):
 
     Samples up to n quadrature nodes and evaluates them, panel by panel,
     as one stack with their images -k and conj(k) under the two rules
-    of the module docstring; residue disks enter |det J - 1| only.
+    of the module docstring, residue disks included.
     """
     ps = panelize(js.mc)
     rng = np.random.default_rng(seed)
@@ -506,15 +490,14 @@ def jump_diagnostics(js, y=0.0, t=0.0, n=200, seed=5):
         k = ps.nodes[idx[ps.labels[idx] == q]]
         j = js.jump_stack(y, t, k, tag)
         det_defect = max(det_defect, float(np.max(np.abs(det2(j) - 1.0))))
-        if tag == "disk":
-            continue
         j_neg = js.jump_stack(y, t, -k, tag)
-        if tag != "cut_vert":
+        if tag not in ("cut_vert", "disk"):
             j_neg = inv2(j_neg)
-        j_conj = js.jump_stack(y, t, np.conj(k), tag)
+        j_conj = np.conj(js.jump_stack(y, t, np.conj(k), tag))
+        if tag != "disk":
+            j_conj = inv2(j_conj)
         holo = max(holo, float(np.max(frob(j - sigma1_conj(j_neg)))))
-        anti = max(anti, float(np.max(
-            frob(j - sigma1_conj(inv2(np.conj(j_conj)))))))
+        anti = max(anti, float(np.max(frob(j - sigma1_conj(j_conj)))))
     return {"det": det_defect, "holomorphic": holo, "antiholomorphic": anti,
             "junction": _junction_defect(js, y, t),
             "nodes_checked": int(len(idx))}

@@ -64,16 +64,30 @@ of R+ R*- = 1 on gaps about 1e-6 wide.
 
 On imaginary cuts the right side (Re k > 0) carries
 s = -i sigma sign(nu) sign(dDelta/dnu) sqrt(4 - Delta^2) and the left
-side the opposite sign; the slope factor turns over by itself at
-interior trace extrema, which is the continuation through a closed
-(dropped) gap.  A point taken exactly on the real axis inside a band
-is a regular point with the common value
-s = i sigma sign(Delta') sqrt(4 - Delta^2).  There |X|^2 = 1 + |b|^2
-and Re X = Delta/2, so (Im X)^2 >= 1 - Delta^2/4 > 0 inside a band:
-Im X never vanishes there.  It shares its sign with Delta' (as in the
-free case X = e^{-ik theta}, and neither turns over inside a band), so
-the evaluator reads the sign from X and spends no integration on the
-slope.
+side the opposite sign.  The slope sign needs no difference quotient.
+With T = W^{-1} M W the transfer matrix of (psi, psi_x) (see
+scattering) and ph = e^{ik theta}, X - Y + b/ph - b* ph = 2 nu T12 at
+k = i nu, and varying mu = k^2 + 1/4 gives the classical quadratic form
+(Magnus-Winkler, Hill's Equation) in the fundamental solutions phi1,
+phi2 (phi1 = phi2' = 1, phi1' = phi2 = 0 at x = 0)
+
+    dDelta/dmu = int_0^L w (-T12 phi1^2 + (T11 - T22) phi1 phi2
+                            + T21 phi2^2) dx.
+
+Its discriminant is Delta^2 - 4 < 0 in a band, so it is definite with
+the sign of -T12 (T12 vanishes only at the Dirichlet eigenvalues, in
+the gap closures), and dmu/dnu = -2 nu makes sign(dDelta/dnu) =
+sign(2 nu T12): boundary reads it off values it already holds.  It
+turns over by itself inside a closed (dropped) gap, which is the
+continuation through it.
+
+A point taken exactly on the real axis inside a band is a regular
+point with the common value s = i sigma sign(Delta') sqrt(4 - Delta^2).
+There |X|^2 = 1 + |b|^2 and Re X = Delta/2, so (Im X)^2 >= 1 -
+Delta^2/4 > 0 inside a band: Im X never vanishes there.  It shares its
+sign with Delta' (as in the free case X = e^{-ik theta}, and neither
+turns over inside a band), so the evaluator reads the sign from X and
+spends no integration on the slope.
 
 With X = e^{-ik theta} a and Y = e^{ik theta} a*, the evaluator
 switches between the difference form ((X - Y) - s_eff)/(-2 e^{ik
@@ -197,7 +211,6 @@ class DroppedGap:
 @dataclass(frozen=True)
 class BranchCutSet:
     """Branch points of sqrt(Delta^2 - 4) paired into axis cuts."""
-    theta: float
     k_max: float
     cuts: tuple
     dropped: tuple
@@ -496,26 +509,19 @@ def locate_branch_points(tf, k_max, gap_threshold=DELTA_GAP):
 
 
 def _finalize_cut_set(tf, k_max, cuts, dropped, log):
-    """Embed branch points from the cut ends and run the residual check."""
+    """Branch points are the cut ends (bands have positive width, so no
+    two coincide); run the residual check on them."""
     cuts = sorted(cuts, key=lambda c: (c.axis, c.lo))
-    bp = []
-    for c in cuts:
-        bp.extend([complex(c.embed(c.lo)), complex(c.embed(c.hi))])
-    uniq = []
-    for z in bp:
-        if not any(abs(z - w) < 1e-10 for w in uniq):
-            uniq.append(z)
-    uniq.sort(key=lambda z: (abs(z.imag) > 1e-12, z.real, z.imag))
-
-    if uniq:
-        resid = np.abs(tf(np.array(uniq)) ** 2 - 4.0)
+    bp = sorted((complex(c.embed(x)) for c in cuts for x in (c.lo, c.hi)),
+                key=lambda z: (abs(z.imag) > 1e-12, z.real, z.imag))
+    if bp:
+        resid = np.abs(tf(np.array(bp)) ** 2 - 4.0)
         worst = float(np.max(resid))
         if worst > 1e-8:
             raise VerificationFailure(
                 f"branch point residual |Delta^2 - 4| = {worst:.3g} > 1e-8")
-    return BranchCutSet(theta=tf.theta, k_max=k_max, cuts=tuple(cuts),
-                        dropped=tuple(dropped),
-                        branch_points=tuple(uniq), pairing=tuple(log))
+    return BranchCutSet(k_max=k_max, cuts=tuple(cuts), dropped=tuple(dropped),
+                        branch_points=tuple(bp), pairing=tuple(log))
 
 
 # ------------------------------------------------------------ sheeted root
@@ -620,8 +626,8 @@ class SheetedR:
         self.trivial = sd.b_vanishes()
         if self.trivial:
             self.cuts = cuts if cuts is not None else BranchCutSet(
-                theta=self.theta, k_max=self.k_max, cuts=(), dropped=(),
-                branch_points=(), pairing=("trivial data: empty cut set",))
+                k_max=self.k_max, cuts=(), dropped=(), branch_points=(),
+                pairing=("trivial data: empty cut set",))
             self.sigma = 1.0
             self.eps = EPS_CIRCLE
             self.poles = ()
@@ -693,14 +699,16 @@ class SheetedR:
             for c in self.cuts.real_cuts:
                 if np.any((xs >= c.lo) & (xs <= c.hi)):
                     raise TooCloseToContour(
-                        "point lies on a real-axis cut; request a side")
+                        "point lies on a real-axis cut; take a side from "
+                        "boundary")
         on_im = np.abs(flat.real) < 1e-11
         if np.any(on_im):
             ys = flat.imag[on_im]
             for c in self.cuts.imag_cuts:
                 if np.any((ys >= c.lo) & (ys <= c.hi)):
                     raise TooCloseToContour(
-                        "point lies on an imaginary-axis cut; request a side")
+                        "point lies on an imaginary-axis cut; take a side "
+                        "from boundary")
 
     def R(self, k):
         """Root vanishing at infinity in both half planes."""
@@ -766,10 +774,11 @@ class SheetedR:
             root = 2.0 * np.sign(delta) * np.sqrt(np.maximum(gap2, 0.0))
             s = self.sigma * float(approach) * root.astype(complex)
         else:
-            slope = self.trace.axis_slope("imag", x)
+            # 2 nu T12, which shares its sign with dDelta/dnu in a band
+            slope = np.sign((X - Y + b / ph - bstar * ph).real)
             root = np.sqrt(np.maximum(4.0 - delta * delta, 0.0))
             s = (self.sigma * np.sign(x) * (-1j * float(approach))
-                 * np.sign(slope) * root)
+                 * slope * root)
         return self._combine(b, bstar, ph, X, Y, s)
 
     def boundary_star(self, axis, x, approach):

@@ -13,7 +13,7 @@ parameter map s(tau) and enough geometry to decide when a target point is
 "near" the panel.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +27,9 @@ class Segment:
     kind "line": from a to b.
     kind "arc": circle of radius r about center, from angle phi1 to phi2
     (radians, phi2 may be smaller than phi1 for clockwise travel).
-    label tags the jump rule that applies on this piece; meta carries
-    rule-specific payload (e.g. the pole location for a residue disk).
+    label tags the jump rule that applies on this piece; the rule reads
+    everything else it needs (a residue disk's pole and residue, say)
+    from the data the contour was built from, not from the segment.
     """
     kind: str
     a: complex = 0j
@@ -40,7 +41,6 @@ class Segment:
     label: str = ""
     grade_start: bool = False
     grade_end: bool = False
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.kind == "line":

@@ -1,15 +1,20 @@
 """Tests for the jump assembly: unimodular jumps on every region tag, the
 (y, t) phase conjugation, the diagonal eps-circle jumps, the circle jump
 inside the eps-circles against the shifted G-functions written out, the
-guard on region tags, and check_jumps on its two symmetry rules and the
-junction at k = +-1/2.
+guard on region tags, check_jumps on its two symmetry rules and the
+junction at k = +-1/2, and the residue-disk jumps of a synthetic pole.
 """
+
+import copy
 
 import numpy as np
 import pytest
 
 from perch.assembly import (ALL_TAGS, UPPER_LOWER_TAGS, JumpSpec,
-                            build_master_contour, check_jumps, panelize)
+                            MasterContour, build_master_contour, check_jumps,
+                            jump_diagnostics, panelize)
+from perch.branch import PoleData, _check_geometry
+from perch.config import DISK_RADIUS
 from perch.errors import JumpConsistencyError, UnknownRegion
 from perch.mat2 import det2, inv2
 
@@ -149,4 +154,61 @@ def test_check_jumps_catches_lower_arcs_without_inverse(request, name):
     sr = request.getfixturevalue(name)
     js = LowerArcsWithoutInverse(sr.sd, sr, build_master_contour(sr))
     with pytest.raises(JumpConsistencyError):
+        check_jumps(js)
+
+
+# ------------------------------------------------------------ residue disks
+
+# No profile seen so far has a pole whose disk clears the contour, so the
+# disks are checked on a synthetic pole of the bump sheet, on -i(0, 1/2)
+# as every pole is, with an imaginary residue as every residue there is.
+MU_DISK = -0.3j
+RES_DISK = 0.2j
+
+
+def disk_jumps(sr, residue):
+    """JumpSpec of sr with one pole at MU_DISK, on its disks alone."""
+    sr = copy.copy(sr)
+    sr.poles = (PoleData(mu=MU_DISK, residue=residue, residue_ring=residue),)
+    _check_geometry(sr.cuts.cuts, [MU_DISK], sr.eps)
+    disks = [s for s in build_master_contour(sr).segments if s.label == "disk"]
+    assert len(disks) == 4
+    assert {s.center for s in disks} == {MU_DISK, MU_DISK.conjugate()}
+    return JumpSpec(sr.sd, sr, MasterContour(segments=disks))
+
+
+def test_disk_jump_is_the_residue_condition(sr_bump):
+    # about mu the (1,2) entry -c e^{2i mu (theta - p(mu))} / (k - mu),
+    # about conj(mu) the (2,1) entry with conj(c) and the opposite phase
+    js = disk_jumps(sr_bump, RES_DISK)
+    y, t = 0.3 * js.theta, 0.7
+    for panel in panelize(js.mc).panels:
+        k = panel.nodes
+        lower = panel.center.imag < 0
+        m, c, sgn = ((MU_DISK, RES_DISK, 1.0) if lower else
+                     (np.conj(MU_DISK), np.conj(RES_DISK), -1.0))
+        p_m = y - t / (2.0 * (m * m + 0.25))
+        want = -c * np.exp(sgn * 2j * m * (js.theta - p_m)) / (k - m)
+        assert np.max(np.abs(np.abs(k - m) - DISK_RADIUS)) < 1e-15
+        J = js.jump_stack(y, t, k, "disk")
+        i, j = (0, 1) if lower else (1, 0)
+        assert np.all(J[:, 0, 0] == 1.0) and np.all(J[:, 1, 1] == 1.0)
+        assert np.all(J[:, j, i] == 0.0)
+        assert np.max(np.abs(J[:, i, j] - want)) < 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("yt", [(0.0, 0.0), (0.3, 0.7)])
+def test_disk_jumps_obey_both_rules(sr_bump, yt):
+    js = disk_jumps(sr_bump, RES_DISK)
+    d = check_jumps(js, y=yt[0] * js.theta, t=yt[1])
+    assert d["nodes_checked"] == panelize(js.mc).n == 96
+    assert max(d["det"], d["holomorphic"], d["antiholomorphic"]) < 1e-14
+
+
+def test_check_jumps_catches_a_residue_with_a_real_part(sr_bump):
+    # conj(c) = -c fails: the holomorphic rule breaks, the other holds
+    js = disk_jumps(sr_bump, 0.2 + 0.2j)
+    d = jump_diagnostics(js)
+    assert d["holomorphic"] > 1.0 and d["antiholomorphic"] < 1e-14
+    with pytest.raises(JumpConsistencyError, match=r", holomorphic [1-9]"):
         check_jumps(js)

@@ -331,6 +331,24 @@ def test_cut_boundary_identities(request, name):
     assert worst9 <= 1e-7
 
 
+@pytest.mark.parametrize("name", ["sr_bump", "sr_hbump", "sr_asym"])
+def test_boundary_values_are_the_one_sided_limits(request, name):
+    # approach +1 is the limit from Im k > 0 on a real cut and from
+    # Re k > 0 on an imaginary one; Kp Km* = 1 and the connection identity
+    # hold with the sides swapped, so only the limit itself pins them.
+    # The root varies on the scale of a gap's width (down to 1.2e-6), so
+    # the probe 1e-9 off the cut must sit near its own side, not on it
+    sr = request.getfixturevalue(name)
+    for c in sr.cuts.cuts:
+        x = c.probe_coords()
+        normal = 1j if c.axis == "real" else 1.0
+        for approach in (+1, -1):
+            off = sr.R(c.embed(x) + approach * 1e-9 * normal)
+            on = sr.boundary(c.axis, x, approach)
+            other = sr.boundary(c.axis, x, -approach)
+            assert np.all(np.abs(off - on) < 1e-2 * np.abs(other - on)), c
+
+
 def test_thin_gap_boundary_regression(sr_bump):
     # the outermost kept gaps are ~1e-6 wide, where |(X - Y) -+ s| ~ 2|b|
     # is tiny: the product R+ R*- = 1 must hold to rounding across the

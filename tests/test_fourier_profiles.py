@@ -7,7 +7,8 @@ cover a build that a ray-decay sheet test could not settle, a pole
 search that must end in a valid sheet, a zero of b* on the other sheet,
 a genuine pole too close to the origin cut, and two vertical origin cuts
 ending near i/2 that shrink the eps-circles; a hypothesis sweep covers
-the family at large.
+the family at large.  The sign of the trace slope on a vertical cut is
+checked against the monodromy on these profiles and the fixtures.
 """
 
 import numpy as np
@@ -17,12 +18,14 @@ from hypothesis import strategies as st
 
 from perch.assembly import build_master_contour
 from perch.branch import (ANCHOR_ZERO, CLEARANCE, EPS_CIRCLE, SheetedR,
-                          residues_of_R)
-from perch.config import ContourConfig
+                          TraceFunction, locate_branch_points, residues_of_R)
+from perch.config import ORIGIN_OFFSET, ContourConfig
 from perch.errors import ContourClash, NotAPole, PerchError
 from perch.initial import InitialProfile, compute_momentum, solve_helmholtz
 from perch.scattering import ScatteringData
 
+# far-field ratio of the two signs only 642 at the ray probes
+ANCHOR_ONLY = (1.918961, [(1, 0.917972, -1.359565)])
 NEAR_I_HALF = {
     # seed of the family sweep: (L, modes, eps the sheet settles)
     1068: (3.442408, [(1, 0.31887, -0.68657), (2, 0.491956, -0.314687),
@@ -58,9 +61,7 @@ def assert_valid_sheet(sr):
 
 
 def test_sheet_anchor_settles_where_ray_decay_did_not():
-    # far-field ratio of the two signs only 642 at the ray probes
-    sr = SheetedR(fourier_sd(1.918961, [(1, 0.917972, -1.359565)]),
-                  ccfg=WINDOW)
+    sr = SheetedR(fourier_sd(*ANCHOR_ONLY), ccfg=WINDOW)
     assert sr.sigma == 1.0
     assert_valid_sheet(sr)
 
@@ -117,6 +118,31 @@ def test_cut_near_half_i_shrinks_the_eps_circles(seed, monkeypatch):
     radii = {seg.radius for seg in build_master_contour(sr).segments
              if seg.label in ("eps_outer", "eps_inner")}
     assert radii == {sr.eps}
+
+
+@pytest.mark.parametrize("case", ["sd_bump", "sd_asym", "anchor_only",
+                                  *sorted(NEAR_I_HALF)])
+def test_band_slope_sign_is_the_monodromy_sign(request, case):
+    # SheetedR.boundary reads sign(dDelta/dnu) on a vertical cut as the
+    # sign of X - Y + b/ph - b* ph = 2 nu T12 (branch module docstring);
+    # the difference quotient of the trace must agree at every node
+    if case == "anchor_only":
+        sd = fourier_sd(*ANCHOR_ONLY)
+    elif case in NEAR_I_HALF:
+        sd = fourier_sd(*NEAR_I_HALF[case][:2])
+    else:
+        sd = request.getfixturevalue(case)
+    tf = TraceFunction(sd)
+    (cut,) = locate_branch_points(tf, sd.k_window(WINDOW)).imag_cuts
+    nu = np.linspace(cut.lo, cut.hi, 202)[1:-1]
+    nu = nu[np.abs(nu) >= ORIGIN_OFFSET]
+    k = 1j * nu
+    a, b, astar, bstar = sd.ab(k)
+    ph = np.exp(1j * k * sd.theta)
+    got = np.sign((a / ph - astar * ph + b / ph - bstar * ph).real)
+    want = np.sign(tf.axis_slope("imag", nu))
+    assert set(want) == {-1.0, 1.0}
+    assert np.array_equal(got, want)
 
 
 coef = st.floats(-0.35, 0.35, allow_nan=False)

@@ -1,12 +1,15 @@
 """Every UPPER_CASE constant of the package has one home: it is assigned
 in exactly one module, and a constant that a second module imports lives
 in config.  The window config has one reader besides the window formula:
-the sheet, which hands its k_max down as a value.  In assembly only the
-sided roots read a cut side.  No module of the package or of its tests
-imports a name it never reads.
+the sheet, which hands its k_max down as a value.  Nothing in assembly
+reads a cut side, and only the branch-point polish differences the
+trace.  No module of the package or of its tests imports a name it never
+reads, and every name the benchmark's tracer wraps exists.
 """
 
 import ast
+import importlib
+import importlib.util
 import re
 from collections import defaultdict
 from pathlib import Path
@@ -87,11 +90,40 @@ def test_no_module_imports_a_name_it_never_reads():
     assert unused == []
 
 
-def test_only_the_sided_roots_read_a_cut_side():
-    # each node has one jump, the plus form on a cut; jump_stack may
-    # accept a side it does not read (perfbench passes one by position)
+def test_nothing_in_assembly_reads_a_cut_side():
+    # each node has one jump, the plus form on a cut, and the minus side
+    # of a vertical cut is its conjugate; jump_stack may accept a side it
+    # does not read (perfbench passes one by position)
     tree = dict(modules())["assembly"]
     readers = [qual for qual, fn in functions(tree)
                if any(isinstance(n, ast.Name) and n.id == "side"
                       and isinstance(n.ctx, ast.Load) for n in ast.walk(fn))]
-    assert readers == ["_sided_roots"]
+    assert readers == []
+
+
+def test_only_the_branch_point_polish_differences_the_trace():
+    # the sheet reads its slope signs off the monodromy; axis_slope costs
+    # two integrations a call and serves only the Newton polish
+    tree = dict(modules())["branch"]
+    callers = [qual for qual, fn in functions(tree)
+               if any(isinstance(n, ast.Call)
+                      and isinstance(n.func, ast.Attribute)
+                      and n.func.attr == "axis_slope" for n in ast.walk(fn))]
+    assert callers == ["_polish_level", "_polish_edges"]
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # perfbench/spans.py wraps functions by name; a rename or deletion
+    # would break its traced run (--trace 1) and nothing else would notice
+    path = Path(__file__).parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for modname, owner, attr, *_ in spans.WRAPPED:
+        mod = importlib.import_module(modname)
+        holder = getattr(mod, owner).__dict__ if owner else vars(mod)
+        if attr not in holder:
+            missing.append(f"{modname}.{owner + '.' if owner else ''}{attr}")
+    assert len(spans.WRAPPED) > 10
+    assert missing == []
