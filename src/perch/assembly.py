@@ -70,8 +70,6 @@ matrix conjugated by exp(-i k p sigma3), except on residue disks, where
 the phase is evaluated at the pole itself.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import DISK_RADIUS
@@ -96,12 +94,6 @@ GRADE_RATIO = 0.5         # size ratio between successive graded panels
 
 
 # ------------------------------------------------------------ contour
-
-
-@dataclass
-class MasterContour:
-    """Oriented segments of the jump contour."""
-    segments: list
 
 
 def _real_axis_segments(sr):
@@ -203,7 +195,7 @@ def _disk_segments(sr):
 
 
 def build_master_contour(sr, *, ccfg=None):
-    """Assemble the full oriented contour for one set of scattering data.
+    """The master contour: the oriented segments for one sheet, as a list.
 
     The eps-circles take the radius the sheet settled (sr.eps), whose
     residue disks it has already checked against every other piece.
@@ -220,11 +212,11 @@ def build_master_contour(sr, *, ccfg=None):
     segs += _eps_segments(sr.eps)
     segs += _vertical_cut_segments(sr)
     segs += _disk_segments(sr)
-    return MasterContour(segments=segs)
+    return segs
 
 
 def panelize(mc, ccfg=None):
-    """Gauss-Legendre panels over the master contour."""
+    """Gauss-Legendre panels over the master contour mc (a segment list)."""
     # ccfg is not read; perfbench/workloads.py passes its window config here
     per = {"circle": PANEL_CIRCLE, "circle_eps": 0.6 * PANEL_CIRCLE,
            "eps_outer": 0.6 * PANEL_CIRCLE,
@@ -233,7 +225,7 @@ def panelize(mc, ccfg=None):
            "cut_hor_outer": PANEL_CIRCLE,
            "cut_hor_inner": PANEL_CIRCLE,
            "disk": 0.5 * np.pi * DISK_RADIUS}
-    return build_panels(mc.segments, order=PANEL_ORDER,
+    return build_panels(mc, order=PANEL_ORDER,
                         target_len=PANEL_REAL, levels=GRADE_LEVELS,
                         ratio=GRADE_RATIO, per_label_len=per)
 
@@ -477,13 +469,19 @@ def _junction_defect(js, y, t):
 def jump_diagnostics(js, y=0.0, t=0.0, n=200, seed=5):
     """Worst |det J - 1|, symmetry-rule and junction defects.
 
-    Samples up to n quadrature nodes and evaluates them, panel by panel,
-    as one stack with their images -k and conj(k) under the two rules
-    of the module docstring, residue disks included.
+    Samples max(1, n // tags) quadrature nodes of every region tag
+    present, so a tag with few nodes (a residue disk) is checked on
+    every seed, and evaluates them, panel by panel, as one stack with
+    their images -k and conj(k) under the two rules of the module
+    docstring.
     """
     ps = panelize(js.mc)
     rng = np.random.default_rng(seed)
-    idx = rng.permutation(ps.n)[:n]
+    node_tags = np.array([p.label for p in ps.panels])[ps.labels]
+    tags = np.unique(node_tags)
+    share = max(1, n // len(tags))
+    idx = np.concatenate([rng.permutation(np.flatnonzero(node_tags == tag))
+                          [:share] for tag in tags])
     det_defect = holo = anti = 0.0
     for q in np.unique(ps.labels[idx]):
         tag = ps.panels[q].label

@@ -108,11 +108,11 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import eigh, toeplitz
 
-from .config import DISK_RADIUS, ORIGIN_OFFSET, ContourConfig
+from .config import DISK_RADIUS, ORIGIN_OFFSET
 from .errors import (BadGeometry, BranchSelectionError, ContourClash,
                      CrossValidationFailure, DoubleZeroUnresolved,
-                     NearPole, NonGenericCase, NotAPole,
-                     TooCloseToContour, VerificationFailure, WindowTooSmall)
+                     NearPole, NonGenericCase, TooCloseToContour,
+                     VerificationFailure, WindowTooSmall)
 from .initial import _fourier_modes
 
 POLE_GUARD = 1e-4
@@ -230,12 +230,6 @@ class BranchCutSet:
             if c.axis == axis and c.contains(x, pad):
                 return c
         return None
-
-    def describe(self):
-        lines = [f"window {self.k_max:.6g}, {len(self.branch_points)} branch "
-                 f"points, {len(self.cuts)} cuts, {len(self.dropped)} dropped gaps"]
-        lines.extend(self.pairing)
-        return lines
 
 
 def _segment_distance(z, cut):
@@ -361,14 +355,14 @@ def _polish_edges(tf, axis, edges):
     return x.tolist()
 
 
-def _pair_cuts(tf, gaps, k_max, x_hi, delta_gap, trivial):
+def _pair_cuts(tf, gaps, k_max, x_hi, trivial):
     """Cuts, dropped gaps and pairing log read off the spectral gaps.
 
     mu = k^2 + 1/4 puts mu > 1/4 on the real axis and mu < 1/4 on
     i(0, 1/2).  A gap above 1/4 is a real cut and its mirror, the gap
     holding 1/4 the real origin cut; a band below 1/4 is a vertical cut
     pair, the band holding 1/4 the vertical origin cut.  Gaps narrower
-    than delta_gap in k (real) or nu (imaginary) close, which merges
+    than DELTA_GAP in k (real) or nu (imaginary) close, which merges
     their neighbouring bands; the real axis is read up to x_hi.
     """
     def along(mu):       # k for mu > 1/4, nu for mu < 1/4
@@ -386,7 +380,7 @@ def _pair_cuts(tf, gaps, k_max, x_hi, delta_gap, trivial):
             axis, a, b = "imag", along(hi.mu), along(lo.mu)
         else:
             axis, a, b = None, 0.0, np.inf      # the gap holding 1/4
-        if b - a >= delta_gap:
+        if b - a >= DELTA_GAP:
             open_gaps.append(g)
         elif axis == "imag" or 0.5 * (a + b) <= x_hi:
             closed[axis].append((g, a, b))
@@ -467,7 +461,7 @@ def _pair_cuts(tf, gaps, k_max, x_hi, delta_gap, trivial):
     return cuts, dropped, log
 
 
-def locate_branch_points(tf, k_max, gap_threshold=DELTA_GAP):
+def locate_branch_points(tf, k_max):
     """Find branch points on both axes and pair them into cuts.
 
     The trace is the discriminant of the weighted Hill equation
@@ -486,7 +480,7 @@ def locate_branch_points(tf, k_max, gap_threshold=DELTA_GAP):
     positive and no branch point lies on or above i/2.
 
     The real axis is read up to k_max plus a margin; gaps narrower
-    than gap_threshold close (and are logged), and the kept edges are
+    than DELTA_GAP close (and are logged), and the kept edges are
     polished by Newton steps on the integrated trace.  A window edge
     inside a kept real gap raises WindowTooSmall.  The pairing log
     names the eigenvalue interval of each cut and dropped gap.
@@ -503,8 +497,7 @@ def locate_branch_points(tf, k_max, gap_threshold=DELTA_GAP):
     mp = tf.sd.mp
     n_modes = int(np.ceil(x_hi * tf.sd.wmax * mp.L / np.pi)) + 32
     gaps = _spectral_gaps(*_hill_spectrum(mp.m0, mp.L, n_modes))
-    cuts, dropped, log = _pair_cuts(tf, gaps, k_max, x_hi, gap_threshold,
-                                    trivial)
+    cuts, dropped, log = _pair_cuts(tf, gaps, k_max, x_hi, trivial)
     return _finalize_cut_set(tf, k_max, cuts, dropped, log)
 
 
@@ -605,9 +598,12 @@ class SheetedR:
     times sign(Im k); on a cut the one-sided limits come from exact
     boundary formulas, so no continuity bookkeeping is needed.
 
-    _anchored_sign is the one home of sigma.  The window k_max is read
-    from ccfg here, once, and handed down as a value; whether b vanishes
-    identically is one cached probe (ScatteringData.b_vanishes).
+    _anchored_sign is the one home of sigma, and the anchor alone tells
+    the sheets apart (_validate checks the evaluator).  The window k_max
+    is read from ccfg here, once, and handed down as a value; every
+    sheet, the trivial one too, takes its cuts from locate_branch_points;
+    whether b vanishes identically is one cached probe
+    (ScatteringData.b_vanishes).
 
     eps is the radius of the contour's circles about +-i/2, derived from
     the cuts, not set: EPS_CIRCLE, shrunk to keep CLEARANCE from every
@@ -617,32 +613,26 @@ class SheetedR:
     rule raises ContourClash.
     """
 
-    def __init__(self, sd, cuts=None, *, ccfg=None, validate=True):
+    def __init__(self, sd, *, ccfg=None):
         self.sd = sd
-        self.ccfg = ccfg or ContourConfig()
         self.trace = TraceFunction(sd)
         self.theta = sd.theta
-        self.k_max = sd.k_window(self.ccfg)
+        self.k_max = sd.k_window(ccfg)
         self.trivial = sd.b_vanishes()
+        self.cuts = locate_branch_points(self.trace, self.k_max)
         if self.trivial:
-            self.cuts = cuts if cuts is not None else BranchCutSet(
-                k_max=self.k_max, cuts=(), dropped=(), branch_points=(),
-                pairing=("trivial data: empty cut set",))
             self.sigma = 1.0
             self.eps = EPS_CIRCLE
             self.poles = ()
             self.other_sheet_zeros = ()
             return
-        self.cuts = cuts if cuts is not None else locate_branch_points(
-            self.trace, self.k_max)
         anchor = {s: abs(complex(self._raw(np.array([0.5j]), sigma=s)[0]))
                   for s in (1.0, -1.0)}
         self.sigma = _anchored_sign(anchor)
         self.eps = _eps_radius(self.cuts.cuts)
         self.poles, self.other_sheet_zeros = self._classify_poles()
         _check_geometry(self.cuts.cuts, [p.mu for p in self.poles], self.eps)
-        if validate:
-            self._validate()
+        self._validate()
 
     # ---------------------------------------------- core evaluation
 
@@ -871,16 +861,18 @@ class SheetedR:
     # ---------------------------------------------- validation
 
     def _validate(self):
-        """Identity checks on the built sheet.
+        """Identity checks on the root evaluator.
 
         The quadratic residual, the unimodularity identity
         (a - b R*)(a* - b* R) = 1 and the reflection identity
-        R(-k) = R*(k) raise BranchSelectionError.  The origin limit
+        R(-k) = R*(k) raise BranchSelectionError.  They hold on both
+        sheets, so they catch a faulty evaluation, not the wrong sheet,
+        which only the anchor (_anchored_sign) can tell.  The origin limit
         R(0) = -1 is an accuracy check of value_at_zero, not a sheet
-        check: a and b have the simple pole a ~ i rho / k, b ~ -i rho / k
-        at k = 0, so there the quadratic is -(i rho / k)(K + 1)^2 to
-        leading order, both roots tend to -1, and a miss raises
-        VerificationFailure.
+        check either: a and b have the simple pole a ~ i rho / k,
+        b ~ -i rho / k at k = 0, so there the quadratic is
+        -(i rho / k)(K + 1)^2 to leading order, both roots tend to -1,
+        and a miss raises VerificationFailure.
         """
         rng = np.random.default_rng(20)
         n = 32
@@ -913,55 +905,6 @@ class SheetedR:
 
 
 # ------------------------------------------------------------ module ops
-
-
-def residues_of_R(sr, mu):
-    """Residue of the selected root at a simple zero mu of b*."""
-    if sr.trivial:
-        raise NotAPole("the root vanishes identically; it has no poles")
-    for p in sr.poles:
-        if abs(p.mu - mu) < 1e-8:
-            return p.residue
-    data = sr._residue_at(mu)
-    if data is None:
-        raise NotAPole(f"the root stays bounded at {mu:.6g}; the zero "
-                       "belongs to the other sheet")
-    return data.residue
-
-
-def gap_sensitivity(sr, n_probes=8):
-    """Effect of halving the gap threshold on the root values.
-
-    Rebuilds the cut set at half the dropped-gap threshold and compares
-    the root at off-axis probes and at one-sided cut midpoints.  The
-    product-form realization depends on the cut set only through
-    bookkeeping, so the deviation should sit at rounding level; a large
-    value flags a misclassified gap.
-    """
-    if sr.trivial:
-        return {"max_abs_delta": 0.0, "halved_threshold": DELTA_GAP / 2,
-                "cuts": 0, "cuts_halved": 0}
-    half = DELTA_GAP / 2.0
-    cuts2 = locate_branch_points(sr.trace, sr.k_max, gap_threshold=half)
-    sr2 = SheetedR(sr.sd, cuts2, ccfg=sr.ccfg, validate=False)
-    rng = np.random.default_rng(11)
-    pts = (rng.uniform(-0.8, 0.8, n_probes) * sr.k_max +
-           1j * rng.uniform(0.08, 0.9, n_probes))
-    keep = np.ones(n_probes, dtype=bool)
-    for mu in [p.mu for p in sr.poles] + [0.5j, -0.5j]:
-        keep &= np.abs(pts - mu) > 0.05
-    pts = pts[keep]
-    worst = float(np.max(np.abs(sr._raw(pts) - sr2._raw(pts))))
-    for c in sr.cuts.cuts:
-        x = c.probe_coords()
-        if not x.size:
-            continue
-        for approach in (+1, -1):
-            v1 = sr.boundary(c.axis, x, approach)
-            v2 = sr2.boundary(c.axis, x, approach)
-            worst = max(worst, float(np.max(np.abs(v1 - v2))))
-    return {"max_abs_delta": worst, "halved_threshold": half,
-            "cuts": len(sr.cuts.cuts), "cuts_halved": len(cuts2.cuts)}
 
 
 def branch_report(sr):

@@ -123,27 +123,27 @@ def param_distance(zeta):
     return np.hypot(dx, zeta.imag)
 
 
-def _near_rows(panel, proj, zeta):
-    """Exact rows for targets given by parameter preimages zeta (off curve)."""
-    p = len(panel.tau)
-    Q = leg_Q(zeta, p)                               # (t, p)
+def _rows(panel, proj, Q, taus):
+    """Rows from the Q values at the targets' parameter positions taus."""
     rows = (-2.0 * Q) @ proj
     if panel.kind == "arc":
-        g = _arc_smooth_part(panel, zeta)            # (t, p)
+        g = _arc_smooth_part(panel, taus)            # (t, p)
         rows = rows + g * panel.wref[None, :]
     return rows / (2j * np.pi)
+
+
+def _near_rows(panel, proj, zeta):
+    """Exact rows for targets given by parameter preimages zeta (off curve)."""
+    return _rows(panel, proj, leg_Q(zeta, len(panel.tau)), zeta)
 
 
 def _boundary_rows(panel, proj, taus, side):
     """Rows for boundary values at parameter positions taus on the panel."""
-    p = len(panel.tau)
-    sgn = +1 if side == "plus" else -1
-    Q = leg_Q_side(np.asarray(taus, dtype=float), p, sgn)
-    rows = (-2.0 * Q) @ proj
-    if panel.kind == "arc":
-        g = _arc_smooth_part(panel, np.asarray(taus, dtype=complex))
-        rows = rows + g * panel.wref[None, :]
-    return rows / (2j * np.pi)
+    if side not in ("plus", "minus"):
+        raise BadGeometry(f"side must be 'plus' or 'minus', not {side!r}")
+    taus = np.asarray(taus, dtype=float)
+    Q = leg_Q_side(taus, len(panel.tau), +1 if side == "plus" else -1)
+    return _rows(panel, proj, Q, taus.astype(complex))
 
 
 def _far_rows(panel, ks):
@@ -168,18 +168,23 @@ def panel_rows(panel, proj, ks):
 
 
 class CauchyOperator:
-    """Precomputed Cauchy machinery for one PanelSet."""
+    """Precomputed Cauchy machinery for one PanelSet.
+
+    build_panels lays one Gauss-Legendre rule on every panel, so one
+    projection matrix serves them all.
+    """
 
     def __init__(self, panelset):
         self.ps = panelset
-        self.projs = [projection_matrix(p.tau, p.wref) for p in panelset.panels]
+        first = panelset.panels[0]
+        self.proj = projection_matrix(first.tau, first.wref)
 
     def offcontour_rows(self, ks):
         """(len(ks), N) matrix mapping node values to C[rho](ks)."""
         ks = np.atleast_1d(np.asarray(ks, dtype=complex))
         out = np.empty((len(ks), self.ps.n), dtype=complex)
         for q, panel in enumerate(self.ps.panels):
-            out[:, self.ps.node_slice(q)] = panel_rows(panel, self.projs[q], ks)
+            out[:, self.ps.node_slice(q)] = panel_rows(panel, self.proj, ks)
         return out
 
     def boundary_matrix(self, side):
@@ -197,8 +202,8 @@ class CauchyOperator:
             near = (d < NEAR_PARAM)
             near[sl] = False
             if np.any(near):
-                K[near, cols] = _near_rows(panel, self.projs[q], zeta[near])
-            K[sl, cols] = _boundary_rows(panel, self.projs[q], panel.tau, side)
+                K[near, cols] = _near_rows(panel, self.proj, zeta[near])
+            K[sl, cols] = _boundary_rows(panel, self.proj, panel.tau, side)
         return K
 
     def boundary_rows_at(self, ipanel, taus, side):
@@ -211,36 +216,8 @@ class CauchyOperator:
         for q, other in enumerate(self.ps.panels):
             cols = self.ps.node_slice(q)
             if q == ipanel:
-                out[:, cols] = _boundary_rows(panel, self.projs[q], taus, side)
+                out[:, cols] = _boundary_rows(panel, self.proj, taus, side)
             else:
-                out[:, cols] = panel_rows(other, self.projs[q], ks)
+                out[:, cols] = panel_rows(other, self.proj, ks)
         return out
 
-
-def cauchy_transform(panelset, density, k, side=None, op=None):
-    """Public evaluation of C[density] per the module conventions.
-
-    Off-contour (side None): k must keep clear of the nodes by half the
-    local node spacing, otherwise TooCloseToContour.  With side "plus" or
-    "minus", k must coincide with a quadrature node and the one-sided
-    boundary value at that node is returned.
-    """
-    op = op or CauchyOperator(panelset)
-    density = np.asarray(density, dtype=complex)
-    if side is None:
-        gap = panelset.min_gap_near(k)
-        idx = int(np.argmin(np.abs(panelset.nodes - k)))
-        panel = panelset.panel_of_node(idx)
-        local = panel.scale / max(len(panel.tau), 1)
-        if gap < 0.5 * local:
-            raise TooCloseToContour(
-                f"k within node-spacing guard ({gap:.2e} < {0.5 * local:.2e}); pass side=")
-        rows = op.offcontour_rows(np.array([k]))
-        return (rows @ density.reshape(panelset.n, -1)).reshape(density.shape[1:])
-    if side not in ("plus", "minus"):
-        raise BadGeometry("side must be None, 'plus' or 'minus'")
-    idx = np.argmin(np.abs(panelset.nodes - k))
-    if abs(panelset.nodes[idx] - k) > 1e-12:
-        raise BadGeometry("side designation requires k at a quadrature node")
-    K = op.boundary_matrix(side)
-    return (K[int(idx)] @ density.reshape(panelset.n, -1)).reshape(density.shape[1:])

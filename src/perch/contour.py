@@ -119,13 +119,6 @@ class Panel:
             return self.mid + self.half * tau
         return self.center + self.radius * np.exp(1j * (self.phic + self.beta * tau))
 
-    @property
-    def scale(self):
-        """Characteristic size used for near/far decisions."""
-        if self.kind == "line":
-            return abs(self.half)
-        return abs(self.beta) * self.radius
-
 
 class PanelSet:
     """All panels of a contour plus flat node/weight arrays."""
@@ -142,15 +135,8 @@ class PanelSet:
     def n(self):
         return len(self.nodes)
 
-    def panel_of_node(self, i):
-        return self.panels[self.labels[i]]
-
     def node_slice(self, ipanel):
         return slice(self.offsets[ipanel], self.offsets[ipanel + 1])
-
-    def min_gap_near(self, k):
-        """Distance from k to the nearest node (cheap guard radius)."""
-        return float(np.min(np.abs(self.nodes - k)))
 
 
 def build_panels(segments, order=12, target_len=None, levels=4, ratio=0.5,

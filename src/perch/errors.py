@@ -18,7 +18,8 @@ class BadGeometry(PerchError):
 
 
 class TooCloseToContour(PerchError):
-    """Off-contour evaluation requested within the node-spacing guard."""
+    """Evaluation requested on the contour: a Cauchy target on a panel,
+    or a root value on a cut without a side."""
 
 
 # ---- initial data ----
@@ -84,11 +85,8 @@ class DoubleZeroUnresolved(PerchError):
 
 
 class BranchSelectionError(PerchError):
-    """Sheet labeling failed its normalization or residual checks."""
-
-
-class NotAPole(PerchError):
-    """Requested residue at a point where this sheet stays bounded."""
+    """No sign isolates the anchor R(i/2) = 0, or the root evaluator
+    fails an identity that holds on both sheets."""
 
 
 class NearPole(PerchError):

@@ -2,7 +2,8 @@
 (y, t) phase conjugation, the diagonal eps-circle jumps, the circle jump
 inside the eps-circles against the shifted G-functions written out, the
 guard on region tags, check_jumps on its two symmetry rules and the
-junction at k = +-1/2, and the residue-disk jumps of a synthetic pole.
+junction at k = +-1/2 with every region tag sampled, and the residue-disk
+jumps of a synthetic pole.
 """
 
 import copy
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from perch.assembly import (ALL_TAGS, UPPER_LOWER_TAGS, JumpSpec,
-                            MasterContour, build_master_contour, check_jumps,
+                            build_master_contour, check_jumps,
                             jump_diagnostics, panelize)
 from perch.branch import PoleData, _check_geometry
 from perch.config import DISK_RADIUS
@@ -125,16 +126,36 @@ def test_circle_eps_jump_is_the_shifted_circle_jump(jumps, name):
         assert np.max(np.abs(plain - ref)) > 1e-3 * scale
 
 
+class RecordingJumps(JumpSpec):
+    """Records the points each region tag's jump is evaluated at."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.seen = {}
+
+    def jump_stack(self, y, t, ks, tag, side=None):
+        self.seen.setdefault(tag, []).append(np.atleast_1d(ks))
+        return super().jump_stack(y, t, ks, tag)
+
+
 @pytest.mark.parametrize("yt", [(0.0, 0.0), (0.3, 0.7)])
 @pytest.mark.parametrize("name", ["sr_zero", "sr_bump", "sr_hbump",
                                   "sr_asym"])
 def test_check_jumps_passes(request, name, yt):
     sr = request.getfixturevalue(name)
-    js = JumpSpec(sr.sd, sr, build_master_contour(sr))
+    js = RecordingJumps(sr.sd, sr, build_master_contour(sr))
     d = check_jumps(js, y=yt[0] * sr.theta, t=yt[1])
-    assert d["nodes_checked"] == 200
+    assert 0 < d["nodes_checked"] <= 200
     assert max(d["det"], d["holomorphic"], d["antiholomorphic"],
                d["junction"]) <= 1e-9
+    # every tag present is sampled at its own quadrature nodes (the
+    # junction check evaluates off the nodes, so it does not count)
+    nodes = {}
+    for p in panelize(js.mc).panels:
+        nodes.setdefault(p.label, []).append(p.nodes)
+    sampled = {tag for tag, calls in js.seen.items() if tag in nodes and any(
+        np.all(np.isin(k, np.concatenate(nodes[tag]))) for k in calls)}
+    assert sampled == set(nodes)
 
 
 class LowerArcsWithoutInverse(JumpSpec):
@@ -166,15 +187,21 @@ MU_DISK = -0.3j
 RES_DISK = 0.2j
 
 
-def disk_jumps(sr, residue):
-    """JumpSpec of sr with one pole at MU_DISK, on its disks alone."""
+def with_pole(sr, residue):
+    """Copy of sr with one synthetic pole at MU_DISK."""
     sr = copy.copy(sr)
     sr.poles = (PoleData(mu=MU_DISK, residue=residue, residue_ring=residue),)
     _check_geometry(sr.cuts.cuts, [MU_DISK], sr.eps)
-    disks = [s for s in build_master_contour(sr).segments if s.label == "disk"]
+    return sr
+
+
+def disk_jumps(sr, residue):
+    """JumpSpec of sr with one pole at MU_DISK, on its disks alone."""
+    sr = with_pole(sr, residue)
+    disks = [s for s in build_master_contour(sr) if s.label == "disk"]
     assert len(disks) == 4
     assert {s.center for s in disks} == {MU_DISK, MU_DISK.conjugate()}
-    return JumpSpec(sr.sd, sr, MasterContour(segments=disks))
+    return JumpSpec(sr.sd, sr, disks)
 
 
 def test_disk_jump_is_the_residue_condition(sr_bump):
@@ -212,3 +239,13 @@ def test_check_jumps_catches_a_residue_with_a_real_part(sr_bump):
     assert d["holomorphic"] > 1.0 and d["antiholomorphic"] < 1e-14
     with pytest.raises(JumpConsistencyError, match=r", holomorphic [1-9]"):
         check_jumps(js)
+
+
+def test_check_jumps_samples_the_disks_on_every_seed(sr_bump):
+    # on the whole contour (5448 nodes, 96 of them on the disks) a
+    # sample of 32 nodes, as the benchmark takes, still reaches the disks
+    sr = with_pole(sr_bump, 0.2 + 0.2j)
+    js = JumpSpec(sr.sd, sr, build_master_contour(sr))
+    for seed in range(1, 5):
+        with pytest.raises(JumpConsistencyError, match=r", holomorphic [1-9]"):
+            check_jumps(js, n=32, seed=seed)

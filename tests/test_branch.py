@@ -14,14 +14,12 @@ from hypothesis import strategies as st
 from perch import branch
 from perch.assembly import JumpSpec, build_master_contour, panelize
 from perch.branch import (ANCHOR_APART, ANCHOR_ZERO, SheetedR, TraceFunction,
-                          branch_report, gap_sensitivity,
-                          locate_branch_points, residues_of_R)
+                          branch_report, locate_branch_points)
 from perch.config import ContourConfig
 from perch.errors import (BadGeometry, BranchSelectionError, ContourClash,
                           CrossValidationFailure, DoubleZeroUnresolved,
-                          NearPole, NonGenericCase, NotAPole,
-                          TooCloseToContour, VerificationFailure,
-                          WindowTooSmall)
+                          NearPole, NonGenericCase, TooCloseToContour,
+                          VerificationFailure, WindowTooSmall)
 from perch.initial import compute_momentum, load_initial_data
 from perch.mat2 import det2
 from perch.scattering import ScatteringData
@@ -30,15 +28,16 @@ L = 2.0
 
 
 @pytest.fixture(scope="module")
-def sr_fault(sd_asym, sr_asym):
+def sr_fault(sd_asym):
     # the other sheet, on purpose: the anchored sign is flipped while the
-    # sheet is built; reuses the honest cut set so the expensive location
-    # step runs once per session
+    # sheet is built, at sr_asym's window.  It builds and passes every
+    # _validate check: the quadratic, unimodularity and reflection
+    # identities hold on both sheets, so they check the evaluator, and
+    # only the anchor tells the sheets apart
     anchored = branch._anchored_sign
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(branch, "_anchored_sign", lambda anchor: -anchored(anchor))
-        return SheetedR(sd_asym, sr_asym.cuts, ccfg=sr_asym.ccfg,
-                        validate=False)
+        return SheetedR(sd_asym, ccfg=ContourConfig(k_window_factor=5.5))
 
 
 def cut_mid(c):
@@ -109,6 +108,16 @@ def test_trivial_data_empty_cut_set(sd_zero):
     assert len(cs.dropped) >= 12
     assert max(d.width for d in cs.dropped) <= 1e-9
     assert all(d.axis == "real" for d in cs.dropped)
+
+
+def test_trivial_sheet_keeps_the_located_cut_set(sd_zero, sr_zero):
+    # every sheet takes its cut set from locate_branch_points, the trivial
+    # one included, so its closed gaps reach branch_report
+    cs = locate_branch_points(TraceFunction(sd_zero), sr_zero.k_max)
+    assert sr_zero.cuts == cs
+    rep = branch_report(sr_zero)
+    assert len(rep["dropped_gaps"]) == len(cs.dropped) >= 12
+    assert rep["pairing"] == list(cs.pairing)
 
 
 def test_bump_cut_geometry(sr_bump):
@@ -404,13 +413,11 @@ def test_no_poles_on_selected_sheet(sr_asym):
     assert sr_asym.poles == ()
     assert sr_asym.other_sheet_zeros == ()   # off the axis: not searched
     for z in MUS_ASYM:
-        with pytest.raises(NotAPole):
-            residues_of_R(sr_asym, z)
+        assert sr_asym._residue_at(z) is None    # bounded on this sheet
 
 
 def test_trivial_has_no_poles(sr_zero):
-    with pytest.raises(NotAPole):
-        residues_of_R(sr_zero, 1.0 + 0.5j)
+    assert sr_zero.poles == () and sr_zero.other_sheet_zeros == ()
 
 
 def test_fault_exposes_companion_poles(sr_fault):
@@ -429,7 +436,7 @@ def test_fault_exposes_companion_poles(sr_fault):
 def test_fault_residue_lookup_and_guards(sr_fault):
     fault = copy.copy(sr_fault)
     fault.poles = (sr_fault._residue_at(MU_ASYM),)
-    assert abs(residues_of_R(fault, MU_ASYM) - RES_FAULT) < 1e-6
+    assert abs(fault.poles[0].residue - RES_FAULT) < 1e-6
     with pytest.raises(NearPole):
         fault.R(MU_ASYM + 5e-5)
 
@@ -438,21 +445,10 @@ def test_ring_check_needs_clearance(sr_bump):
     c = min((d for d in sr_bump.cuts.real_cuts if d.lo > 0),
             key=lambda d: d.lo)
     with pytest.raises(CrossValidationFailure, match="too close to a cut"):
-        residues_of_R(sr_bump, cut_mid(c) + 1e-6j)
+        sr_bump._residue_at(cut_mid(c) + 1e-6j)
 
 
 # ------------------------------------------------------------- diagnostics
-
-
-def test_gap_sensitivity_is_rounding_level(sr_asym):
-    out = gap_sensitivity(sr_asym)
-    assert out["cuts"] == out["cuts_halved"] == 11
-    assert out["max_abs_delta"] <= 1e-10
-
-
-def test_gap_sensitivity_trivial(sr_zero):
-    out = gap_sensitivity(sr_zero)
-    assert out["max_abs_delta"] == 0.0 and out["cuts"] == 0
 
 
 def test_branch_report_round_trip(sr_asym):
@@ -463,11 +459,6 @@ def test_branch_report_round_trip(sr_asym):
     assert rep["other_sheet_zeros"] == []
     assert rep["poles"] == []
     assert abs(rep["theta"] - 2.341040005) < 1e-8
-
-
-def test_cut_set_describe(sr_bump):
-    lines = sr_bump.cuts.describe()
-    assert any("17 cuts" in ln for ln in lines)
 
 
 # ------------------------------------------------------------ contour room

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from perch.contour import Segment, build_panels
-from perch.cauchy import CauchyOperator, cauchy_transform, leg_Q
-from perch.errors import BadGeometry, TooCloseToContour
+from perch.cauchy import CauchyOperator, leg_Q
+from perch.errors import BadGeometry
 
 
 def circle_segments(radius=0.5, center=0j):
@@ -78,6 +78,8 @@ def test_boundary_values_match_interior_limits():
     # C_plus = 0 (inside limit), C_minus = -1/s (outside limit)
     np.testing.assert_allclose(Kp @ rho, np.zeros(ps.n), atol=1e-11)
     np.testing.assert_allclose(Km @ rho, -1.0 / ps.nodes, atol=1e-11)
+    # C_plus[1] = 1 inside a closed curve
+    np.testing.assert_allclose(Kp @ np.ones(ps.n), np.ones(ps.n), atol=1e-12)
 
 
 def test_offnode_boundary_rows():
@@ -91,24 +93,14 @@ def test_offnode_boundary_rows():
     np.testing.assert_allclose(rows @ rho, pts**2, atol=1e-11)
 
 
-def test_guard_raises_without_side():
-    ps = build_panels(circle_segments(0.5), order=12, target_len=0.25)
-    rho = np.ones(ps.n)
-    s0 = ps.nodes[5]
-    with pytest.raises(TooCloseToContour):
-        cauchy_transform(ps, rho, s0 * (1 + 1e-9))
-    v = cauchy_transform(ps, rho, s0, side="plus")
-    assert abs(v - 1.0) < 1e-12   # C_plus[1] = 1 inside a closed curve
-
-
-def test_sided_request_guards():
-    ps = build_panels(circle_segments(0.5), order=12, target_len=0.25)
-    rho = np.ones(ps.n)
-    s0 = ps.nodes[5]
-    with pytest.raises(BadGeometry):
-        cauchy_transform(ps, rho, s0, side="left")          # unknown side
-    with pytest.raises(BadGeometry):
-        cauchy_transform(ps, rho, s0 * (1 + 1e-6), side="plus")   # off node
+def test_unknown_side_is_refused():
+    # only "plus" and "minus" name a side; anything else is not the minus one
+    op = CauchyOperator(build_panels(circle_segments(0.5), order=12,
+                                     target_len=0.25))
+    with pytest.raises(BadGeometry, match="'left'"):
+        op.boundary_matrix("left")
+    with pytest.raises(BadGeometry, match="'left'"):
+        op.boundary_rows_at(3, np.array([0.1]), "left")
 
 
 def test_doubling_panels_contracts_error_fast():

@@ -55,7 +55,7 @@ def test_panelset_bookkeeping():
     for q in range(len(ps.panels)):
         sl = ps.node_slice(q)
         np.testing.assert_array_equal(ps.nodes[sl], ps.panels[q].nodes)
-        assert ps.panel_of_node(sl.start) is ps.panels[q]
+        assert np.all(ps.labels[sl] == q)
     labels = {p.label for p in ps.panels}
     assert labels == {"left", "top"}
 
@@ -81,12 +81,6 @@ def test_arc_panel_nodes_lie_on_circle():
     total = np.sum(ps.weights)
     want = 0.7 * (np.exp(-0.5j) - np.exp(1.0j))
     assert abs(total - want) < 1e-13
-
-
-def test_min_gap_near():
-    ps = build_panels([Segment("line", a=0j, b=1 + 0j)], order=4, target_len=1.0)
-    k = ps.nodes[1] + 0.01j
-    assert abs(ps.min_gap_near(k) - 0.01) < 1e-14
 
 
 @settings(max_examples=25, deadline=None)

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 from perch.assembly import build_master_contour
 from perch.branch import (ANCHOR_ZERO, CLEARANCE, EPS_CIRCLE, SheetedR,
-                          TraceFunction, locate_branch_points, residues_of_R)
+                          TraceFunction, locate_branch_points)
 from perch.config import ORIGIN_OFFSET, ContourConfig
-from perch.errors import ContourClash, NotAPole, PerchError
+from perch.errors import ContourClash, PerchError
 from perch.initial import InitialProfile, compute_momentum, solve_helmholtz
 from perch.scattering import ScatteringData
 
@@ -82,8 +82,7 @@ def test_axis_zero_of_bstar_on_the_other_sheet():
     (z,) = sr.other_sheet_zeros
     assert z.real == 0.0 and abs(z - (-0.2098951285j)) < 1e-10
     assert abs(sd.ab(np.array([z]))[3][0]) < 1e-12
-    with pytest.raises(NotAPole):
-        residues_of_R(sr, z)
+    assert sr._residue_at(z) is None      # bounded on this sheet
 
 
 def test_pole_next_to_the_origin_cut_is_refused():
@@ -115,7 +114,7 @@ def test_cut_near_half_i_shrinks_the_eps_circles(seed, monkeypatch):
     # the b* scan reaches the circle, past the 0.4 of a fixed radius
     (nus,) = scans
     assert nus[-2] < 0.5 - sr.eps <= nus[-1]
-    radii = {seg.radius for seg in build_master_contour(sr).segments
+    radii = {seg.radius for seg in build_master_contour(sr)
              if seg.label in ("eps_outer", "eps_inner")}
     assert radii == {sr.eps}
 

@@ -3,8 +3,10 @@ in exactly one module, and a constant that a second module imports lives
 in config.  The window config has one reader besides the window formula:
 the sheet, which hands its k_max down as a value.  Nothing in assembly
 reads a cut side, and only the branch-point polish differences the
-trace.  No module of the package or of its tests imports a name it never
-reads, and every name the benchmark's tracer wraps exists.
+trace.  Every sheet is built once, from the scattering data and the
+window, and nothing in the package builds one.  No module of the package
+or of its tests imports a name it never reads, and every name the
+benchmark's tracer wraps exists.
 """
 
 import ast
@@ -110,6 +112,21 @@ def test_only_the_branch_point_polish_differences_the_trace():
                       and isinstance(n.func, ast.Attribute)
                       and n.func.attr == "axis_slope" for n in ast.walk(fn))]
     assert callers == ["_polish_level", "_polish_edges"]
+
+
+def test_every_sheet_is_built_once_from_the_data_and_the_window():
+    # the sheet locates its own cuts, so no function of the package builds
+    # a second one, and SheetedR takes sd and the window config, no more
+    builders = [f"{name}.{qual}" for name, tree in modules()
+                for qual, fn in functions(tree)
+                if any(isinstance(n, ast.Call) and "SheetedR" in (
+                    getattr(n.func, "id", None), getattr(n.func, "attr", None))
+                       for n in ast.walk(fn))]
+    assert builders == []
+    init = dict(functions(dict(modules())["branch"]))["SheetedR.__init__"].args
+    assert [a.arg for a in init.posonlyargs + init.args] == ["self", "sd"]
+    assert [a.arg for a in init.kwonlyargs] == ["ccfg"]
+    assert init.vararg is None and init.kwarg is None
 
 
 def test_every_name_the_benchmark_tracer_wraps_exists():
