@@ -70,6 +70,8 @@ matrix conjugated by exp(-i k p sigma3), except on residue disks, where
 the phase is evaluated at the pole itself.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from .config import DISK_RADIUS
@@ -108,8 +110,7 @@ def _real_axis_segments(sr):
     segs = []
     for x0, x1 in zip(xs[:-1], xs[1:]):
         mid = 0.5 * (x0 + x1)
-        on_cut = sr.cuts.on_cut("real", mid) is not None
-        tag = (("cut_hor_" if on_cut else "real_")
+        tag = (("cut_hor_" if sr.cuts.covers("real", mid) else "real_")
                + ("outer" if abs(mid) > 0.5 else "inner"))
         gs = x0 in branch_pts or x0 in (-0.5, 0.5) or x0 == ORIGIN_STUB
         ge = x1 in branch_pts or x1 in (-0.5, 0.5) or x1 == -ORIGIN_STUB
@@ -119,23 +120,17 @@ def _real_axis_segments(sr):
 
 
 def _circle_segments(eps):
+    """|k| = 1/2 counterclockwise over the upper half, then its mirror
+    phi -> -phi over the lower half, split where the eps-circles meet it."""
     lo = float(np.arcsin(1.0 - 2.0 * eps * eps))
     hi = np.pi - lo
     up = [Segment("arc", center=0j, radius=0.5, phi1=p1, phi2=p2, label=lab,
-                  grade_start=gs, grade_end=ge)
-          for p1, p2, lab, gs, ge in
-          [(0.0, lo, "circle", True, True),
-           (lo, np.pi / 2, "circle_eps", True, True),
-           (np.pi / 2, hi, "circle_eps", True, True),
-           (hi, np.pi, "circle", True, True)]]
-    down = [Segment("arc", center=0j, radius=0.5, phi1=-p1, phi2=-p2,
-                    label=lab, grade_start=gs, grade_end=ge)
-            for p1, p2, lab, gs, ge in
-            [(0.0, lo, "circle", True, True),
-             (lo, np.pi / 2, "circle_eps", True, True),
-             (np.pi / 2, hi, "circle_eps", True, True),
-             (hi, np.pi, "circle", True, True)]]
-    return up + down
+                  grade_start=True, grade_end=True)
+          for p1, p2, lab in [(0.0, lo, "circle"),
+                              (lo, np.pi / 2, "circle_eps"),
+                              (np.pi / 2, hi, "circle_eps"),
+                              (hi, np.pi, "circle")]]
+    return up + [replace(s, phi1=-s.phi1, phi2=-s.phi2) for s in up]
 
 
 def _eps_segments(eps):
@@ -458,7 +453,7 @@ def _junction_defect(js, y, t):
     arcs = js.jump_stack(y, t, 0.5 * np.exp(1j * np.array(
         [d, -d, np.pi - d, d - np.pi])), "circle").reshape(2, 2, 2, 2)
     # the cut set is symmetric under k -> -k, so one tag serves both points
-    pre = "cut_hor_" if js.sr.cuts.on_cut("real", 0.5) else "real_"
+    pre = "cut_hor_" if js.sr.cuts.covers("real", 0.5) else "real_"
     xs = np.array([0.5, -0.5])
     j_out = js.jump_stack(y, t, xs, pre + "outer")
     j_in = js.jump_stack(y, t, xs, pre + "inner")

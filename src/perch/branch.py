@@ -103,7 +103,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh, toeplitz
@@ -185,18 +184,9 @@ class Cut:
     def length(self):
         return self.hi - self.lo
 
-    def contains(self, x, pad=0.0):
-        return self.lo - pad <= x <= self.hi + pad
-
     def embed(self, x):
         x = np.asarray(x, dtype=float)
         return _axis_embed(self.axis, x)
-
-    def probe_coords(self):
-        """A few interior coordinates, bounded away from the origin."""
-        fr = np.array([0.21, 0.47, 0.74])
-        pts = self.lo + fr * self.length
-        return pts[np.abs(pts) > max(0.02 * self.length, 2 * ORIGIN_OFFSET)]
 
 
 @dataclass(frozen=True)
@@ -225,11 +215,15 @@ class BranchCutSet:
     def imag_cuts(self):
         return tuple(c for c in self.cuts if c.axis == "imag")
 
-    def on_cut(self, axis, x, pad=0.0):
+    def covers(self, axis, x, pad=0.0):
+        """Whether each coordinate x along the axis lies on one of its cuts,
+        ends included, with the cuts widened by pad."""
+        x = np.asarray(x, dtype=float)
+        inside = np.zeros(x.shape, dtype=bool)
         for c in self.cuts:
-            if c.axis == axis and c.contains(x, pad):
-                return c
-        return None
+            if c.axis == axis:
+                inside |= (x >= c.lo - pad) & (x <= c.hi + pad)
+        return inside
 
 
 def _segment_distance(z, cut):
@@ -269,31 +263,17 @@ def _hill_spectrum(m0, L, n_modes):
                  for phi in (0.0, np.pi))
 
 
-class _Edge(NamedTuple):
-    """A Hill eigenvalue mu, named P<n> or A<n>, where Delta = level."""
-    name: str
-    mu: float
-    level: float
+def _interlaced(periodic, anti):
+    """The Hill edges P0, A0, A1, P1, P2, A2, A3, ... as (name, mu, level).
 
-
-def _spectral_gaps(periodic, anti):
-    """The instability intervals (lo, hi) of the interlaced eigenvalues.
-
-    P0 < A0 <= A1 < P1 <= P2 < A2 <= A3 < ...: gap 0 is (-inf, P0), gap
-    i >= 1 is (A_{i-1}, A_i) for odd i and (P_{i-1}, P_i) for even i.
-    The ends are _Edge records; gap 0 has lo None.
+    The intervals between them alternate gap, band, gap, ..., from the
+    gap (-inf, P0); level is Delta at the edge, 2 for P and -2 for A.
     """
     lists = {"P": (periodic, 2.0), "A": (anti, -2.0)}
-
-    def edge(name, i):
-        vals, level = lists[name]
-        return _Edge(f"{name}{i}", float(vals[i]), level)
-
-    gaps = [(None, edge("P", 0))]
-    for i in range(1, min(len(periodic), len(anti))):
-        name = "A" if i % 2 else "P"
-        gaps.append((edge(name, i - 1), edge(name, i)))
-    return gaps
+    order = [("P", 0)] + [("A" if i % 2 else "P", j)
+                          for i in range(1, min(len(periodic), len(anti)))
+                          for j in (i - 1, i)]
+    return [(f"{n}{j}", float(lists[n][0][j]), lists[n][1]) for n, j in order]
 
 
 def _polish_level(tf, axis, x, level, iters=3):
@@ -305,39 +285,6 @@ def _polish_level(tf, axis, x, level, iters=3):
         safe = np.abs(df) > 1e-300
         x = x - np.where(safe, f / np.where(safe, df, 1.0), 0.0)
     return x
-
-
-def _check_alternation(tf, axis, half_cuts, x_hi):
-    """Midpoint sanity for the pairing on the positive half of one axis.
-
-    half_cuts holds ordered (lo, hi) pairs with hi > 0 (a straddling
-    cut contributes (0, z0)).  Cut interiors must carry |Delta| > 2 on
-    the real axis and < 2 on the imaginary axis; the complementary
-    intervals the opposite.  Dropped gaps leave |Delta| - 2 at rounding
-    level, hence the slack.
-    """
-    inside, outside = [], []
-    prev = 2.0 * ORIGIN_OFFSET
-    for lo, hi in half_cuts:
-        if lo > prev:
-            outside.append(0.5 * (prev + lo))
-        inside.append(0.5 * (max(lo, 0.0) + hi))
-        prev = hi
-    if x_hi > prev:
-        outside.append(0.5 * (prev + x_hi))
-    gap_side, band_side = (inside, outside) if axis == "real" \
-        else (outside, inside)
-    for xs, is_gap in ((gap_side, True), (band_side, False)):
-        if not xs:
-            continue
-        vals = np.abs(tf.on_axis(axis, np.asarray(xs)))
-        bad = (vals <= 2.0 - 1e-9) if is_gap else (vals >= 2.0 + 1e-9)
-        if np.any(bad):
-            x = np.asarray(xs)[bad][0]
-            raise VerificationFailure(
-                f"pairing mismatch on the {axis} axis: |Delta| = "
-                f"{vals[bad][0]:.9g} at {x:.6g} inside a supposed "
-                f"{'gap' if is_gap else 'band'} interval")
 
 
 def _polish_edges(tf, axis, edges):
@@ -355,35 +302,34 @@ def _polish_edges(tf, axis, edges):
     return x.tolist()
 
 
-def _pair_cuts(tf, gaps, k_max, x_hi, trivial):
-    """Cuts, dropped gaps and pairing log read off the spectral gaps.
+def _pair_cuts(tf, edges, k_max, x_hi, trivial):
+    """Cuts, dropped gaps and pairing log from one walk over the edges.
 
-    mu = k^2 + 1/4 puts mu > 1/4 on the real axis and mu < 1/4 on
-    i(0, 1/2).  A gap above 1/4 is a real cut and its mirror, the gap
-    holding 1/4 the real origin cut; a band below 1/4 is a vertical cut
-    pair, the band holding 1/4 the vertical origin cut.  Gaps narrower
-    than DELTA_GAP in k (real) or nu (imaginary) close, which merges
-    their neighbouring bands; the real axis is read up to x_hi.
+    The rule, with mu = k^2 + 1/4: every gap that reaches mu > 1/4 is a
+    real cut, every band that reaches mu < 1/4 a vertical cut, and the
+    interval holding mu = 1/4 a cut through 0; each off the origin comes
+    with its mirror.  Gaps narrower than DELTA_GAP in k (real) or nu
+    (imaginary) close first, merging their neighbouring bands.  The real
+    axis is walked up to x_hi, the imaginary one up to i/2, and at the
+    midpoint of every walked interval |Delta| > 2 exactly when it is a
+    gap, or VerificationFailure.
     """
     def along(mu):       # k for mu > 1/4, nu for mu < 1/4
         return float(np.sqrt(abs(mu - 0.25)))
 
-    def name(g):
-        return f"({'-inf' if g[0] is None else g[0].name}, {g[1].name})"
+    def label(gap, lo, hi):
+        ends = ("-inf" if lo is None else lo[0],
+                "+inf" if hi is None else hi[0])
+        return ("gap ({}, {})" if gap else "band [{}, {}]").format(*ends)
 
-    open_gaps, closed = [], {"real": [], "imag": []}
-    for g in gaps:
-        lo, hi = g
-        if lo is not None and lo.mu > 0.25:
-            axis, a, b = "real", along(lo.mu), along(hi.mu)
-        elif lo is not None and hi.mu < 0.25:
-            axis, a, b = "imag", along(hi.mu), along(lo.mu)
-        else:
-            axis, a, b = None, 0.0, np.inf      # the gap holding 1/4
-        if b - a >= DELTA_GAP:
-            open_gaps.append(g)
+    kept, closed = edges[:1], {"real": [], "imag": []}
+    for lo, hi in zip(edges[1::2], edges[2::2]):       # every gap past P0
+        axis = "real" if lo[1] > 0.25 else "imag" if hi[1] < 0.25 else None
+        a, b = sorted((along(lo[1]), along(hi[1])))
+        if axis is None or b - a >= DELTA_GAP:
+            kept += [lo, hi]
         elif axis == "imag" or 0.5 * (a + b) <= x_hi:
-            closed[axis].append((g, a, b))
+            closed[axis].append((label(True, lo, hi), a, b))
 
     dropped, log = [], []
     for axis, recs in closed.items():
@@ -391,68 +337,78 @@ def _pair_cuts(tf, gaps, k_max, x_hi, trivial):
             continue
         mids = np.array([0.5 * (a + b) for _, a, b in recs])
         excess = np.abs(tf.on_axis(axis, mids)) - 2.0
-        for (g, a, b), x, ex in zip(recs, mids, excess):
-            dropped.append(DroppedGap(axis, float(x), b - a, float(ex)))
-            dropped.append(DroppedGap(axis, -float(x), b - a, float(ex)))
-            log.append(f"{axis}: gap {name(g)} closed at +-{x:.9g}, width "
+        for (name, a, b), x, ex in zip(recs, mids, excess):
+            dropped += [DroppedGap(axis, s * float(x), b - a, float(ex))
+                        for s in (1.0, -1.0)]
+            log.append(f"{axis}: {name} closed at +-{x:.9g}, width "
                        f"{b - a:.3g}")
     if trivial:
         log.append("trivial data: empty cut set")
         return [], dropped, log
 
+    # (is gap, lo, hi) in ascending mu, None standing for -inf and +inf
+    bounds = [None] + kept + [None]
+    intervals = [(j % 2 == 0, lo, hi)
+                 for j, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
     # (label, lo, hi) per axis, with (coordinate, level) ends along the
     # axis and lo None on a cut through the origin
     spans = {"real": [], "imag": []}
-    real_half = []
-    for g in open_gaps:
-        lo, hi = g
-        if hi.mu <= 0.25:
-            continue
-        kl = 0.0 if lo is None or lo.mu < 0.25 else along(lo.mu)
-        kh = along(hi.mu)
-        if kl > x_hi:
-            break
-        if kl < k_max < kh:
-            raise WindowTooSmall(
-                f"window edge {k_max:.6g} inside the gap {name(g)} = "
-                f"[{kl:.6g}, {kh:.6g}]; widen or narrow the window")
-        real_half.append((kl, kh))
-        if kl > k_max:
-            log.append(f"real: gap {name(g)} [{kl:.9g}, {kh:.9g}] beyond "
-                       "the window, not stored")
-        else:
-            spans["real"].append((f"gap {name(g)}",
-                                  None if kl == 0.0 else (kl, lo.level),
-                                  (kh, hi.level)))
-    beyond = (_Edge("+inf", np.inf, None), None)   # past every eigenvalue
-    for g, nxt in zip(open_gaps, open_gaps[1:] + [beyond]):
-        lo, hi = g[1], nxt[0]                  # the band [lo, hi] in mu
-        if lo.mu < 0.25:
-            spans["imag"].append((f"band [{lo.name}, {hi.name}]",
-                                  None if hi.mu > 0.25 else
-                                  (along(hi.mu), hi.level),
-                                  (along(lo.mu), lo.level)))
-    spans["imag"].reverse()                    # ascending nu
-    _check_alternation(tf, "real", real_half, x_hi)
-    _check_alternation(tf, "imag", [(0.0 if lo is None else lo[0], hi[0])
-                                    for _, lo, hi in spans["imag"]],
-                       0.5 - ORIGIN_OFFSET)
+    for axis, end in (("real", x_hi), ("imag", 0.5 - ORIGIN_OFFSET)):
+        real = axis == "real"
+
+        def on(e):       # the edge lies on this axis, off the origin
+            return e is not None and (e[1] > 0.25 if real else e[1] < 0.25)
+
+        mids, gaps = [], []
+        for gap, lo, hi in intervals if real else intervals[::-1]:
+            near, far = (lo, hi) if real else (hi, lo)
+            if far is not None and not on(far):
+                continue                        # wholly on the other axis
+            a = along(near[1]) if on(near) else 0.0
+            b = np.inf if far is None else along(far[1])
+            if a > end:
+                break
+            mids.append(0.5 * (a + min(b, end)))
+            gaps.append(gap)
+            if gap != real:
+                continue                        # no cut on this axis
+            name = label(gap, lo, hi)
+            if real and a < k_max < b:
+                raise WindowTooSmall(
+                    f"window edge {k_max:.6g} inside the {name} = "
+                    f"[{a:.6g}, {b:.6g}]; widen or narrow the window")
+            if real and a > k_max:
+                log.append(f"real: {name} [{a:.9g}, {b:.9g}] beyond the "
+                           "window, not stored")
+                continue
+            spans[axis].append((name, (a, near[2]) if on(near) else None,
+                                (b, far[2])))
+        # dropped gaps leave |Delta| - 2 at rounding level, hence the slack
+        vals = np.abs(tf.on_axis(axis, np.array(mids)))
+        bad = np.flatnonzero(np.where(gaps, vals <= 2.0 - 1e-9,
+                                      vals >= 2.0 + 1e-9))
+        if bad.size:
+            i = bad[0]
+            raise VerificationFailure(
+                f"pairing mismatch on the {axis} axis: |Delta| = "
+                f"{vals[i]:.9g} at {mids[i]:.6g} inside a supposed "
+                f"{'gap' if gaps[i] else 'band'} interval")
 
     cuts = []
     for axis, recs in spans.items():
         unit = "" if axis == "real" else "i"
         ends = [e for _, lo, hi in recs for e in (lo, hi) if e is not None]
         fixed = iter(_polish_edges(tf, axis, ends))
-        for label, lo, hi in recs:
+        for name, lo, hi in recs:
             a = None if lo is None else next(fixed)
             b = next(fixed)
             if a is None:
                 cuts.append(Cut(axis, -b, b))
-                log.append(f"{axis}: {label} -> cut through 0 up to "
+                log.append(f"{axis}: {name} -> cut through 0 up to "
                            f"+-{unit}{b:.9g}")
                 continue
             cuts.extend([Cut(axis, a, b), Cut(axis, -b, -a)])
-            log.append(f"{axis}: {label} -> cut [{unit}{a:.9g}, {unit}{b:.9g}]"
+            log.append(f"{axis}: {name} -> cut [{unit}{a:.9g}, {unit}{b:.9g}]"
                        f" width {b - a:.3g} and mirror")
     if not spans["real"]:
         log.append("real: no open gaps within the window")
@@ -464,26 +420,14 @@ def _pair_cuts(tf, gaps, k_max, x_hi, trivial):
 def locate_branch_points(tf, k_max):
     """Find branch points on both axes and pair them into cuts.
 
-    The trace is the discriminant of the weighted Hill equation
-
-        -psi'' + psi/4 = mu w psi,     mu = k^2 + 1/4,  w = m0 + 1 > 0,
-
-    so Delta = 2 at its periodic eigenvalues P_n and Delta = -2 at its
-    antiperiodic ones A_n.  These interlace, P0 < A0 <= A1 < P1 <= P2
-    < A2 <= A3 < ... (oscillation theorem), and |Delta| > 2 exactly on
-    the gaps (-inf, P0), (A0, A1), (P1, P2), ..., the bands being
-    [P0, A0], [A1, P1], ....  One Fourier-Galerkin eigen solve
-    (_hill_spectrum) therefore gives every branch point with its
-    pairing by index.  mu > 1/4 maps to k = +-sqrt(mu - 1/4) on the
-    real axis, mu < 1/4 to k = +-i sqrt(1/4 - mu) on the imaginary
-    one.  -D^2 + 1/4 and w are positive, so every eigenvalue is
-    positive and no branch point lies on or above i/2.
-
-    The real axis is read up to k_max plus a margin; gaps narrower
-    than DELTA_GAP close (and are logged), and the kept edges are
-    polished by Newton steps on the integrated trace.  A window edge
-    inside a kept real gap raises WindowTooSmall.  The pairing log
-    names the eigenvalue interval of each cut and dropped gap.
+    One Fourier-Galerkin eigen solve (_hill_spectrum) gives every
+    branch point, and _pair_cuts pairs them by the interlacing of the
+    module docstring.  The real axis is read up to k_max plus a margin;
+    gaps narrower than DELTA_GAP close (and are logged), and the kept
+    edges are polished by Newton steps on the integrated trace.  A
+    window edge inside a kept real gap raises WindowTooSmall.  The
+    pairing log names the eigenvalue interval of each cut and dropped
+    gap.
     """
     trivial = tf.sd.b_vanishes()
     x_hi = k_max + 0.75 * np.pi / tf.theta
@@ -496,8 +440,8 @@ def locate_branch_points(tf, k_max):
 
     mp = tf.sd.mp
     n_modes = int(np.ceil(x_hi * tf.sd.wmax * mp.L / np.pi)) + 32
-    gaps = _spectral_gaps(*_hill_spectrum(mp.m0, mp.L, n_modes))
-    cuts, dropped, log = _pair_cuts(tf, gaps, k_max, x_hi, trivial)
+    edges = _interlaced(*_hill_spectrum(mp.m0, mp.L, n_modes))
+    cuts, dropped, log = _pair_cuts(tf, edges, k_max, x_hi, trivial)
     return _finalize_cut_set(tf, k_max, cuts, dropped, log)
 
 
@@ -683,22 +627,13 @@ class SheetedR:
             if np.any(np.abs(flat - p.mu) < POLE_GUARD):
                 raise NearPole(f"evaluation within {POLE_GUARD:g} of the "
                                f"pole at {p.mu:.6g}")
-        on_re = np.abs(flat.imag) < 1e-11
-        if np.any(on_re):
-            xs = flat.real[on_re]
-            for c in self.cuts.real_cuts:
-                if np.any((xs >= c.lo) & (xs <= c.hi)):
-                    raise TooCloseToContour(
-                        "point lies on a real-axis cut; take a side from "
-                        "boundary")
-        on_im = np.abs(flat.real) < 1e-11
-        if np.any(on_im):
-            ys = flat.imag[on_im]
-            for c in self.cuts.imag_cuts:
-                if np.any((ys >= c.lo) & (ys <= c.hi)):
-                    raise TooCloseToContour(
-                        "point lies on an imaginary-axis cut; take a side "
-                        "from boundary")
+        for axis, along, off, name in (
+                ("real", flat.real, flat.imag, "a real-axis"),
+                ("imag", flat.imag, flat.real, "an imaginary-axis")):
+            near = np.abs(off) < 1e-11
+            if np.any(near) and np.any(self.cuts.covers(axis, along[near])):
+                raise TooCloseToContour(
+                    f"point lies on {name} cut; take a side from boundary")
 
     def R(self, k):
         """Root vanishing at infinity in both half planes."""
@@ -731,11 +666,7 @@ class SheetedR:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if self.trivial:
             return np.zeros(x.shape, dtype=complex)
-        inside = np.zeros(x.shape, dtype=bool)
-        for c in (self.cuts.real_cuts if axis == "real"
-                  else self.cuts.imag_cuts):
-            inside |= (x >= c.lo - 1e-12) & (x <= c.hi + 1e-12)
-        if not np.all(inside):
+        if not np.all(self.cuts.covers(axis, x, pad=1e-12)):
             raise BadGeometry("coordinate off every stored cut of the "
                               f"{axis} axis")
         if np.any(np.abs(x) < ORIGIN_OFFSET):
@@ -838,7 +769,7 @@ class SheetedR:
         the root is continuous across the surrounding band; on a
         horizontal (real-axis) cut it is along the imaginary axis.
         """
-        if self.cuts.on_cut("real", 0.0) is not None:
+        if self.cuts.covers("real", 0.0):
             probes = np.array([1j * r, -1j * r])
         else:
             probes = np.array([r, -r], dtype=complex)

@@ -180,7 +180,6 @@ class ScatteringData:
                            / mp.theta)
         self.wmax = float(np.sqrt(np.max(mp.m0) + 1.0))
         self._cache = {}
-        self._coarse = {}
         self._vanishes = None
 
     # -------------------------------------------------- core evaluation
@@ -222,20 +221,14 @@ class ScatteringData:
 
         One step bucket per batch, set by its largest |k|, makes each
         batch one integrator call; comparing |b| with B_FLOOR needs no
-        more accuracy than this.
+        more accuracy than this.  Nothing is cached: b_vanishes keeps
+        its one answer.
         """
         ks = np.atleast_1d(np.asarray(ks, dtype=complex))
-        missing = [k for k in ks.tolist() if k not in self._coarse]
-        if missing:
-            arr = np.asarray(missing)
-            n = _step_count(float(np.max(np.abs(arr))), self.wmax, self.mp.L,
-                            64, 1.5)
-            T = integrate_transfer(self.mp.m0, self.mp.L, arr, n)
-            A, Bv, As, Bs = _unpack_monodromy(arr, T, self.theta)
-            for i, k in enumerate(arr.tolist()):
-                self._coarse[k] = (A[i], Bv[i], As[i], Bs[i])
-        out = np.array([self._coarse[k] for k in ks.tolist()])
-        return out[:, 0], out[:, 1], out[:, 2], out[:, 3]
+        n = _step_count(float(np.max(np.abs(ks))), self.wmax, self.mp.L,
+                        64, 1.5)
+        T = integrate_transfer(self.mp.m0, self.mp.L, ks, n)
+        return _unpack_monodromy(ks, T, self.theta)
 
     def floquet_discriminant(self, ks):
         """Delta(k) = a e^{-ik theta} + a* e^{ik theta}, the monodromy trace."""

@@ -15,7 +15,7 @@ from perch import branch
 from perch.assembly import JumpSpec, build_master_contour, panelize
 from perch.branch import (ANCHOR_APART, ANCHOR_ZERO, SheetedR, TraceFunction,
                           branch_report, locate_branch_points)
-from perch.config import ContourConfig
+from perch.config import ORIGIN_OFFSET, ContourConfig
 from perch.errors import (BadGeometry, BranchSelectionError, ContourClash,
                           CrossValidationFailure, DoubleZeroUnresolved,
                           NearPole, NonGenericCase, TooCloseToContour,
@@ -132,8 +132,12 @@ def test_bump_cut_geometry(sr_bump):
     inner = min((c for c in cs.real_cuts if c.lo > 0), key=lambda c: c.lo)
     assert abs(inner.lo - 1.313040817) < 1e-8
     assert abs(inner.hi - 1.470140716) < 1e-8
-    assert cs.on_cut("real", 0.0) is None
-    assert cs.on_cut("imag", 0.0) is ci
+    assert not cs.covers("real", 0.0)
+    assert cs.covers("imag", 0.0) and ci.lo < 0.0 < ci.hi
+    # ends included; pad widens every cut
+    x = np.array([inner.lo, 1.4, inner.hi, inner.hi + 1e-9])
+    assert cs.covers("real", x).tolist() == [True, True, True, False]
+    assert cs.covers("real", x, pad=1e-8).all()
 
 
 def test_origin_gap_cut_geometry(sr_hbump):
@@ -141,8 +145,8 @@ def test_origin_gap_cut_geometry(sr_hbump):
     assert len(cs.real_cuts) == 25
     assert len(cs.imag_cuts) == 0
     assert len(cs.branch_points) == 50
-    oc = cs.on_cut("real", 0.0)
-    assert oc is not None
+    assert cs.covers("real", 0.0)
+    (oc,) = [c for c in cs.real_cuts if c.lo < 0.0 < c.hi]
     assert abs(oc.lo + 0.405398064) < 1e-8
     assert abs(oc.hi - 0.405398064) < 1e-8
 
@@ -194,6 +198,22 @@ def test_band_edge_at_origin_rejected():
                                                            L=L, n=64)))
     with pytest.raises(NonGenericCase):
         locate_branch_points(TraceFunction(sd), sd.k_window())
+
+
+def test_pairing_check_fires_on_a_mislabelled_interval(sr_bump, monkeypatch):
+    # without the ends A0, A1 of the first real gap [1.313, 1.470] the
+    # walk reads it as part of the band [0, 2.79]; that band's midpoint
+    # 1.398 lies inside the gap, where |Delta| > 2
+    interlaced = branch._interlaced
+
+    def mislabel(periodic, anti):
+        edges = interlaced(periodic, anti)
+        assert [e[0] for e in edges[:4]] == ["P0", "A0", "A1", "P1"]
+        return edges[:1] + edges[3:]
+    monkeypatch.setattr(branch, "_interlaced", mislabel)
+    with pytest.raises(VerificationFailure,
+                       match="pairing mismatch on the real axis"):
+        locate_branch_points(sr_bump.trace, sr_bump.k_max)
 
 
 def test_window_edge_collision_rejected(sr_asym):
@@ -349,7 +369,9 @@ def test_boundary_values_are_the_one_sided_limits(request, name):
     # the probe 1e-9 off the cut must sit near its own side, not on it
     sr = request.getfixturevalue(name)
     for c in sr.cuts.cuts:
-        x = c.probe_coords()
+        # three interior points, bounded away from the origin
+        x = c.lo + np.array([0.21, 0.47, 0.74]) * c.length
+        x = x[np.abs(x) > max(0.02 * c.length, 2 * ORIGIN_OFFSET)]
         normal = 1j if c.axis == "real" else 1.0
         for approach in (+1, -1):
             off = sr.R(c.embed(x) + approach * 1e-9 * normal)
