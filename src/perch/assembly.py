@@ -66,8 +66,11 @@ conjugated by that same D: circle_eps = D J_circle D^{-1}.
 
 The time dependence enters through the scalar phase
 p(y, t, k) = y - t / (2 (k^2 + 1/4)): the jump at (y, t) is the k-fixed
-matrix conjugated by exp(-i k p sigma3), except on residue disks, where
-the phase is evaluated at the pole itself.
+matrix J0 conjugated by exp(-i k p sigma3), except on residue disks, where
+the phase is evaluated at the pole itself.  So JumpSpec builds J0 once
+per region tag and node array and reuses it at every (y, t); the disks,
+whose jump is not J0 times a phase at each node, are built whole at
+every call.
 """
 
 from dataclasses import replace
@@ -318,11 +321,14 @@ def _g_core(sd, sr, ks, on_cut=False):
 class JumpSpec:
     """Evaluator for the piecewise jump matrix on the master contour.
 
-    j0_stack gives the t-independent matrix per region tag; jump_stack
-    conjugates it with the phase exponential.  Residue disks are the one
-    exception: their nilpotent entry carries the phase evaluated at the
-    pole, exactly as the residue conditions prescribe, so jump_stack
-    builds them whole and j0_stack has no disk rule.
+    j0_stack gives the t-independent matrix J0 per region tag; jump_stack
+    conjugates it with the phase exponential.  jump_stack keeps J0 per
+    (tag, node array), so a node array asked for again at another (y, t)
+    costs a lookup, a copy and the phase; a j0_stack that raises leaves
+    nothing kept.  Residue disks are the one exception: their
+    nilpotent entry carries the phase evaluated at the pole, exactly as
+    the residue conditions prescribe, so jump_stack builds them whole at
+    every call and j0_stack has no disk rule.
     """
 
     def __init__(self, sd, sr, mc):
@@ -331,6 +337,7 @@ class JumpSpec:
         self.mc = mc
         self.theta = sr.theta
         self.L = sd.mp.L
+        self._j0 = {}
 
     # -------------------------------------------- t = 0 matrices
 
@@ -434,7 +441,11 @@ class JumpSpec:
         flat = np.atleast_1d(np.asarray(ks, dtype=complex))
         if tag == "disk":
             return self._disk_stack(y, t, flat)
-        out = self.j0_stack(flat, tag).copy()
+        key = (tag, flat.shape, flat.tobytes())
+        j0 = self._j0.get(key)
+        if j0 is None:
+            j0 = self._j0[key] = self.j0_stack(flat, tag)
+        out = j0.copy()
         e = np.exp(-2j * flat * _phase_raw(y, t, flat))
         out[..., 0, 1] *= e
         out[..., 1, 0] /= e
@@ -472,15 +483,16 @@ def jump_diagnostics(js, y=0.0, t=0.0, n=200, seed=5):
     """
     ps = panelize(js.mc)
     rng = np.random.default_rng(seed)
-    node_tags = np.array([p.label for p in ps.panels])[ps.labels]
+    node_tags = np.array([p.label for p in ps.panels])[ps.panel_index]
     tags = np.unique(node_tags)
     share = max(1, n // len(tags))
     idx = np.concatenate([rng.permutation(np.flatnonzero(node_tags == tag))
                           [:share] for tag in tags])
+    panel = ps.panel_index[idx]
     det_defect = holo = anti = 0.0
-    for q in np.unique(ps.labels[idx]):
+    for q in np.unique(panel):
         tag = ps.panels[q].label
-        k = ps.nodes[idx[ps.labels[idx] == q]]
+        k = ps.nodes[idx[panel == q]]
         j = js.jump_stack(y, t, k, tag)
         det_defect = max(det_defect, float(np.max(np.abs(det2(j) - 1.0))))
         j_neg = js.jump_stack(y, t, -k, tag)

@@ -417,6 +417,14 @@ def _pair_cuts(tf, edges, k_max, x_hi, trivial):
     return cuts, dropped, log
 
 
+def _hill_window(sd, k_max):
+    """Real-axis reach x_hi of the branch-point walk, k_max plus 3/4 of
+    the gap spacing pi/theta, and the Fourier mode count of the Hill
+    solve that resolves its eigenvalues up to x_hi."""
+    x_hi = k_max + 0.75 * np.pi / sd.theta
+    return x_hi, int(np.ceil(x_hi * sd.wmax * sd.mp.L / np.pi)) + 32
+
+
 def locate_branch_points(tf, k_max):
     """Find branch points on both axes and pair them into cuts.
 
@@ -430,7 +438,7 @@ def locate_branch_points(tf, k_max):
     gap.
     """
     trivial = tf.sd.b_vanishes()
-    x_hi = k_max + 0.75 * np.pi / tf.theta
+    x_hi, n_modes = _hill_window(tf.sd, k_max)
 
     d0 = float(tf.on_axis("real", np.array([ORIGIN_OFFSET]))[0])
     if not trivial and abs(abs(d0) - 2.0) < 1e-6:
@@ -439,7 +447,6 @@ def locate_branch_points(tf, k_max):
             "itself is a branch point")
 
     mp = tf.sd.mp
-    n_modes = int(np.ceil(x_hi * tf.sd.wmax * mp.L / np.pi)) + 32
     edges = _interlaced(*_hill_spectrum(mp.m0, mp.L, n_modes))
     cuts, dropped, log = _pair_cuts(tf, edges, k_max, x_hi, trivial)
     return _finalize_cut_set(tf, k_max, cuts, dropped, log)

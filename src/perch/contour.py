@@ -128,7 +128,8 @@ class PanelSet:
         self.nodes = np.concatenate([p.nodes for p in panels])
         self.weights = np.concatenate([p.weights for p in panels])
         self.offsets = np.cumsum([0] + [len(p.nodes) for p in panels])
-        self.labels = np.concatenate(
+        # the panel each node lies on; its region tag is that panel's label
+        self.panel_index = np.concatenate(
             [np.full(len(p.nodes), i, dtype=int) for i, p in enumerate(panels)])
 
     @property

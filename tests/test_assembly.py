@@ -1,9 +1,10 @@
 """Tests for the jump assembly: unimodular jumps on every region tag, the
-(y, t) phase conjugation, the diagonal eps-circle jumps, the circle jump
-inside the eps-circles against the shifted G-functions written out, the
-guard on region tags, check_jumps on its two symmetry rules and the
-junction at k = +-1/2 with every region tag sampled, and the residue-disk
-jumps of a synthetic pole.
+(y, t) phase conjugation, the t-independent jump built once per node
+array and equal to a fresh build, the diagonal eps-circle jumps, the
+circle jump inside the eps-circles against the shifted G-functions
+written out, the guard on region tags, check_jumps on its two symmetry
+rules and the junction at k = +-1/2 with every region tag sampled, and
+the residue-disk jumps of a synthetic pole.
 """
 
 import copy
@@ -16,7 +17,8 @@ from perch.assembly import (ALL_TAGS, UPPER_LOWER_TAGS, JumpSpec,
                             jump_diagnostics, panelize)
 from perch.branch import PoleData, _check_geometry
 from perch.config import DISK_RADIUS
-from perch.errors import JumpConsistencyError, UnknownRegion
+from perch.errors import (DenominatorCollapse, JumpConsistencyError,
+                          PerchError, UnknownRegion)
 from perch.mat2 import det2, inv2
 
 FIXTURES = ["sr_zero", "sr_hbump"]
@@ -64,6 +66,53 @@ def test_jump_phase_conjugation(jumps, name):
         assert np.min(np.abs(J0)) > 1e-6
     phase = np.exp(-2j * k * (y - t / (2.0 * (k * k + 0.25))))
     assert np.max(np.abs(J - phase * J0)) < 1e-12 * max(1.0, np.max(np.abs(J0)))
+
+
+class CountingJumps(JumpSpec):
+    """Counts the t-independent builds, and fails them while fail is set."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.builds = 0
+        self.fail = False
+
+    def j0_stack(self, ks, tag):
+        self.builds += 1
+        if self.fail:
+            raise DenominatorCollapse("injected failure")
+        return super().j0_stack(ks, tag)
+
+
+def test_t_independent_jump_is_built_once_per_node_array(sr_hbump):
+    # one panel of every tag at three (y, t): one build per panel, each
+    # result bit-equal to a fresh JumpSpec's, and the caller may write
+    # into what it gets back
+    mc = build_master_contour(sr_hbump)
+    panels = {p.label: p for p in panelize(mc).panels}
+    js = CountingJumps(sr_hbump.sd, sr_hbump, mc)
+    grid = [(0.0, 0.0), (0.3 * js.theta, 0.7), (0.7 * js.theta, 0.3)]
+    for tag, panel in panels.items():
+        for y, t in grid + grid[:1]:
+            J = js.jump_stack(y, t, panel.nodes, tag)
+            fresh = JumpSpec(sr_hbump.sd, sr_hbump, mc)
+            assert np.array_equal(J, fresh.jump_stack(y, t, panel.nodes, tag))
+            J[:] = np.nan
+    assert js.builds == len(panels) >= 6
+
+
+def test_a_failed_build_is_not_kept(sr_hbump):
+    mc = build_master_contour(sr_hbump)
+    panel = panelize(mc).panels[0]
+    js = CountingJumps(sr_hbump.sd, sr_hbump, mc)
+    js.fail = True
+    for _ in range(2):
+        with pytest.raises(PerchError):
+            js.jump_stack(0.0, 0.0, panel.nodes, panel.label)
+    assert js.builds == 2
+    js.fail = False
+    js.jump_stack(0.0, 0.0, panel.nodes, panel.label)
+    js.jump_stack(0.3, 0.7, panel.nodes, panel.label)
+    assert js.builds == 3
 
 
 @pytest.mark.parametrize("name", FIXTURES)

@@ -55,7 +55,7 @@ def test_panelset_bookkeeping():
     for q in range(len(ps.panels)):
         sl = ps.node_slice(q)
         np.testing.assert_array_equal(ps.nodes[sl], ps.panels[q].nodes)
-        assert np.all(ps.labels[sl] == q)
+        assert np.all(ps.panel_index[sl] == q)
     labels = {p.label for p in ps.panels}
     assert labels == {"left", "top"}
 

@@ -7,7 +7,8 @@ in the number of modes, and their agreement with the integrated trace.
 import numpy as np
 import pytest
 
-from perch.branch import TraceFunction, _hill_spectrum
+from perch.branch import TraceFunction, _hill_spectrum, _hill_window
+from perch.config import ContourConfig
 from test_fourier_profiles import WINDOW, fourier_sd
 
 PINNED = {
@@ -22,9 +23,10 @@ FIXTURES = {"sd_bump": 12.0, "sd_hbump": 12.5, "sd_asym": 5.5, "sd_zero": 12.0}
 
 
 def spectrum(sd, factor, modes_scale=1):
-    """Eigenvalues with the mode count locate_branch_points derives."""
-    x_hi = (factor + 0.75) * np.pi / sd.theta
-    n_modes = int(np.ceil(x_hi * sd.wmax * sd.mp.L / np.pi)) + 32
+    """Eigenvalues with the reach and mode count locate_branch_points
+    takes for the window factor."""
+    k_max = sd.k_window(ContourConfig(k_window_factor=factor))
+    x_hi, n_modes = _hill_window(sd, k_max)
     return x_hi, _hill_spectrum(sd.mp.m0, sd.mp.L, modes_scale * n_modes)
 
 

@@ -2,11 +2,12 @@
 in exactly one module, and a constant that a second module imports lives
 in config.  The window config has one reader besides the window formula:
 the sheet, which hands its k_max down as a value.  Nothing in assembly
-reads a cut side, and only the branch-point polish differences the
-trace.  Every sheet is built once, from the scattering data and the
-window, and nothing in the package builds one.  No module of the package
-or of its tests imports a name it never reads, and every name the
-benchmark's tracer wraps exists.
+reads a cut side, only the branch-point polish differences the trace,
+and only jump_stack builds the t-independent jump, so every path to a
+jump goes through its memo.  Every sheet is built once, from the
+scattering data and the window, and nothing in the package builds one.
+No module of the package or of its tests imports a name it never reads,
+and every name the benchmark's tracer wraps exists.
 """
 
 import ast
@@ -112,6 +113,17 @@ def test_only_the_branch_point_polish_differences_the_trace():
                       and isinstance(n.func, ast.Attribute)
                       and n.func.attr == "axis_slope" for n in ast.walk(fn))]
     assert callers == ["_polish_level", "_polish_edges"]
+
+
+def test_only_jump_stack_builds_the_t_independent_jump():
+    # jump_stack keeps J0 per (tag, node array); a second caller of
+    # j0_stack would rebuild it around that memo
+    callers = [f"{name}.{qual}" for name, tree in modules()
+               for qual, fn in functions(tree)
+               if any(isinstance(n, ast.Call) and "j0_stack" in (
+                   getattr(n.func, "id", None), getattr(n.func, "attr", None))
+                      for n in ast.walk(fn))]
+    assert callers == ["assembly.JumpSpec.jump_stack"]
 
 
 def test_every_sheet_is_built_once_from_the_data_and_the_window():
