@@ -7,9 +7,12 @@ The scalar problem
 is integrated over one period [0, L] as a first-order 2x2 system, giving
 the transfer matrix T(k) for (psi, psi_x).  The system is linear, so each
 step of the fixed-step RK8 scheme acts as a propagator P_n, and
-T = P_{N-1} ... P_0.  The integrator forms every increment E_n = P_n - I
-in one vectorised pass and multiplies them by a pairwise product in that
-increment form, adding I once at the end.  Because m0 vanishes at the
+T = P_{N-1} ... P_0.  k enters only through lam, so every increment
+E_n = P_n - I is a polynomial in lam of degree at most 6, with real
+coefficients that depend on (m0, L, N) alone.  The integrator builds
+those coefficients once per (m0, L, N) and keeps them, evaluates the
+E_n for each batch of k, and multiplies them by a pairwise product in
+that increment form, adding I once at the end.  Because m0 vanishes at the
 period endpoints, the wave-basis change
 
     W = (1/2) (1, -1/(ik); 1, 1/(ik)),     W^{-1} = (1, 1; -ik, ik)
@@ -42,6 +45,7 @@ _guard_denominator("a", a).  The vertical-cut jump uses only the sided
 roots, never a.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -61,7 +65,13 @@ _B_SUM = math.fsum(_B)
 
 ODE_STEPS_MIN = 192       # RK8 steps across [0, L] for small |k|
 ODE_STEPS_PER_K = 12.0    # extra steps ~ this * |k| * L
-SLAB_STEPK = 8192         # steps x k per pass of the kernel, about 6 MB
+SLAB_STEPK = 8192         # steps x k per pass of the kernel, about 1.2 MB
+# (profile, step count) pairs whose step coefficients are kept, 224 bytes a
+# step each: one spectra round of four profiles uses 27 (2.3 MB), a cold
+# Riemann-Hilbert pass of three profiles 6
+COEFF_MEMO = 32
+# degree in lam of E_n = P_n - I, per (row, col); _step_coefficients derives it
+DEGREE_BOUND = np.array([[6, 5], [6, 6]])
 IMAG_GUARD = 60.0         # refuse |Im k| * theta beyond this
 FD_STEP = 1e-6            # central-difference step for k-derivatives
 B_FLOOR = 1e-12           # b and b* under this on the probe line: b == 0
@@ -77,40 +87,58 @@ def rk8_tableau():
 def integrate_transfer(m0, L, ks, n_steps):
     """Fixed-step RK8 for Y' = (0 1; q 0) Y over [0, L], batched over k.
 
-    q(x, k) = 1/4 - (k^2 + 1/4)(m0(x) + 1).  Returns Y(L) with Y(0) = I,
-    shape (len(ks), 2, 2).  The step count is chosen by the caller from
-    the phase rate |k| sqrt(max m0 + 1).
+    q(x, k) = 1/4 + lam (m0(x) + 1) with lam = -k^2 - 1/4.  Returns Y(L)
+    with Y(0) = I, shape (len(ks), 2, 2).  The step count is chosen by
+    the caller from the phase rate |k| sqrt(max m0 + 1).
 
     The system is linear, so the RK step n maps Y to P_n Y, where the
     step propagator P_n is the step applied to the identity, and
-    Y(L) = P_{N-1} ... P_1 P_0.  Every P_n is formed at once, in the
-    increment form E_n = P_n - I, and the product is taken pairwise,
-    (I + E_hi)(I + E_lo) = I + (E_hi + E_lo + E_hi E_lo), with I added
-    once at the end.  Keeping I out of the factors keeps its rounding
-    from repeating at every step, which would otherwise cost det Y = 1
-    a digit when all the P_n are alike.  k is taken in slabs of at most
-    SLAB_STEPK steps x k.
+    Y(L) = P_{N-1} ... P_1 P_0.  k enters only through the scalar lam:
+    the RK step is built from the tableau, h and q at the stages, and q is
+    1/4 + w lam with w = m0 + 1 real.  So each increment E_n = P_n - I is
+    a polynomial in lam,
+
+        E_n(lam) = sum_d C[d, :, :, n] lam^d,     d = 0 .. 6,
+
+    whose coefficients are real and depend on (m0, L, n_steps) alone; the
+    degree bound is derived in _step_coefficients.  The coefficients are
+    built once per (m0, L, n_steps) and kept (the COEFF_MEMO most recent).
+    Each k then costs the evaluation of E_n and the product, taken
+    pairwise, (I + E_hi)(I + E_lo) = I + (E_hi + E_lo + E_hi E_lo), with
+    I added once at the end.  Keeping I out of the factors keeps its
+    rounding from repeating at every step, which would otherwise cost
+    det Y = 1 a digit when all the P_n are alike.
+
+    The evaluation keeps that increment form's rounding.  I never enters
+    the sum, so E_n carries a few ulps of its own terms C_d lam^d, not
+    of 1.  Past the leading degree
+    the terms fall by about h^2 |lam| w / ((2d + 1)(2d + 2)) per degree,
+    which the callers' step counts keep well under 1, so no cancellation
+    grows with the degree.  k is taken in slabs of at most SLAB_STEPK
+    steps x k.
     """
     ks = np.asarray(ks, dtype=complex)
-    h = L / n_steps
-    w = trig_eval_steps(m0, n_steps, _C) + 1.0    # m0 + 1 at (step, stage)
+    C = _step_coefficients(np.asarray(m0, dtype=float).tobytes(), float(L),
+                           int(n_steps))
     lam = -(ks**2 + 0.25)
     per_slab = max(1, SLAB_STEPK // n_steps)
     Y = np.empty((len(ks), 2, 2), dtype=complex)
     for s in range(0, len(ks), per_slab):
-        E = _step_increments(w, h, lam[s:s + per_slab])
+        E = _evaluate_increments(C, lam[s:s + per_slab])
         Y[s:s + per_slab] = _pairwise_product(E).transpose(2, 0, 1)
     Y[:, 0, 0] += 1.0
     Y[:, 1, 1] += 1.0
     return Y
 
 
-def _step_increments(w, h, lam):
-    """E_n = P_n - I for every step n and k, as E[row, col, n, k].
+@functools.lru_cache(maxsize=COEFF_MEMO)
+def _step_coefficients(m0_bytes, L, n_steps):
+    """C[d, row, col, n] with E_n = P_n - I = sum_d C[d] lam^d, read-only.
 
-    One RK8 step from the identity, all steps at once.  With the stage
-    values Z_i = I + D_i, each stage derivative splits as
-    K_i = A_i Z_i = A_i + G_i, where G_i = A_i D_i = (D_i[1]; q_i D_i[0]):
+    One RK8 step from the identity, all steps at once, on the
+    coefficients of polynomials in lam.  With the stage values
+    Z_i = I + D_i, each stage derivative splits as K_i = A_i Z_i =
+    A_i + G_i, where G_i = A_i D_i = (D_i[1]; q_i D_i[0]):
 
         D_i = h sum_j a_ij A_j + h sum_j a_ij G_j,
         E   = h sum_i b_i A_i  + h sum_i b_i G_i.
@@ -118,30 +146,70 @@ def _step_increments(w, h, lam):
     The sums of A_j = (0 1; q_j 0) are formed from the exact row sums of
     the tableau and from w = m0 + 1 relative to its first stage, so the
     large alternating tableau weights act only on G_j and w_j - w_0,
-    which vanish with h, and never on the O(1) part of A_j.  The G sums
-    apply the real tableau to float views of the complex stage arrays.
+    which vanish with h, and never on the O(1) part of A_j.  The tableau
+    is linear and acts on each coefficient alike; the one product,
+    q_i D_i[0] with q_i = 1/4 + w_i lam, scales the coefficients by 1/4
+    and adds them, times w_i, one degree up.
+
+    Degree bound.  G_0 = 0, and the A-part of D_i has degree 0 in
+    column 1 (row 0, h c_i) and 1 in column 0 (row 1, h sum_j a_ij q_j).
+    Row 0 of G_i is row 1 of D_i, and row 1 of G_i is row 0 of D_i raised
+    one degree by q_i.  The first subdiagonal of the tableau has no zero,
+    so D_i reaches the degrees of G_{i-1}, and row 1 gains one power of
+    lam every second stage: in column 0, G_i has degrees
+    (ceil(i/2), floor(i/2) + 1), and column 1 lags one stage behind.  The
+    last stage is i = 11, so E has degree at most (6 5; 6 6), DEGREE_BOUND:
+    for constant w these are the degrees of a polynomial of degree 12 in
+    h A, since (h A)^2 = h^2 q I.  Every coefficient above the bound is
+    an exact 0, a sum of zeros.
     """
-    n_steps, nk = len(w), len(lam)
+    m0 = np.frombuffer(m0_bytes)
+    h = L / n_steps
+    w = trig_eval_steps(m0, n_steps, _C) + 1.0    # m0 + 1 at (step, stage)
     dw = w - w[:, :1]
     aw = np.multiply.outer(w[:, 0], _A_ROWSUM) + dw @ _A.T   # sum_j a_ij w_j
     bw = _B_SUM * w[:, 0] + dw @ _B                          # sum_i b_i w_i
     hA, hB = h * _A, h * _B
-    G0 = np.zeros((_STAGES, 2, n_steps, nk), dtype=complex)  # row 0 of G_i
-    G1 = np.zeros_like(G0)                                   # row 1 of G_i
-    g0 = G0.reshape(_STAGES, -1).view(float)
-    g1 = G1.reshape(_STAGES, -1).view(float)
+    deg = DEGREE_BOUND.max() + 1
+    G0 = np.zeros((_STAGES, deg, 2, n_steps))     # row 0 of G_i, by degree
+    G1 = np.zeros_like(G0)                        # row 1 of G_i, by degree
+    g0 = G0.reshape(_STAGES, -1)
+    g1 = G1.reshape(_STAGES, -1)
     for i in range(1, _STAGES):
-        d0 = (hA[i, :i] @ g0[:i]).view(complex).reshape(2, n_steps, nk)
-        d1 = (hA[i, :i] @ g1[:i]).view(complex).reshape(2, n_steps, nk)
-        d0[1] += h * _A_ROWSUM[i]
-        d1[0] += h * (0.25 * _A_ROWSUM[i] + np.multiply.outer(aw[:, i], lam))
+        d0 = (hA[i, :i] @ g0[:i]).reshape(deg, 2, n_steps)
+        d1 = (hA[i, :i] @ g1[:i]).reshape(deg, 2, n_steps)
+        d0[0, 1] += h * _A_ROWSUM[i]
+        d1[0, 0] += h * 0.25 * _A_ROWSUM[i]
+        d1[1, 0] += h * aw[:, i]
         G0[i] = d1
-        np.multiply(0.25 + np.multiply.outer(w[:, i], lam), d0, out=G1[i])
-    e0 = (hB @ g0).view(complex).reshape(2, n_steps, nk)
-    e1 = (hB @ g1).view(complex).reshape(2, n_steps, nk)
-    e0[1] += h * _B_SUM
-    e1[0] += h * (0.25 * _B_SUM + np.multiply.outer(bw, lam))
-    return np.stack([e0, e1])
+        np.multiply(0.25, d0, out=G1[i])
+        G1[i, 1:] += w[:, i] * d0[:-1]
+    e0 = (hB @ g0).reshape(deg, 2, n_steps)
+    e1 = (hB @ g1).reshape(deg, 2, n_steps)
+    e0[0, 1] += h * _B_SUM
+    e1[0, 0] += h * 0.25 * _B_SUM
+    e1[1, 0] += h * bw
+    C = np.stack([e0, e1], axis=1)
+    C.flags.writeable = False
+    return C
+
+
+def _evaluate_increments(C, lam):
+    """E[row, col, n, k] = sum_d C[d, row, col, n] lam_k^d.
+
+    The powers of lam are formed once per k, and one real matrix product
+    takes every (row, col, n) at once, with the powers seen as float
+    pairs: C is real, so the real and imaginary parts of each power take
+    the same coefficients.  Horner's rule gives the same digits here,
+    since the terms fall with the degree, but needs six elementwise
+    passes over E, about ten times slower a slab (one Xeon core,
+    OpenBLAS).
+    """
+    powers = np.ones((len(C), len(lam)), dtype=complex)
+    for d in range(1, len(C)):
+        powers[d] = powers[d - 1] * lam
+    E = C.reshape(len(C), -1).T @ powers.view(float)
+    return E.view(complex).reshape(C.shape[1:] + lam.shape)
 
 
 def _pairwise_product(E):
@@ -165,8 +233,14 @@ def _pairwise_product(E):
 
 
 def _step_count(kabs, wmax, L, steps_min, steps_per_k):
-    n = max(steps_min, int(np.ceil(steps_per_k * kabs * wmax * L)))
-    return ((n + 63) // 64) * 64               # bucket for batch reuse
+    """RK8 step counts for the moduli kabs, rounded up to multiples of 64.
+
+    At least steps_min, and steps_per_k steps per unit of phase
+    |k| wmax L; the rounding buckets nearby k into one integrator call.
+    """
+    n = np.maximum(steps_min, np.ceil(steps_per_k * np.asarray(kabs)
+                                      * wmax * L)).astype(int)
+    return (n + 63) // 64 * 64
 
 
 class ScatteringData:
@@ -206,9 +280,8 @@ class ScatteringData:
         return out[:, 0], out[:, 1], out[:, 2], out[:, 3]
 
     def _integrate_batch(self, ks):
-        steps = np.array([_step_count(abs(k), self.wmax, self.mp.L,
-                                      ODE_STEPS_MIN, ODE_STEPS_PER_K)
-                          for k in ks])
+        steps = _step_count(np.abs(ks), self.wmax, self.mp.L,
+                            ODE_STEPS_MIN, ODE_STEPS_PER_K)
         for n in np.unique(steps):
             sel = ks[steps == n]
             T = integrate_transfer(self.mp.m0, self.mp.L, sel, int(n))
@@ -225,9 +298,8 @@ class ScatteringData:
         its one answer.
         """
         ks = np.atleast_1d(np.asarray(ks, dtype=complex))
-        n = _step_count(float(np.max(np.abs(ks))), self.wmax, self.mp.L,
-                        64, 1.5)
-        T = integrate_transfer(self.mp.m0, self.mp.L, ks, n)
+        n = _step_count(np.max(np.abs(ks)), self.wmax, self.mp.L, 64, 1.5)
+        T = integrate_transfer(self.mp.m0, self.mp.L, ks, int(n))
         return _unpack_monodromy(ks, T, self.theta)
 
     def floquet_discriminant(self, ks):

@@ -4,7 +4,9 @@ in config.  The window config has one reader besides the window formula:
 the sheet, which hands its k_max down as a value.  Nothing in assembly
 reads a cut side, only the branch-point polish differences the trace,
 and only jump_stack builds the t-independent jump, so every path to a
-jump goes through its memo.  Every sheet is built once, from the
+jump goes through its memo; likewise only integrate_transfer builds and
+evaluates the step polynomials, so every integration goes through their
+memo and the benchmark's count of integrations.  Every sheet is built once, from the
 scattering data and the window, and nothing in the package builds one.
 No module of the package or of its tests imports a name it never reads,
 and every name the benchmark's tracer wraps exists.
@@ -124,6 +126,20 @@ def test_only_jump_stack_builds_the_t_independent_jump():
                    getattr(n.func, "id", None), getattr(n.func, "attr", None))
                       for n in ast.walk(fn))]
     assert callers == ["assembly.JumpSpec.jump_stack"]
+
+
+def test_only_integrate_transfer_builds_and_evaluates_step_polynomials():
+    # integrate_transfer keeps the coefficients per (m0, L, n_steps), and
+    # the benchmark's tracer counts integrations by wrapping it
+    callers = {target: [f"{name}.{qual}" for name, tree in modules()
+                        for qual, fn in functions(tree)
+                        if any(isinstance(n, ast.Call) and target in (
+                            getattr(n.func, "id", None),
+                            getattr(n.func, "attr", None))
+                               for n in ast.walk(fn))]
+               for target in ("_step_coefficients", "_evaluate_increments")}
+    assert callers == {"_step_coefficients": ["scattering.integrate_transfer"],
+                       "_evaluate_increments": ["scattering.integrate_transfer"]}
 
 
 def test_every_sheet_is_built_once_from_the_data_and_the_window():

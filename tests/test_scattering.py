@@ -12,7 +12,10 @@ from scipy.linalg import expm
 from perch.branch import EPS_CIRCLE
 from perch.errors import BasisSingular, IdenticallyZero, StiffnessFailure
 from perch.initial import trig_eval
-from perch.scattering import SLAB_STEPK, integrate_transfer, rk8_tableau
+from perch.scattering import (DEGREE_BOUND, IMAG_GUARD, ODE_STEPS_MIN,
+                              ODE_STEPS_PER_K, SLAB_STEPK, ScatteringData,
+                              _step_coefficients, _step_count,
+                              integrate_transfer, rk8_tableau)
 
 L = 2.0
 
@@ -138,6 +141,115 @@ def test_det_one_where_every_step_is_alike(sd_zero):
     T = integrate_transfer(sd_zero.mp.m0, L, ks, 192)
     det = T[:, 0, 0] * T[:, 1, 1] - T[:, 0, 1] * T[:, 1, 0]
     assert np.max(np.abs(det - 1.0)) < 1e-14
+
+
+@pytest.mark.parametrize("k", [60.0, -59.6 + 0.02j, "imag"])
+def test_one_pass_matches_step_loop_at_the_guards(sd_bump, k):
+    # |k| = 60 on the real axis needs 1792 steps; k = i nu with
+    # nu theta just under IMAG_GUARD grows like e^{nu theta}
+    if k == "imag":
+        k = 0.98j * IMAG_GUARD / sd_bump.theta
+    n = int(_step_count(abs(k), sd_bump.wmax, L, ODE_STEPS_MIN,
+                        ODE_STEPS_PER_K))
+    ks = np.array([k], dtype=complex)
+    T = integrate_transfer(sd_bump.mp.m0, L, ks, n)
+    assert _rel_diff(T, _rk8_loop(sd_bump.mp.m0, L, ks, n)) < 1e-13
+
+
+def _structural_degrees():
+    """Degree in lam of each entry of E, by the stage recursion's pattern.
+
+    Per column: D_i = h sum_j a_ij (A_j + G_j), G_i = (D_i[1]; q_i D_i[0]),
+    counted over the nonzero entries of the tableau only.
+    """
+    A, B, _ = rk8_tableau()
+    none = -1
+    bound = np.zeros((2, 2), dtype=int)
+    for col, a_part in ((0, (none, 1)), (1, (0, none))):
+        g = []                                  # (row 0, row 1) of each G_i
+        for i in range(len(B)):
+            js = [j for j in range(i) if A[i, j] != 0]
+            if not js:
+                g.append((none, none))
+                continue
+            d0 = max([a_part[0]] + [g[j][0] for j in js])
+            d1 = max([a_part[1]] + [g[j][1] for j in js])
+            g.append((d1, d0 + 1 if d0 > none else none))
+        used = [g[i] for i in range(len(B)) if B[i] != 0]
+        bound[0, col] = max([a_part[0]] + [d[0] for d in used])
+        bound[1, col] = max([a_part[1]] + [d[1] for d in used])
+    return bound
+
+
+def test_step_coefficients_vanish_above_the_degree_bound(mp_bump):
+    assert np.array_equal(_structural_degrees(), DEGREE_BOUND)
+    C = _step_coefficients(mp_bump.m0.tobytes(), L, 320)
+    assert C.shape == (DEGREE_BOUND.max() + 1, 2, 2, 320)
+    for r in range(2):
+        for c in range(2):
+            d = DEGREE_BOUND[r, c]
+            assert np.all(C[d + 1:, r, c] == 0.0)
+            assert np.all(C[d, r, c] != 0.0)    # the bound is reached
+
+
+def test_step_polynomial_is_one_rk8_step_on_zero_momentum():
+    # w = 1 makes every step alike, so each column of C is the step of
+    # length h from the identity; h |k| up to 2 makes every degree count
+    n = 64
+    h = L / n
+    C = _step_coefficients(np.zeros(64).tobytes(), L, n)
+    assert np.all(C == C[..., :1])
+    ks = np.array([0.3, 5.0, 40.0, -25.0 + 9.0j, 20.0j, 64.0 + 0.5j])
+    lam = -(ks**2 + 0.25)
+    E = sum(np.multiply.outer(C[d, :, :, 0], lam**d) for d in range(len(C)))
+    P = _rk8_loop(np.zeros(64), h, ks, 1)
+    want = (P - np.eye(2)).transpose(1, 2, 0)
+    scale = np.max(np.abs(P), axis=(1, 2))
+    assert np.max(np.abs(E - want) / scale) < 1e-14
+    T = integrate_transfer(np.zeros(64), h, ks, 1)
+    assert _rel_diff(T, P) < 1e-14
+
+
+def test_step_coefficients_are_memoized_read_only(mp_bump):
+    ks = np.array([0.7, 3.1 + 0.2j, 0.25j, 9.0])
+    ScatteringData(mp_bump).ab(ks)
+    built = _step_coefficients.cache_info().misses
+    fresh = ScatteringData(mp_bump)
+    memo = fresh.ab(ks)
+    C = _step_coefficients(mp_bump.m0.tobytes(), L, ODE_STEPS_MIN)
+    T = integrate_transfer(mp_bump.m0, L, ks, ODE_STEPS_MIN)
+    assert _step_coefficients.cache_info().misses == built
+    with pytest.raises(ValueError):
+        C[0, 0, 0, 0] = 1.0
+    _step_coefficients.cache_clear()
+    assert np.array_equal(
+        _step_coefficients(mp_bump.m0.tobytes(), L, ODE_STEPS_MIN), C)
+    assert np.array_equal(
+        integrate_transfer(mp_bump.m0, L, ks, ODE_STEPS_MIN), T)
+    again = ScatteringData(mp_bump).ab(ks)
+    assert all(np.array_equal(x, y) for x, y in zip(again, memo))
+
+
+@pytest.mark.parametrize("steps_min,steps_per_k", [
+    (ODE_STEPS_MIN, ODE_STEPS_PER_K), (64, 1.5)])
+def test_step_buckets_match_the_scalar_formula(sd_bump, steps_min,
+                                               steps_per_k):
+    def scalar(kabs):
+        n = max(steps_min, int(np.ceil(steps_per_k * kabs * sd_bump.wmax * L)))
+        return ((n + 63) // 64) * 64
+
+    rate = steps_per_k * sd_bump.wmax * L
+    edges = 64 * np.arange(1, int(sd_bump.kmax_guard * rate / 64) + 1) / rate
+    rng = np.random.default_rng(64)
+    kabs = np.concatenate([
+        rng.uniform(0, sd_bump.kmax_guard, 10_000), [0.0, sd_bump.kmax_guard],
+        edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+    demand = steps_per_k * kabs * sd_bump.wmax * L
+    assert np.any((demand % 64 == 0) & (demand > steps_min))   # on an edge
+    got = _step_count(kabs, sd_bump.wmax, L, steps_min, steps_per_k)
+    assert got.dtype.kind == "i"
+    assert got.tolist() == [scalar(x) for x in kabs]
+    assert len(set(got.tolist())) > 5
 
 
 def test_stiffness_guards(sd_bump):
