@@ -124,6 +124,7 @@ TAU_SIMPLE = 1e-7         # |Delta'| floor for a simple-zero label
 EPS_CIRCLE = 0.1          # radius of the circles about +-i/2, at most
 EPS_FLOOR = 0.02          # smallest admissible eps-circle radius
 CLEARANCE = 0.01          # required gap between eps-circles and cuts
+TRACE_REAL = 1e-9         # |Im Delta| / max(1, |Re Delta|) allowed on an axis
 
 
 # ------------------------------------------------------------ trace
@@ -132,6 +133,16 @@ CLEARANCE = 0.01          # required gap between eps-circles and cuts
 def _axis_embed(axis, x):
     x = np.asarray(x, dtype=float)
     return x.astype(complex) if axis == "real" else 1j * x
+
+
+def _real_trace(vals, where):
+    """Re Delta of Delta values on an axis, which must be real there."""
+    scale = np.maximum(1.0, np.abs(vals.real))
+    worst = float(np.max(np.abs(vals.imag) / scale))
+    if worst > TRACE_REAL:
+        raise VerificationFailure(
+            f"trace not real {where}: |Im Delta| = {worst:.3g}")
+    return vals.real
 
 
 class TraceFunction:
@@ -149,13 +160,7 @@ class TraceFunction:
     def on_axis(self, axis, x):
         """Delta restricted to one axis, validated real."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        vals = self(_axis_embed(axis, x))
-        scale = np.maximum(1.0, np.abs(vals.real))
-        worst = float(np.max(np.abs(vals.imag) / scale))
-        if worst > 1e-9:
-            raise VerificationFailure(
-                f"trace not real on the {axis} axis: |Im Delta| = {worst:.3g}")
-        return vals.real
+        return _real_trace(self(_axis_embed(axis, x)), f"on the {axis} axis")
 
     def axis_slope(self, axis, x):
         """d Delta / d x along the axis coordinate, by central differences."""
@@ -684,11 +689,7 @@ class SheetedR:
         ph = np.exp(1j * k * self.theta)
         X = a / ph
         Y = astar * ph
-        dd = X + Y
-        scale = np.maximum(1.0, np.abs(dd.real))
-        if np.max(np.abs(dd.imag) / scale) > 1e-9:
-            raise VerificationFailure("trace not real on a cut")
-        delta = dd.real
+        delta = _real_trace(X + Y, "on a cut")
         if axis == "real":
             # a*(k) = conj(a(k)) on the real axis makes X - Y = 2i Im X;
             # X - Y from separately rounded X and Y keeps a one-ulp real

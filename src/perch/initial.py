@@ -11,8 +11,8 @@ x = L).  Admissible data carry a change of spatial variable
     y(x) = int_0^x sqrt(m0(s) + 1) ds,    theta = y(L),
 
 which is strictly increasing; theta sets the phases of the spectral
-functions, and MomentumProfile evaluates y(x) and its inverse x(y)
-pointwise.  Raw data with a nonzero endpoint momentum A and dispersion
+functions, and MomentumProfile evaluates y(x) and its inverse x(y) on
+arrays.  Raw data with a nonzero endpoint momentum A and dispersion
 omega are first reduced to this normalized form by the affine gauge
 u -> (u - A)/(A + omega).
 """
@@ -65,7 +65,10 @@ def trig_eval_steps(samples, n_steps, offsets):
     equals trig_eval at x = (n + offsets[i]) L / n_steps for any period L.
     The phase factorises as exp(2 pi i k n / N) exp(2 pi i k offsets[i] / N):
     the coefficients times the per-offset factor are folded onto k mod N,
-    and one inverse FFT of length N sums the per-step factor.
+    and one inverse FFT of length N sums the per-step factor.  Its callers
+    are scattering._step_coefficients, at the RK8 stages, and
+    compute_momentum, at the refined positivity grid and the
+    Gauss-Legendre nodes of every cell.
     """
     c, k = _fourier_modes(samples)
     shifted = c[:, None] * np.exp((2j * np.pi / n_steps) * np.multiply.outer(
@@ -145,57 +148,51 @@ class MomentumProfile:
     theta: float
     y: np.ndarray        # y(x_j) for j = 0..n, with y[n] = theta
 
-    def m0_at(self, x):
-        return trig_eval(self.m0, self.L, x)
-
-    def weight_at(self, x):
-        """sqrt(m0(x) + 1), the y-map integrand."""
-        return np.sqrt(self.m0_at(x) + 1.0)
-
     def y_of_x(self, x):
+        """y at each x in [0, L]; a 0-d x gives a float."""
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        out = np.array([self._y_scalar(float(v)) for v in np.atleast_1d(x)])
-        return float(out[0]) if scalar else out
-
-    def _y_scalar(self, x):
-        if not -1e-12 <= x <= self.L * (1 + 1e-12):
-            raise OutOfRange(f"x = {x} outside [0, {self.L}]")
-        x = min(max(x, 0.0), self.L)
-        h = self.L / self.n
-        j = min(int(x / h), self.n - 1)
-        return self.y[j] + _gl_integral(self.weight_at, j * h, x)
+        _check_range("x", x, -1e-12, self.L * (1 + 1e-12), self.L)
+        y = self._y_and_weight(np.clip(x, 0.0, self.L))[0]
+        return float(y) if y.ndim == 0 else y
 
     def x_of_y(self, y):
+        """x at each y in [0, theta] by Newton's method, each element
+        stopping once its step is below 1e-14 max(1, L), or after 60."""
         y = np.asarray(y, dtype=float)
+        _check_range("y", y, -1e-10, self.theta * (1 + 1e-10), self.theta)
         scalar = y.ndim == 0
-        out = np.array([self._x_scalar(float(v)) for v in np.atleast_1d(y)])
-        return float(out[0]) if scalar else out
-
-    def _x_scalar(self, y):
-        if not -1e-10 <= y <= self.theta * (1 + 1e-10):
-            raise OutOfRange(f"y = {y} outside [0, {self.theta}]")
-        y = min(max(y, 0.0), self.theta)
-        xg = np.concatenate([self.x, [self.L]])
-        x = float(np.interp(y, self.y, xg))
+        y = np.clip(np.atleast_1d(y), 0.0, self.theta)
+        x = np.interp(y, self.y, np.append(self.x, self.L))
+        active = np.ones(x.shape, dtype=bool)
         for _ in range(60):
-            r = self._y_scalar(x) - y
-            dx = -r / self.weight_at(x)
-            x = min(max(x + dx, 0.0), self.L)
-            if abs(dx) < 1e-14 * max(1.0, self.L):
+            if not active.any():
                 break
-        return x
+            yx, wx = self._y_and_weight(x[active])
+            dx = (y[active] - yx) / wx
+            x[active] = np.clip(x[active] + dx, 0.0, self.L)
+            active[active] = np.abs(dx) >= 1e-14 * max(1.0, self.L)
+        return float(x[0]) if scalar else x
+
+    def _y_and_weight(self, x):
+        """y(x), the cell's start plus Gauss-Legendre over the rest of the
+        cell, and sqrt(m0(x) + 1) for x in [0, L], from one trig_eval."""
+        h = self.L / self.n
+        j = np.minimum((x / h).astype(np.int64), self.n - 1)
+        a = j * h
+        mid, half = 0.5 * (a + x), 0.5 * (x - a)
+        pts = np.concatenate([mid[..., None] + half[..., None] * _GL_NODES,
+                              x[..., None]], axis=-1)
+        w = np.sqrt(trig_eval(self.m0, self.L, pts) + 1.0)
+        return self.y[j] + half * (w[..., :-1] @ _GL_WEIGHTS), w[..., -1]
+
+
+def _check_range(name, v, lo, hi, top):
+    bad = ~((v >= lo) & (v <= hi))
+    if np.any(bad):
+        raise OutOfRange(f"{name} = {v[bad].flat[0]} outside [0, {top}]")
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
-
-
-def _gl_integral(f, a, b):
-    if b <= a:
-        return 0.0
-    t, w = _GL_NODES, _GL_WEIGHTS
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * float(np.sum(w * f(mid + half * t)))
 
 
 # ---------------------------------------------------------------- loading
@@ -313,25 +310,22 @@ def save_csv(profile, path):
 
 # ---------------------------------------------------------------- momentum
 
-def compute_momentum(profile, eps_end=EPS_END):
+def compute_momentum(profile):
     """Differentiate, check admissibility, and build the y-geometry."""
     profile.validate()
     L, n = profile.L, profile.n
     m0 = profile.m0 if profile.m0 is not None else (
         profile.u0 - second_derivative(profile.u0, L))
-    fine = trig_eval(m0, L, np.arange(4 * n) * (L / (4 * n)))
+    fine = trig_eval_steps(m0, n, (0.0, 0.25, 0.5, 0.75))   # x = j L / 4n
     if np.min(fine) <= -1.0:
         raise PositivityViolation(
             f"m0 + 1 reaches {1.0 + np.min(fine):.3e} <= 0 on the refined grid")
-    if abs(m0[0]) > eps_end:
+    if abs(m0[0]) > EPS_END:
         raise EndpointViolation(
-            f"|m0(0)| = {abs(m0[0]):.3e} exceeds the {eps_end:.0e} budget")
-    w = lambda x: np.sqrt(trig_eval(m0, L, x) + 1.0)
-    h = L / n
-    cells = np.array([_gl_integral(w, j * h, (j + 1) * h) for j in range(n)])
-    y = np.concatenate([[0.0], np.cumsum(cells)])
-    theta = float(y[-1])
-    return MomentumProfile(L, n, profile.x, profile.u0, m0, theta, y)
+            f"|m0(0)| = {abs(m0[0]):.3e} exceeds the {EPS_END:.0e} budget")
+    w = np.sqrt(trig_eval_steps(m0, n, 0.5 * (1.0 + _GL_NODES)) + 1.0)
+    y = np.concatenate([[0.0], np.cumsum((0.5 * L / n) * (w @ _GL_WEIGHTS))])
+    return MomentumProfile(L, n, profile.x, profile.u0, m0, float(y[-1]), y)
 
 
 # ---------------------------------------------------------------- gauge

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from perch import initial
 from perch.initial import (InitialProfile, compute_momentum,
                            load_initial_data, normalize_gauge, read_csv,
                            save_csv, second_derivative, solve_helmholtz,
@@ -36,23 +37,25 @@ def test_bump_preset_momentum_shape():
                                atol=1e-12)
 
 
-def test_single_mode_differentiation_exact():
+def test_single_mode_differentiation_exact(monkeypatch):
     L, n = 3.0, 64
     x = np.arange(n) * (L / n)
     u0 = 0.1 * np.cos(2 * np.pi * x / L)
     p = InitialProfile(L, n, x, u0, None, "mode")
-    mp = compute_momentum(p, eps_end=10.0)  # endpoint value is nonzero here
+    monkeypatch.setattr(initial, "EPS_END", 10.0)  # m0(0) is nonzero here
+    mp = compute_momentum(p)
     np.testing.assert_allclose(mp.m0, (1 + (2 * np.pi / L) ** 2) * u0,
                                atol=1e-12)
 
 
-def test_constant_momentum_geometry():
-    # synthetic constant momentum, endpoint check bypassed via eps_end
+def test_constant_momentum_geometry(monkeypatch):
+    # synthetic constant momentum, endpoint check bypassed via EPS_END
     L, n, c = 2.0, 64, 0.8
     x = np.arange(n) * (L / n)
     p = InitialProfile(L, n, x, solve_helmholtz(np.full(n, c), L),
                        np.full(n, c), "const")
-    mp = compute_momentum(p, eps_end=c + 1)
+    monkeypatch.setattr(initial, "EPS_END", c + 1)
+    mp = compute_momentum(p)
     assert abs(mp.theta - L * np.sqrt(1 + c)) < 1e-12
     np.testing.assert_allclose(mp.y, np.sqrt(1 + c) * np.concatenate([x, [L]]),
                                atol=1e-12)
@@ -81,34 +84,66 @@ def test_composition_roundtrip_on_grid():
     p = load_initial_data("bump(0.5)", L=2.0, n=128)
     mp = compute_momentum(p)
     xs = mp.x_of_y(mp.y[:-1])
-    np.testing.assert_allclose(xs, mp.x, atol=1e-8)
+    np.testing.assert_allclose(xs, mp.x, atol=1e-14)
     assert abs(mp.x_of_y(mp.theta) - mp.L) < 1e-10
     assert abs(mp.x_of_y(0.0)) < 1e-14
+
+
+def test_composition_roundtrip_on_arrays():
+    # off the grid, each element on its own Newton path
+    p = load_initial_data("bump(0.5)", L=2.0, n=128)
+    mp = compute_momentum(p)
+    x = np.random.default_rng(11).uniform(0.0, mp.L, 200)
+    y = mp.y_of_x(x)
+    assert y.shape == x.shape and np.all(np.diff(y[np.argsort(x)]) > 0)
+    assert np.max(np.abs(mp.x_of_y(y) - x)) <= 1e-14
+    assert mp.x_of_y(y.reshape(20, 10)).shape == (20, 10)
+    assert isinstance(mp.x_of_y(np.float64(0.7)), float)
+    assert isinstance(mp.y_of_x(0.7), float)
 
 
 def test_y_map_pinned_and_gauss_rule_built_once(monkeypatch):
     # the y-map of bump(0.5) (L = 2, n = 128) to the last bit, as the
     # 10-point Gauss-Legendre rule gives it; the rule is a module constant,
-    # so building a profile must not call leggauss again
+    # so building a profile must not call leggauss again, and it reaches
+    # the interpolant of m0 only through trig_eval_steps
     def no_leggauss(order):
         raise AssertionError("leggauss called while building a profile")
 
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return trig_eval(*args)
+
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_leggauss)
+    monkeypatch.setattr(initial, "trig_eval", counted)
     mp = compute_momentum(load_initial_data("bump(0.5)", L=2.0, n=128))
-    assert mp.theta == float.fromhex("0x1.1d7e8c7b44d14p+1")
+    assert calls == []
+    assert mp.theta == float.fromhex("0x1.1d7e8c7b44d15p+1")
     pinned = {1: "0x1.00034a1116304p-6", 37: "0x1.38798413d0e07p-1",
-              64: "0x1.1d7e8c7b44d15p+0", 101: "0x1.cb77df15a9dbbp+0"}
+              64: "0x1.1d7e8c7b44d15p+0", 101: "0x1.cb77df15a9dbcp+0"}
     for j, h in pinned.items():
         assert mp.y[j] == float.fromhex(h), j
     assert mp.x_of_y(0.7) == float.fromhex("0x1.4fae6514cc1f5p-1")
-    assert mp.x_of_y(1.9) == float.fromhex("0x1.ad148d6584dbcp+0")
+    assert mp.x_of_y(1.9) == float.fromhex("0x1.ad148d6584dbbp+0")
 
 
-@pytest.mark.parametrize("n", [128, 63])
-def test_trig_eval_steps_matches_trig_eval(n):
-    # at the RK8 stage points; an odd grid has no Nyquist mode to split
-    L, n_steps = 2.0, 192
-    offsets = rk8_tableau()[2]
+RK8_STAGES = rk8_tableau()[2]
+GL_CELL = 0.5 * (1.0 + np.polynomial.legendre.leggauss(10)[0])
+QUARTERS = np.array([0.0, 0.25, 0.5, 0.75])
+
+
+@pytest.mark.parametrize("n, n_steps, offsets", [
+    (128, 192, RK8_STAGES), (63, 192, RK8_STAGES),
+    (128, 128, GL_CELL), (63, 63, GL_CELL),
+    (128, 128, QUARTERS), (63, 63, QUARTERS)],
+    ids=["128", "63", "gl-128", "gl-63", "quarters-128", "quarters-63"])
+def test_trig_eval_steps_matches_trig_eval(n, n_steps, offsets):
+    # at the RK8 stage points, and at compute_momentum's Gauss-Legendre
+    # nodes and refined grid (one step a cell); an odd grid has no
+    # Nyquist mode to split
+    L = 2.0
     x = np.arange(n) * (L / n)
     f = np.sin(np.pi * x / L) ** 2 * (0.8 + 0.79 * np.sin(2 * np.pi * x / L))
     pts = (np.arange(n_steps)[:, None] + offsets[None, :]) * (L / n_steps)
@@ -120,6 +155,15 @@ def test_trig_eval_steps_matches_trig_eval(n):
 
 def test_positivity_violation():
     p = load_initial_data("bump(-1.5)", L=2.0, n=64)
+    with pytest.raises(PositivityViolation):
+        compute_momentum(p)
+
+
+def test_positivity_violation_between_samples():
+    # m0 + 1 dips to -5e-4 at x = 1, which falls between the samples of
+    # an odd grid but on the refined one
+    p = load_initial_data("bump(-1.0005)", L=2.0, n=63)
+    assert np.min(p.m0 + 1.0) > 1e-4
     with pytest.raises(PositivityViolation):
         compute_momentum(p)
 
@@ -178,6 +222,10 @@ def test_out_of_range():
         mp.x_of_y(1.5)
     with pytest.raises(OutOfRange):
         mp.y_of_x(-0.2)
+    with pytest.raises(OutOfRange):
+        mp.x_of_y(np.array([0.2, 0.5, 1.5, 0.9]))
+    with pytest.raises(OutOfRange):
+        mp.y_of_x(np.array([[0.1, 0.3], [np.nan, 0.2]]))
 
 
 def test_csv_roundtrip_bit_exact(tmp_path):
