@@ -137,12 +137,17 @@ def _near_rows(panel, proj, zeta):
     return _rows(panel, proj, leg_Q(zeta, len(panel.tau)), zeta)
 
 
-def _boundary_rows(panel, proj, taus, side):
-    """Rows for boundary values at parameter positions taus on the panel."""
+def _side_Q(taus, p, side):
+    """Q_0..Q_{p-1} at taus + i0 (side "plus") or taus - i0 ("minus")."""
     if side not in ("plus", "minus"):
         raise BadGeometry(f"side must be 'plus' or 'minus', not {side!r}")
+    return leg_Q_side(taus, p, +1 if side == "plus" else -1)
+
+
+def _boundary_rows(panel, proj, taus, side):
+    """Rows for boundary values at parameter positions taus on the panel."""
     taus = np.asarray(taus, dtype=float)
-    Q = leg_Q_side(taus, len(panel.tau), +1 if side == "plus" else -1)
+    Q = _side_Q(taus, len(panel.tau), side)
     return _rows(panel, proj, Q, taus.astype(complex))
 
 
@@ -171,13 +176,25 @@ class CauchyOperator:
     """Precomputed Cauchy machinery for one PanelSet.
 
     build_panels lays one Gauss-Legendre rule on every panel, so one
-    projection matrix serves them all.
+    projection matrix serves them all, and the Q values at the nodes of
+    every panel are the same on each side.
+
+    The two boundary matrices differ only in their self-panel blocks.
+    The first boundary_matrix call fills everything else once: the far
+    quadrature sum and the near-field rows of every panel.  Each side is
+    then that fill with its self blocks written over it.  The operator
+    keeps the fill until both sides have been handed out; the last side
+    is written into the kept array itself, which the operator then drops.
+    So while it has handed out only one side, an operator holds one extra
+    N x N complex array (71 MB at N = 2112); after both, none.
     """
 
     def __init__(self, panelset):
         self.ps = panelset
         first = panelset.panels[0]
         self.proj = projection_matrix(first.tau, first.wref)
+        self._fill = None        # side-free part of the boundary matrices
+        self._owed = set()       # sides not yet served from self._fill
 
     def offcontour_rows(self, ks):
         """(len(ks), N) matrix mapping node values to C[rho](ks)."""
@@ -187,37 +204,49 @@ class CauchyOperator:
             out[:, self.ps.node_slice(q)] = panel_rows(panel, self.proj, ks)
         return out
 
-    def boundary_matrix(self, side):
-        """(N, N) matrix of one-sided boundary values at all nodes."""
-        N = self.ps.n
+    def _side_free_fill(self):
+        """Far sum everywhere, then exact rows on each panel's near targets;
+        the self blocks hold far values that every side overwrites."""
+        nodes, N = self.ps.nodes, self.ps.n
         K = np.empty((N, N), dtype=complex)
-        # plain far-field fill
-        K[:, :] = (self.ps.weights[None, :]
-                   / (self.ps.nodes[None, :] - self.ps.nodes[:, None] + np.eye(N))) / (2j * np.pi)
+        np.subtract(nodes[None, :], nodes[:, None], out=K)
+        np.fill_diagonal(K, 1.0)
+        np.divide(self.ps.weights[None, :], K, out=K)
+        K /= 2j * np.pi
         for q, panel in enumerate(self.ps.panels):
             cols = self.ps.node_slice(q)
-            zeta = _param_preimage(panel, self.ps.nodes)
-            d = param_distance(zeta)
-            sl = np.arange(*cols.indices(N))
-            near = (d < NEAR_PARAM)
-            near[sl] = False
+            zeta = _param_preimage(panel, nodes)
+            near = param_distance(zeta) < NEAR_PARAM
+            near[cols] = False
             if np.any(near):
                 K[near, cols] = _near_rows(panel, self.proj, zeta[near])
-            K[sl, cols] = _boundary_rows(panel, self.proj, panel.tau, side)
+        return K
+
+    def boundary_matrix(self, side):
+        """(N, N) matrix of one-sided boundary values at all nodes."""
+        tau = self.ps.panels[0].tau
+        Q = _side_Q(tau, len(tau), side)
+        if self._fill is None:
+            self._fill, self._owed = self._side_free_fill(), {"plus", "minus"}
+        self._owed.discard(side)
+        if self._owed:
+            K = self._fill.copy()
+        else:
+            K, self._fill = self._fill, None
+        taus = tau.astype(complex)
+        for q, panel in enumerate(self.ps.panels):
+            cols = self.ps.node_slice(q)
+            K[cols, cols] = _rows(panel, self.proj, Q, taus)
         return K
 
     def boundary_rows_at(self, ipanel, taus, side):
         """Rows for one-sided values at off-node positions on panel ipanel."""
-        N = self.ps.n
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        out = np.empty((len(taus), N), dtype=complex)
         panel = self.ps.panels[ipanel]
+        taus = np.atleast_1d(np.asarray(taus, dtype=float))
+        own = _boundary_rows(panel, self.proj, taus, side)
+        out = np.empty((len(taus), self.ps.n), dtype=complex)
         ks = panel.s_of_tau(taus)
         for q, other in enumerate(self.ps.panels):
             cols = self.ps.node_slice(q)
-            if q == ipanel:
-                out[:, cols] = _boundary_rows(panel, self.proj, taus, side)
-            else:
-                out[:, cols] = panel_rows(other, self.proj, ks)
+            out[:, cols] = own if q == ipanel else panel_rows(other, self.proj, ks)
         return out
-

@@ -19,6 +19,7 @@ u -> (u - A)/(A + omega).
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .errors import (EndpointViolation, IncompatibleEndpoints, OutOfRange,
 
 EPS_END = 1e-10       # endpoint momentum budget
 TAIL_BUDGET = 1e-8    # spectral-tail share of total energy
+PHASE_BLOCK = 1 << 16  # phase factors (points x modes) per trig_eval block
 
 
 # ---------------------------------------------------------------- spectral
@@ -52,10 +54,21 @@ def _fourier_modes(samples):
 
 def trig_eval(samples, L, x):
     """Evaluate the trigonometric interpolant of periodic samples at x."""
-    c, k = _fourier_modes(samples)
+    return _eval_modes(_fourier_modes(samples), L, x)
+
+
+def _eval_modes(modes, L, x):
+    """The interpolant with modes (c, k) at x, PHASE_BLOCK phase factors
+    at a time, so memory does not grow with the number of points."""
+    c, k = modes
     x = np.asarray(x, dtype=float)
-    ph = np.exp((2j * np.pi / L) * np.multiply.outer(x, k))
-    return (ph @ c).real
+    flat = x.ravel()
+    out = np.empty(flat.shape)
+    step = max(1, PHASE_BLOCK // len(k))
+    for i in range(0, len(flat), step):
+        ph = np.exp((2j * np.pi / L) * np.multiply.outer(flat[i:i + step], k))
+        out[i:i + step] = (ph @ c).real
+    return out.reshape(x.shape)
 
 
 def trig_eval_steps(samples, n_steps, offsets):
@@ -173,16 +186,22 @@ class MomentumProfile:
             active[active] = np.abs(dx) >= 1e-14 * max(1.0, self.L)
         return float(x[0]) if scalar else x
 
+    @cached_property
+    def _m0_modes(self):
+        """m0's Fourier modes, taken once per profile."""
+        return _fourier_modes(self.m0)
+
     def _y_and_weight(self, x):
         """y(x), the cell's start plus Gauss-Legendre over the rest of the
-        cell, and sqrt(m0(x) + 1) for x in [0, L], from one trig_eval."""
+        cell, and sqrt(m0(x) + 1) for x in [0, L], from one evaluation of
+        the interpolant on m0's modes."""
         h = self.L / self.n
         j = np.minimum((x / h).astype(np.int64), self.n - 1)
         a = j * h
         mid, half = 0.5 * (a + x), 0.5 * (x - a)
         pts = np.concatenate([mid[..., None] + half[..., None] * _GL_NODES,
                               x[..., None]], axis=-1)
-        w = np.sqrt(trig_eval(self.m0, self.L, pts) + 1.0)
+        w = np.sqrt(_eval_modes(self._m0_modes, self.L, pts) + 1.0)
         return self.y[j] + half * (w[..., :-1] @ _GL_WEIGHTS), w[..., -1]
 
 

@@ -1,11 +1,18 @@
 """Quadrature and Cauchy-transform core: exactness, Plemelj, convergence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from perch import cauchy
+from perch.assembly import build_master_contour, panelize
+from perch.branch import SheetedR
+from perch.config import ContourConfig
 from perch.contour import Segment, build_panels
-from perch.cauchy import CauchyOperator, leg_Q
+from perch.cauchy import (NEAR_PARAM, CauchyOperator, _boundary_rows,
+                          _near_rows, _param_preimage, leg_Q, param_distance)
 from perch.errors import BadGeometry
 
 
@@ -59,9 +66,13 @@ def test_cauchy_of_identity_near_boundary():
         assert abs(val - k) < 1e-11
 
 
-def test_plemelj_difference_is_identity():
+def circle_and_line():
     segs = circle_segments(0.5) + [Segment("line", a=-2.0 + 0j, b=-1.0 + 0j)]
-    ps = build_panels(segs, order=10, target_len=0.3)
+    return build_panels(segs, order=10, target_len=0.3)
+
+
+def test_plemelj_difference_is_identity():
+    ps = circle_and_line()
     op = CauchyOperator(ps)
     Kp = op.boundary_matrix("plus")
     Km = op.boundary_matrix("minus")
@@ -93,14 +104,86 @@ def test_offnode_boundary_rows():
     np.testing.assert_allclose(rows @ rho, pts**2, atol=1e-11)
 
 
+def per_panel_matrix(op, side):
+    """The boundary matrix built panel by panel, both sides apart: the far
+    formula, exact rows on near targets, one-sided rows on the panel's own
+    nodes."""
+    ps = op.ps
+    N = ps.n
+    K = (ps.weights[None, :] / (ps.nodes[None, :] - ps.nodes[:, None]
+                                + np.eye(N))) / (2j * np.pi)
+    for q, panel in enumerate(ps.panels):
+        cols = ps.node_slice(q)
+        zeta = _param_preimage(panel, ps.nodes)
+        near = param_distance(zeta) < NEAR_PARAM
+        near[cols] = False
+        K[near, cols] = _near_rows(panel, op.proj, zeta[near])
+        K[cols, cols] = _boundary_rows(panel, op.proj, panel.tau, side)
+    return K
+
+
+@pytest.fixture(scope="module")
+def contours(request):
+    def hbump():
+        # the benchmark's sweep contour: bump(-0.8) at window factor 1.5
+        window = ContourConfig(k_window_factor=1.5)
+        sr = SheetedR(request.getfixturevalue("sd_hbump"), ccfg=window)
+        return panelize(build_master_contour(sr))
+    return {"circle+line": circle_and_line, "hbump@1.5": hbump}
+
+
+@pytest.mark.parametrize("order", [("plus", "minus"), ("minus", "plus")])
+@pytest.mark.parametrize("name", ["circle+line", "hbump@1.5"])
+def test_both_sides_come_from_one_side_free_fill(contours, name, order,
+                                                 monkeypatch):
+    # each side equals the per-panel construction to the bit, in either
+    # order; the caller may overwrite the first side (the benchmark takes
+    # C+ - C- in place) without touching the second, which reuses the fill
+    # and makes no preimage or near-row call; then the operator lets go
+    ps = contours[name]()
+    op = CauchyOperator(ps)
+    want = {side: per_panel_matrix(op, side) for side in order}
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    for fn in (_near_rows, _param_preimage):
+        monkeypatch.setattr(cauchy, fn.__name__, counted(fn))
+    first = op.boundary_matrix(order[0])
+    assert np.array_equal(first, want[order[0]])
+    assert {"_near_rows", "_param_preimage"} <= set(calls)
+    calls.clear()
+    first -= want[order[1]]
+    second = op.boundary_matrix(order[1])
+    assert calls == []
+    assert np.array_equal(second, want[order[1]])
+    assert [v for v in vars(op).values()
+            if isinstance(v, np.ndarray) and v.size >= ps.n**2] == []
+
+
 def test_unknown_side_is_refused():
-    # only "plus" and "minus" name a side; anything else is not the minus one
-    op = CauchyOperator(build_panels(circle_segments(0.5), order=12,
-                                     target_len=0.25))
+    # only "plus" and "minus" name a side; anything else is not the minus
+    # one, and it is refused before the N x N fill is allocated, leaving
+    # the operator as it was
+    ps = circle_and_line()
+    op = CauchyOperator(ps)
+    tracemalloc.start()
     with pytest.raises(BadGeometry, match="'left'"):
         op.boundary_matrix("left")
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 16 * ps.n**2 / 8
     with pytest.raises(BadGeometry, match="'left'"):
         op.boundary_rows_at(3, np.array([0.1]), "left")
+    assert np.array_equal(op.boundary_matrix("plus"), per_panel_matrix(op, "plus"))
+    with pytest.raises(BadGeometry, match="'left'"):
+        op.boundary_matrix("left")
+    assert np.array_equal(op.boundary_matrix("minus"),
+                          per_panel_matrix(op, "minus"))
 
 
 def test_doubling_panels_contracts_error_fast():

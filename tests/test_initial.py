@@ -1,5 +1,6 @@
 """Initial data ingestion, momentum, gauge reduction, and the y-map."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -100,6 +101,30 @@ def test_composition_roundtrip_on_arrays():
     assert mp.x_of_y(y.reshape(20, 10)).shape == (20, 10)
     assert isinstance(mp.x_of_y(np.float64(0.7)), float)
     assert isinstance(mp.y_of_x(0.7), float)
+
+
+def test_y_map_memory_bounded_and_modes_taken_once(monkeypatch):
+    # the interpolant is summed a block of points at a time, so 2000
+    # points cost a few MB rather than 2000 rows of 11 x 129 phase
+    # factors (91 MB); m0's modes are taken once per profile, not once
+    # per Newton step
+    mp = compute_momentum(load_initial_data("bump(0.5)", L=2.0, n=128))
+    calls = []
+
+    def counted(samples):
+        calls.append(1)
+        return fourier_modes(samples)
+
+    fourier_modes = initial._fourier_modes
+    monkeypatch.setattr(initial, "_fourier_modes", counted)
+    x = np.linspace(0.0, mp.L, 2000)
+    for f, arg in ((mp.y_of_x, x), (mp.x_of_y, mp.theta * x / mp.L)):
+        tracemalloc.start()
+        f(arg)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 10e6, f.__name__
+    assert len(calls) == 1
 
 
 def test_y_map_pinned_and_gauss_rule_built_once(monkeypatch):

@@ -8,6 +8,9 @@ jump goes through its memo; likewise only integrate_transfer builds and
 evaluates the step polynomials, so every integration goes through their
 memo and the benchmark's count of integrations.  Every sheet is built once, from the
 scattering data and the window, and nothing in the package builds one.
+Only _rows applies the Q-form of a Cauchy row, and only _side_Q takes the
+one-sided Q values, so both boundary matrices and the off-node boundary
+rows build their self-panel rows through the same two functions.
 No module of the package or of its tests imports a name it never reads,
 and every name the benchmark's tracer wraps exists.
 """
@@ -140,6 +143,31 @@ def test_only_integrate_transfer_builds_and_evaluates_step_polynomials():
                for target in ("_step_coefficients", "_evaluate_increments")}
     assert callers == {"_step_coefficients": ["scattering.integrate_transfer"],
                        "_evaluate_increments": ["scattering.integrate_transfer"]}
+
+
+def test_self_panel_rows_are_built_only_through_rows():
+    # the Q-form, ((-2 Q) @ proj plus an arc's smooth part) / (2 pi i),
+    # lives in _rows; boundary_matrix takes Q once per side for all of its
+    # self blocks, so an inline copy there could drift from _rows
+    tree = dict(modules())["cauchy"]
+
+    def callers(target):
+        return [qual for qual, fn in functions(tree)
+                if any(isinstance(n, ast.Call) and target in (
+                    getattr(n.func, "id", None), getattr(n.func, "attr", None))
+                       for n in ast.walk(fn))]
+
+    matmuls = [qual for qual, fn in functions(tree)
+               if any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)
+                      for n in ast.walk(fn))]
+    assert matmuls == ["_rows"]
+    assert callers("_arc_smooth_part") == ["_rows"]
+    assert callers("leg_Q_side") == ["_side_Q"]
+    assert callers("_side_Q") == ["_boundary_rows",
+                                  "CauchyOperator.boundary_matrix"]
+    assert callers("_rows") == ["_near_rows", "_boundary_rows",
+                                "CauchyOperator.boundary_matrix"]
+    assert callers("_boundary_rows") == ["CauchyOperator.boundary_rows_at"]
 
 
 def test_every_sheet_is_built_once_from_the_data_and_the_window():
