@@ -77,7 +77,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import DISK_RADIUS
+from .config import DISK_PAD, DISK_RADIUS
 from .contour import Segment, build_panels
 from .errors import (BadGeometry, CrossValidationFailure,
                      DenominatorCollapse, JumpConsistencyError,
@@ -417,12 +417,13 @@ class JumpSpec:
 
     def _disk_stack(self, y, t, flat):
         # D3 about each pole mu with its residue c, D2 about conj(mu) with
-        # conj(c); the sheet keeps every other centre out of a disk's pad
+        # conj(c); the sheet keeps the centres 2 DISK_PAD apart, so k, at
+        # DISK_RADIUS from its own centre, lies within DISK_PAD of no other
         k = complex(flat.ravel()[0])
         disks = [(p.mu, p.residue, -1.0) for p in self.sr.poles]
         disks += [(np.conj(mu), np.conj(c), 1.0) for mu, c, _ in disks]
         for mu, c, sgn in disks:
-            if abs(k - mu) < 1.25 * DISK_RADIUS:
+            if abs(k - mu) < DISK_PAD:
                 break
         else:
             raise BadGeometry(f"{k:.6g} is not on a residue disk")

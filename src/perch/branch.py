@@ -107,7 +107,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh, toeplitz
 
-from .config import DISK_RADIUS, ORIGIN_OFFSET
+from .config import DISK_PAD, ORIGIN_OFFSET
 from .errors import (BadGeometry, BranchSelectionError, ContourClash,
                      CrossValidationFailure, DoubleZeroUnresolved,
                      NearPole, NonGenericCase, TooCloseToContour,
@@ -273,12 +273,21 @@ def _interlaced(periodic, anti):
 
     The intervals between them alternate gap, band, gap, ..., from the
     gap (-inf, P0); level is Delta at the edge, 2 for P and -2 for A.
+    The oscillation theorem orders them by mu; where mu decreases from
+    one edge to the next, VerificationFailure names both.
     """
     lists = {"P": (periodic, 2.0), "A": (anti, -2.0)}
     order = [("P", 0)] + [("A" if i % 2 else "P", j)
                           for i in range(1, min(len(periodic), len(anti)))
                           for j in (i - 1, i)]
-    return [(f"{n}{j}", float(lists[n][0][j]), lists[n][1]) for n, j in order]
+    edges = [(f"{n}{j}", float(lists[n][0][j]), lists[n][1])
+             for n, j in order]
+    for (a, mu_a, _), (b, mu_b, _) in zip(edges, edges[1:]):
+        if mu_b < mu_a:
+            raise VerificationFailure(
+                f"Hill edges out of order: {b} = {mu_b:.9g} lies below "
+                f"{a} = {mu_a:.9g}")
+    return edges
 
 
 def _polish_level(tf, axis, x, level, iters=3):
@@ -519,12 +528,11 @@ def _eps_radius(cuts):
 def _check_geometry(cuts, poles, eps):
     """Every residue disk must clear the rest of the contour.
 
-    The disks sit at each pole mu and its mirror conj(mu).  With one pad
-    of 1.25 DISK_RADIUS, each centre must keep that far from the real
-    axis, the circle |k| = 1/2, the eps-circles of radius eps about
-    +-i/2 and every cut, and twice that far from every other centre.
+    The disks sit at each pole mu and its mirror conj(mu).  Each centre
+    must keep DISK_PAD from the real axis, the circle |k| = 1/2, the
+    eps-circles of radius eps about +-i/2 and every cut, and twice that
+    from every other centre.
     """
-    pad = 1.25 * DISK_RADIUS
     centers = [z for mu in poles for z in (complex(mu), complex(np.conj(mu)))]
     for i, z in enumerate(centers):
         gaps = [("the real axis", abs(z.imag)),
@@ -533,10 +541,10 @@ def _check_geometry(cuts, poles, eps):
                  for c, name in ((0.5j, "i/2"), (-0.5j, "-i/2"))]
         gaps += [(f"the cut [{c.lo:.6g}, {c.hi:.6g}] on the {c.axis} axis",
                   _segment_distance(z, c)) for c in cuts]
-        gaps += [(f"the residue disk at {w:.6g}", abs(z - w) - pad)
+        gaps += [(f"the residue disk at {w:.6g}", abs(z - w) - DISK_PAD)
                  for w in centers[i + 1:]]
         for what, gap in gaps:
-            if gap < pad:
+            if gap < DISK_PAD:
                 raise ContourClash(f"residue disk at {z:.6g} meets {what}")
 
 

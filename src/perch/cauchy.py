@@ -151,27 +151,6 @@ def _boundary_rows(panel, proj, taus, side):
     return _rows(panel, proj, Q, taus.astype(complex))
 
 
-def _far_rows(panel, ks):
-    ks = np.asarray(ks, dtype=complex)
-    return (panel.weights[None, :] / (panel.nodes[None, :] - ks[:, None])) / (2j * np.pi)
-
-
-def panel_rows(panel, proj, ks):
-    """Transform rows of one panel at arbitrary off-curve targets."""
-    ks = np.atleast_1d(np.asarray(ks, dtype=complex))
-    zeta = _param_preimage(panel, ks)
-    d = param_distance(zeta)
-    if np.any(d < 1e-13):
-        raise TooCloseToContour("target lies on a panel")
-    rows = np.empty((len(ks), len(panel.tau)), dtype=complex)
-    near = d < NEAR_PARAM
-    if np.any(near):
-        rows[near] = _near_rows(panel, proj, zeta[near])
-    if np.any(~near):
-        rows[~near] = _far_rows(panel, ks[~near])
-    return rows
-
-
 class CauchyOperator:
     """Precomputed Cauchy machinery for one PanelSet.
 
@@ -179,10 +158,11 @@ class CauchyOperator:
     projection matrix serves them all, and the Q values at the nodes of
     every panel are the same on each side.
 
-    The two boundary matrices differ only in their self-panel blocks.
-    The first boundary_matrix call fills everything else once: the far
-    quadrature sum and the near-field rows of every panel.  Each side is
-    then that fill with its self blocks written over it.  The operator
+    One fill (_fill) serves every target, nodes, points off the contour
+    and off-node points of a panel; the block of the panel a target lies
+    on belongs to the caller.  The two boundary matrices differ only in
+    those blocks, so the first boundary_matrix call fills the nodes once
+    and each side writes its self blocks over that fill.  The operator
     keeps the fill until both sides have been handed out; the last side
     is written into the kept array itself, which the operator then drops.
     So while it has handed out only one side, an operator holds one extra
@@ -193,46 +173,49 @@ class CauchyOperator:
         self.ps = panelset
         first = panelset.panels[0]
         self.proj = projection_matrix(first.tau, first.wref)
-        self._fill = None        # side-free part of the boundary matrices
-        self._owed = set()       # sides not yet served from self._fill
+        self._kept = None        # the node fill, until both sides are served
+        self._owed = set()       # sides not yet served from self._kept
+
+    def _fill(self, ks, owner):
+        """Rows of C at targets ks, target i lying on panel owner[i] (-1:
+        none): the far sum, then exact rows on near panels but the owner,
+        whose block the caller fills; a target on another panel is refused."""
+        ps = self.ps
+        K = np.empty((len(ks), ps.n), dtype=complex)
+        np.subtract(ps.nodes[None, :], ks[:, None], out=K)
+        # a node target divides by zero at its own node, in its owner block
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(ps.weights[None, :], K, out=K)
+            K /= 2j * np.pi
+        for q, panel in enumerate(ps.panels):
+            zeta = _param_preimage(panel, ks)
+            d = param_distance(zeta)
+            other = owner != q
+            if np.any(other & (d < 1e-13)):
+                raise TooCloseToContour("target lies on a panel")
+            near = other & (d < NEAR_PARAM)
+            if np.any(near):
+                K[near, ps.node_slice(q)] = _near_rows(panel, self.proj,
+                                                       zeta[near])
+        return K
 
     def offcontour_rows(self, ks):
         """(len(ks), N) matrix mapping node values to C[rho](ks)."""
         ks = np.atleast_1d(np.asarray(ks, dtype=complex))
-        out = np.empty((len(ks), self.ps.n), dtype=complex)
-        for q, panel in enumerate(self.ps.panels):
-            out[:, self.ps.node_slice(q)] = panel_rows(panel, self.proj, ks)
-        return out
-
-    def _side_free_fill(self):
-        """Far sum everywhere, then exact rows on each panel's near targets;
-        the self blocks hold far values that every side overwrites."""
-        nodes, N = self.ps.nodes, self.ps.n
-        K = np.empty((N, N), dtype=complex)
-        np.subtract(nodes[None, :], nodes[:, None], out=K)
-        np.fill_diagonal(K, 1.0)
-        np.divide(self.ps.weights[None, :], K, out=K)
-        K /= 2j * np.pi
-        for q, panel in enumerate(self.ps.panels):
-            cols = self.ps.node_slice(q)
-            zeta = _param_preimage(panel, nodes)
-            near = param_distance(zeta) < NEAR_PARAM
-            near[cols] = False
-            if np.any(near):
-                K[near, cols] = _near_rows(panel, self.proj, zeta[near])
-        return K
+        return self._fill(ks, np.full(len(ks), -1))
 
     def boundary_matrix(self, side):
         """(N, N) matrix of one-sided boundary values at all nodes."""
         tau = self.ps.panels[0].tau
         Q = _side_Q(tau, len(tau), side)
-        if self._fill is None:
-            self._fill, self._owed = self._side_free_fill(), {"plus", "minus"}
+        if self._kept is None:
+            self._kept = self._fill(self.ps.nodes, self.ps.panel_index)
+            self._owed = {"plus", "minus"}
         self._owed.discard(side)
         if self._owed:
-            K = self._fill.copy()
+            K = self._kept.copy()
         else:
-            K, self._fill = self._fill, None
+            K, self._kept = self._kept, None
         taus = tau.astype(complex)
         for q, panel in enumerate(self.ps.panels):
             cols = self.ps.node_slice(q)
@@ -244,9 +227,6 @@ class CauchyOperator:
         panel = self.ps.panels[ipanel]
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
         own = _boundary_rows(panel, self.proj, taus, side)
-        out = np.empty((len(taus), self.ps.n), dtype=complex)
-        ks = panel.s_of_tau(taus)
-        for q, other in enumerate(self.ps.panels):
-            cols = self.ps.node_slice(q)
-            out[:, cols] = own if q == ipanel else panel_rows(other, self.proj, ks)
+        out = self._fill(panel.s_of_tau(taus), np.full(len(taus), ipanel))
+        out[:, self.ps.node_slice(ipanel)] = own
         return out

@@ -216,6 +216,31 @@ def test_pairing_check_fires_on_a_mislabelled_interval(sr_bump, monkeypatch):
         locate_branch_points(sr_bump.trace, sr_bump.k_max)
 
 
+@pytest.mark.parametrize("fixture", ["sr_bump", "sr_hbump"])
+@pytest.mark.parametrize("drop, names", [
+    (("P", 0), ("A0", "P0")), (("A", 1), ("P1", "A1")),
+    (("P", 4), ("A4", "P4")), (("A", 7), ("P7", "A7"))])
+def test_hill_edges_out_of_oscillation_order_are_refused(
+        request, monkeypatch, fixture, drop, names):
+    # one eigenvalue lost from either list shifts the labels of the rest,
+    # and the interlaced edges then fall in mu; before the order check the
+    # walk blamed the window (WindowTooSmall)
+    sr = request.getfixturevalue(fixture)
+    spectrum = branch._hill_spectrum
+    which, j = drop
+
+    def lossy(m0, L, n_modes):
+        periodic, anti = spectrum(m0, L, n_modes)
+        if which == "P":
+            return np.delete(periodic, j), anti
+        return periodic, np.delete(anti, j)
+    monkeypatch.setattr(branch, "_hill_spectrum", lossy)
+    with pytest.raises(VerificationFailure, match=(
+            r"Hill edges out of order: {} = \S+ lies below {} = ".format(
+                *names))):
+        locate_branch_points(sr.trace, sr.k_max)
+
+
 def test_window_edge_collision_rejected(sr_asym):
     with pytest.raises(WindowTooSmall):
         locate_branch_points(sr_asym.trace, 6.7097)

@@ -13,7 +13,7 @@ from perch.config import ContourConfig
 from perch.contour import Segment, build_panels
 from perch.cauchy import (NEAR_PARAM, CauchyOperator, _boundary_rows,
                           _near_rows, _param_preimage, leg_Q, param_distance)
-from perch.errors import BadGeometry
+from perch.errors import BadGeometry, TooCloseToContour
 
 
 def circle_segments(radius=0.5, center=0j):
@@ -163,6 +163,69 @@ def test_both_sides_come_from_one_side_free_fill(contours, name, order,
     assert np.array_equal(second, want[order[1]])
     assert [v for v in vars(op).values()
             if isinstance(v, np.ndarray) and v.size >= ps.n**2] == []
+
+
+def per_panel_rows(op, ks, skip=None):
+    """Rows of C at targets ks built panel by panel: exact rows on near
+    targets, the far formula on the rest, a target on a panel refused;
+    the block of panel skip stays zero."""
+    rows = np.zeros((len(ks), op.ps.n), dtype=complex)
+    for q, panel in enumerate(op.ps.panels):
+        if q == skip:
+            continue
+        cols = op.ps.node_slice(q)
+        zeta = _param_preimage(panel, ks)
+        d = param_distance(zeta)
+        if np.any(d < 1e-13):
+            raise TooCloseToContour("target lies on a panel")
+        near = d < NEAR_PARAM
+        rows[near, cols] = _near_rows(panel, op.proj, zeta[near])
+        rows[~near, cols] = (panel.weights[None, :]
+                             / (panel.nodes[None, :] - ks[~near, None])
+                             ) / (2j * np.pi)
+    return rows
+
+
+def near_and_far_targets(ps):
+    # off every fourth panel at parameter heights 0.05, 0.3 and 1.2 above
+    # and below it; the first two lie within NEAR_PARAM of their panel
+    taus = np.array([-0.8, 0.1, 0.6])
+    heights = np.array([0.05, 0.3, 1.2, -0.05, -0.3, -1.2])
+    ks = [ps.panels[q].s_of_tau(taus[:, None] + 1j * heights[None, :]).ravel()
+          for q in range(0, len(ps.panels), 4)]
+    return np.concatenate(ks)
+
+
+@pytest.mark.parametrize("name", ["circle+line", "hbump@1.5"])
+def test_offcontour_and_offnode_rows_match_the_per_panel_rows(contours, name):
+    # the one fill gives every target the rows the per-panel construction
+    # gives it, to the bit; the targets fall near several panels and far
+    # from others
+    ps = contours[name]()
+    op = CauchyOperator(ps)
+    ks = near_and_far_targets(ps)
+    d = np.array([param_distance(_param_preimage(p, ks)) for p in ps.panels])
+    assert np.sum(np.any(d < NEAR_PARAM, axis=1)) > len(ps.panels) // 4
+    assert np.sum(np.any(d >= NEAR_PARAM, axis=1)) == len(ps.panels)
+    assert np.array_equal(op.offcontour_rows(ks), per_panel_rows(op, ks))
+    taus = np.array([-0.93, -0.31, 0.02, 0.57, 0.88])
+    for q in range(0, len(ps.panels), max(1, len(ps.panels) // 7)):
+        panel = ps.panels[q]
+        for side in ("plus", "minus"):
+            want = per_panel_rows(op, panel.s_of_tau(taus), skip=q)
+            want[:, ps.node_slice(q)] = _boundary_rows(panel, op.proj, taus,
+                                                       side)
+            assert np.array_equal(op.boundary_rows_at(q, taus, side), want)
+
+
+def test_offcontour_target_on_a_panel_is_refused():
+    # a node, and a point between nodes, of a panel; the far sum's
+    # division by zero at that node stays silent
+    ps = circle_and_line()
+    op = CauchyOperator(ps)
+    for k in (ps.nodes[27], ps.panels[5].s_of_tau(0.3)):
+        with pytest.raises(TooCloseToContour, match="lies on a panel"):
+            op.offcontour_rows(np.array([0.3 + 0.1j, k]))
 
 
 def test_unknown_side_is_refused():

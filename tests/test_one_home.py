@@ -10,7 +10,9 @@ memo and the benchmark's count of integrations.  Every sheet is built once, from
 scattering data and the window, and nothing in the package builds one.
 Only _rows applies the Q-form of a Cauchy row, and only _side_Q takes the
 one-sided Q values, so both boundary matrices and the off-node boundary
-rows build their self-panel rows through the same two functions.
+rows build their self-panel rows through the same two functions; only
+CauchyOperator._fill takes parameter preimages and near rows, so nodes,
+off-contour points and off-node boundary points share one near/far split.
 No module of the package or of its tests imports a name it never reads,
 and every name the benchmark's tracer wraps exists.
 """
@@ -63,6 +65,15 @@ def functions(tree, prefix=""):
             yield from functions(node, f"{prefix}{node.name}.")
         elif isinstance(node, ast.FunctionDef):
             yield f"{prefix}{node.name}", node
+
+
+def package_callers(target):
+    """The package's functions that call target, by name or attribute."""
+    return [f"{name}.{qual}" for name, tree in modules()
+            for qual, fn in functions(tree)
+            if any(isinstance(n, ast.Call) and target in (
+                getattr(n.func, "id", None), getattr(n.func, "attr", None))
+                   for n in ast.walk(fn))]
 
 
 def test_window_config_read_only_by_the_sheet_and_the_window():
@@ -123,23 +134,13 @@ def test_only_the_branch_point_polish_differences_the_trace():
 def test_only_jump_stack_builds_the_t_independent_jump():
     # jump_stack keeps J0 per (tag, node array); a second caller of
     # j0_stack would rebuild it around that memo
-    callers = [f"{name}.{qual}" for name, tree in modules()
-               for qual, fn in functions(tree)
-               if any(isinstance(n, ast.Call) and "j0_stack" in (
-                   getattr(n.func, "id", None), getattr(n.func, "attr", None))
-                      for n in ast.walk(fn))]
-    assert callers == ["assembly.JumpSpec.jump_stack"]
+    assert package_callers("j0_stack") == ["assembly.JumpSpec.jump_stack"]
 
 
 def test_only_integrate_transfer_builds_and_evaluates_step_polynomials():
     # integrate_transfer keeps the coefficients per (m0, L, n_steps), and
     # the benchmark's tracer counts integrations by wrapping it
-    callers = {target: [f"{name}.{qual}" for name, tree in modules()
-                        for qual, fn in functions(tree)
-                        if any(isinstance(n, ast.Call) and target in (
-                            getattr(n.func, "id", None),
-                            getattr(n.func, "attr", None))
-                               for n in ast.walk(fn))]
+    callers = {target: package_callers(target)
                for target in ("_step_coefficients", "_evaluate_increments")}
     assert callers == {"_step_coefficients": ["scattering.integrate_transfer"],
                        "_evaluate_increments": ["scattering.integrate_transfer"]}
@@ -149,36 +150,33 @@ def test_self_panel_rows_are_built_only_through_rows():
     # the Q-form, ((-2 Q) @ proj plus an arc's smooth part) / (2 pi i),
     # lives in _rows; boundary_matrix takes Q once per side for all of its
     # self blocks, so an inline copy there could drift from _rows
-    tree = dict(modules())["cauchy"]
-
-    def callers(target):
-        return [qual for qual, fn in functions(tree)
-                if any(isinstance(n, ast.Call) and target in (
-                    getattr(n.func, "id", None), getattr(n.func, "attr", None))
-                       for n in ast.walk(fn))]
-
-    matmuls = [qual for qual, fn in functions(tree)
+    matmuls = [qual for qual, fn in functions(dict(modules())["cauchy"])
                if any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)
                       for n in ast.walk(fn))]
     assert matmuls == ["_rows"]
-    assert callers("_arc_smooth_part") == ["_rows"]
-    assert callers("leg_Q_side") == ["_side_Q"]
-    assert callers("_side_Q") == ["_boundary_rows",
-                                  "CauchyOperator.boundary_matrix"]
-    assert callers("_rows") == ["_near_rows", "_boundary_rows",
-                                "CauchyOperator.boundary_matrix"]
-    assert callers("_boundary_rows") == ["CauchyOperator.boundary_rows_at"]
+    assert package_callers("_arc_smooth_part") == ["cauchy._rows"]
+    assert package_callers("leg_Q_side") == ["cauchy._side_Q"]
+    assert package_callers("_side_Q") == [
+        "cauchy._boundary_rows", "cauchy.CauchyOperator.boundary_matrix"]
+    assert package_callers("_rows") == [
+        "cauchy._near_rows", "cauchy._boundary_rows",
+        "cauchy.CauchyOperator.boundary_matrix"]
+    assert package_callers("_boundary_rows") == [
+        "cauchy.CauchyOperator.boundary_rows_at"]
+
+
+def test_only_the_fill_splits_near_from_far():
+    # _fill forms the far sum for every target and writes the exact rows
+    # of its near panels; a second caller of the preimage or the near rows
+    # would be a second near/far split to keep in step with it
+    assert package_callers("_param_preimage") == ["cauchy.CauchyOperator._fill"]
+    assert package_callers("_near_rows") == ["cauchy.CauchyOperator._fill"]
 
 
 def test_every_sheet_is_built_once_from_the_data_and_the_window():
     # the sheet locates its own cuts, so no function of the package builds
     # a second one, and SheetedR takes sd and the window config, no more
-    builders = [f"{name}.{qual}" for name, tree in modules()
-                for qual, fn in functions(tree)
-                if any(isinstance(n, ast.Call) and "SheetedR" in (
-                    getattr(n.func, "id", None), getattr(n.func, "attr", None))
-                       for n in ast.walk(fn))]
-    assert builders == []
+    assert package_callers("SheetedR") == []
     init = dict(functions(dict(modules())["branch"]))["SheetedR.__init__"].args
     assert [a.arg for a in init.posonlyargs + init.args] == ["self", "sd"]
     assert [a.arg for a in init.kwonlyargs] == ["ccfg"]
