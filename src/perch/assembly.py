@@ -68,9 +68,9 @@ The time dependence enters through the scalar phase
 p(y, t, k) = y - t / (2 (k^2 + 1/4)): the jump at (y, t) is the k-fixed
 matrix J0 conjugated by exp(-i k p sigma3), except on residue disks, where
 the phase is evaluated at the pole itself.  So JumpSpec builds J0 once
-per region tag and node array and reuses it at every (y, t); the disks,
-whose jump is not J0 times a phase at each node, are built whole at
-every call.
+per region tag and node array, all panels of one tag in one stack, and
+reuses it at every (y, t); the disks, whose jump is not J0 times a
+phase at each node, are built whole at every call.
 """
 
 from dataclasses import replace
@@ -324,11 +324,16 @@ class JumpSpec:
     j0_stack gives the t-independent matrix J0 per region tag; jump_stack
     conjugates it with the phase exponential.  jump_stack keeps J0 per
     (tag, node array), so a node array asked for again at another (y, t)
-    costs a lookup, a copy and the phase; a j0_stack that raises leaves
-    nothing kept.  Residue disks are the one exception: their
-    nilpotent entry carries the phase evaluated at the pole, exactly as
-    the residue conditions prescribe, so jump_stack builds them whole at
-    every call and j0_stack has no disk rule.
+    costs a lookup, a copy and the phase.  The spec panelizes mc once
+    (ps), and the first miss on one of its own panels builds J0 for every
+    panel of that region tag in one j0_stack call, so the integrator sees
+    the whole tag at once; any other node array (-k, conj k, a sample, a
+    junction point) is built alone.  A j0_stack that raises leaves
+    nothing kept, and the next call builds the tag or array again.
+    Residue disks are the one exception: their nilpotent entry carries
+    the phase evaluated at the pole, exactly as the residue conditions
+    prescribe, so jump_stack builds them whole at every call and
+    j0_stack has no disk rule.
     """
 
     def __init__(self, sd, sr, mc):
@@ -337,6 +342,12 @@ class JumpSpec:
         self.mc = mc
         self.theta = sr.theta
         self.L = sd.mp.L
+        self.ps = panelize(mc)
+        # per tag, the memo key and nodes of each own panel, in contour order
+        self._own = {}
+        for p in self.ps.panels:
+            self._own.setdefault(p.label, {})[
+                (p.label, p.nodes.shape, p.nodes.tobytes())] = p.nodes
         self._j0 = {}
 
     # -------------------------------------------- t = 0 matrices
@@ -417,21 +428,22 @@ class JumpSpec:
 
     def _disk_stack(self, y, t, flat):
         # D3 about each pole mu with its residue c, D2 about conj(mu) with
-        # conj(c); the sheet keeps the centres 2 DISK_PAD apart, so k, at
-        # DISK_RADIUS from its own centre, lies within DISK_PAD of no other
-        k = complex(flat.ravel()[0])
+        # conj(c); the sheet keeps the centres 2 DISK_PAD apart, so a node,
+        # at DISK_RADIUS from its own centre, lies within DISK_PAD of no
+        # other, and one stack may hold the nodes of several disks
         disks = [(p.mu, p.residue, -1.0) for p in self.sr.poles]
         disks += [(np.conj(mu), np.conj(c), 1.0) for mu, c, _ in disks]
-        for mu, c, sgn in disks:
-            if abs(k - mu) < DISK_PAD:
-                break
-        else:
-            raise BadGeometry(f"{k:.6g} is not on a residue disk")
-        w = (np.exp(-sgn * 2j * mu * self.theta) * c
-             * np.exp(sgn * 2j * mu * _phase_raw(y, t, mu)))
         out = np.zeros(flat.shape + (2, 2), dtype=complex)
         out[..., 0, 0] = out[..., 1, 1] = 1.0
-        out[(..., 0, 1) if sgn < 0 else (..., 1, 0)] = -w / (flat - mu)
+        off = np.ones(flat.shape, dtype=bool)
+        for mu, c, sgn in disks:
+            on = np.abs(flat - mu) < DISK_PAD
+            off &= ~on
+            w = (np.exp(-sgn * 2j * mu * self.theta) * c
+                 * np.exp(sgn * 2j * mu * _phase_raw(y, t, mu)))
+            out[(on, 0, 1) if sgn < 0 else (on, 1, 0)] = -w / (flat[on] - mu)
+        if np.any(off):
+            raise BadGeometry(f"{flat[off][0]:.6g} is not on a residue disk")
         return out
 
     # -------------------------------------------- assembled jump
@@ -444,7 +456,13 @@ class JumpSpec:
             return self._disk_stack(y, t, flat)
         key = (tag, flat.shape, flat.tobytes())
         j0 = self._j0.get(key)
-        if j0 is None:
+        if j0 is None and key in self._own.get(tag, ()):
+            panels = self._own[tag]
+            cuts = np.cumsum([len(k) for k in panels.values()])[:-1]
+            built = self.j0_stack(np.concatenate(list(panels.values())), tag)
+            self._j0.update(zip(panels, np.split(built, cuts)))
+            j0 = self._j0[key]
+        elif j0 is None:
             j0 = self._j0[key] = self.j0_stack(flat, tag)
         out = j0.copy()
         e = np.exp(-2j * flat * _phase_raw(y, t, flat))
@@ -477,23 +495,21 @@ def jump_diagnostics(js, y=0.0, t=0.0, n=200, seed=5):
     """Worst |det J - 1|, symmetry-rule and junction defects.
 
     Samples max(1, n // tags) quadrature nodes of every region tag
-    present, so a tag with few nodes (a residue disk) is checked on
-    every seed, and evaluates them, panel by panel, as one stack with
+    present on js.ps, so a tag with few nodes (a residue disk) is
+    checked on every seed, and evaluates them, one stack per tag, with
     their images -k and conj(k) under the two rules of the module
     docstring.
     """
-    ps = panelize(js.mc)
+    ps = js.ps
     rng = np.random.default_rng(seed)
     node_tags = np.array([p.label for p in ps.panels])[ps.panel_index]
     tags = np.unique(node_tags)
     share = max(1, n // len(tags))
-    idx = np.concatenate([rng.permutation(np.flatnonzero(node_tags == tag))
-                          [:share] for tag in tags])
-    panel = ps.panel_index[idx]
     det_defect = holo = anti = 0.0
-    for q in np.unique(panel):
-        tag = ps.panels[q].label
-        k = ps.nodes[idx[panel == q]]
+    checked = 0
+    for tag in tags:
+        k = ps.nodes[rng.permutation(np.flatnonzero(node_tags == tag))[:share]]
+        checked += len(k)
         j = js.jump_stack(y, t, k, tag)
         det_defect = max(det_defect, float(np.max(np.abs(det2(j) - 1.0))))
         j_neg = js.jump_stack(y, t, -k, tag)
@@ -506,7 +522,7 @@ def jump_diagnostics(js, y=0.0, t=0.0, n=200, seed=5):
         anti = max(anti, float(np.max(frob(j - sigma1_conj(j_conj)))))
     return {"det": det_defect, "holomorphic": holo, "antiholomorphic": anti,
             "junction": _junction_defect(js, y, t),
-            "nodes_checked": int(len(idx))}
+            "nodes_checked": checked}
 
 
 def check_jumps(js, **kw):

@@ -1,22 +1,27 @@
 """Tests for the jump assembly: unimodular jumps on every region tag, the
 (y, t) phase conjugation, the t-independent jump built once per node
-array and equal to a fresh build, the diagonal eps-circle jumps, the
-circle jump inside the eps-circles against the shifted G-functions
-written out, the guard on region tags, check_jumps on its two symmetry
-rules and the junction at k = +-1/2 with every region tag sampled, and
-the residue-disk jumps of a synthetic pole.
+array and equal to a fresh build, a cold pass that builds each region
+tag of the spec's own panels in one stack, bit-equal to a panel-by-panel
+build on an evaluator of its own and integrating each tag once per step
+count, other node arrays built alone, a failed build kept nowhere, the
+diagonal eps-circle jumps, the circle jump inside the eps-circles against
+the shifted G-functions written out, the guard on region tags,
+check_jumps on its two symmetry rules and the junction at k = +-1/2 with
+every region tag sampled, and the residue-disk jumps of a synthetic pole.
 """
 
 import copy
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from perch import scattering
 from perch.assembly import (ALL_TAGS, UPPER_LOWER_TAGS, JumpSpec,
                             build_master_contour, check_jumps,
                             jump_diagnostics, panelize)
-from perch.branch import PoleData, _check_geometry
-from perch.config import DISK_RADIUS
+from perch.branch import PoleData, SheetedR, _check_geometry
+from perch.config import DISK_RADIUS, ContourConfig
 from perch.errors import (DenominatorCollapse, JumpConsistencyError,
                           PerchError, UnknownRegion)
 from perch.mat2 import det2, inv2
@@ -32,11 +37,11 @@ def jumps(request):
     def get(name):
         if name not in out:
             sr = request.getfixturevalue(name)
-            mc = build_master_contour(sr)
+            js = JumpSpec(sr.sd, sr, build_master_contour(sr))
             panels = {}
-            for p in panelize(mc).panels:
+            for p in js.ps.panels:
                 panels.setdefault(p.label, []).append(p)
-            out[name] = JumpSpec(sr.sd, sr, mc), panels
+            out[name] = js, panels
         return out[name]
     return get
 
@@ -69,22 +74,31 @@ def test_jump_phase_conjugation(jumps, name):
 
 
 class CountingJumps(JumpSpec):
-    """Counts the t-independent builds, and fails them while fail is set."""
+    """Records each t-independent build as (tag, node count), and fails
+    the builds of the tags in failing."""
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.builds = 0
-        self.fail = False
+        self.builds = []
+        self.failing = set()
 
     def j0_stack(self, ks, tag):
-        self.builds += 1
-        if self.fail:
+        self.builds.append((tag, len(ks)))
+        if tag in self.failing:
             raise DenominatorCollapse("injected failure")
         return super().j0_stack(ks, tag)
 
 
+def tag_sizes(js):
+    """Node count of every region tag of the spec's own panels."""
+    sizes = Counter()
+    for p in js.ps.panels:
+        sizes[p.label] += len(p.nodes)
+    return sizes
+
+
 def test_t_independent_jump_is_built_once_per_node_array(sr_hbump):
-    # one panel of every tag at three (y, t): one build per panel, each
+    # one panel of every tag at three (y, t): one build per tag, each
     # result bit-equal to a fresh JumpSpec's, and the caller may write
     # into what it gets back
     mc = build_master_contour(sr_hbump)
@@ -97,22 +111,101 @@ def test_t_independent_jump_is_built_once_per_node_array(sr_hbump):
             fresh = JumpSpec(sr_hbump.sd, sr_hbump, mc)
             assert np.array_equal(J, fresh.jump_stack(y, t, panel.nodes, tag))
             J[:] = np.nan
-    assert js.builds == len(panels) >= 6
+    assert len(js.builds) == len(panels) >= 6
+
+
+def with_phase(j0, k, y, t):
+    """j0 conjugated by the phase, written out as the module docstring has
+    it: J12 times e = exp(-2ik p(y, t, k)), J21 divided by it."""
+    out = j0.copy()
+    e = np.exp(-2j * k * (y - t / (2.0 * (k * k + 0.25))))
+    out[:, 0, 1] *= e
+    out[:, 1, 0] /= e
+    return out
+
+
+@pytest.mark.parametrize("name, factor", [("sr_bump", None),
+                                          ("sr_hbump", 12.5)])
+def test_a_cold_pass_builds_each_tag_once_bit_equal_to_panel_builds(
+        request, name, factor):
+    # the reference builds panel by panel on a sheet and evaluator of its
+    # own, so it shares no cached (a, b, a*, b*) with the pass
+    sr = request.getfixturevalue(name)
+    mc = build_master_contour(sr)
+    js = CountingJumps(sr.sd, sr, mc)
+    ccfg = ContourConfig(k_window_factor=factor) if factor else None
+    own = SheetedR(scattering.ScatteringData(sr.sd.mp), ccfg=ccfg)
+    assert own.k_max == sr.k_max
+    ref = JumpSpec(own.sd, own, build_master_contour(own))
+    for y, t in ((0.0, 0.0), (0.3 * sr.theta, 0.7)):
+        for p in js.ps.panels:
+            want = with_phase(ref.j0_stack(p.nodes, p.label), p.nodes, y, t)
+            assert np.array_equal(js.jump_stack(y, t, p.nodes, p.label), want)
+    assert sorted(js.builds) == sorted(tag_sizes(js).items())
+
+
+def test_a_cold_pass_integrates_each_tag_once_per_step_count(sd_hbump,
+                                                             monkeypatch):
+    # ab integrates its misses in one call per step count, and j0_stack
+    # takes the lower arcs of a tag from the upper ones at conj k, so a
+    # tag built in one stack makes at most two calls per step count; a
+    # build per 12-node panel makes about one call per panel (616 calls
+    # on these 610 panels)
+    sd = scattering.ScatteringData(sd_hbump.mp)
+    sr = SheetedR(sd, ccfg=ContourConfig(k_window_factor=12.5))
+    js = JumpSpec(sd, sr, build_master_contour(sr))
+    calls = []
+    integrate = scattering.integrate_transfer
+
+    def counting(m0, L, ks, n_steps):
+        calls.append((tag, n_steps))
+        return integrate(m0, L, ks, n_steps)
+
+    monkeypatch.setattr(scattering, "integrate_transfer", counting)
+    for p in panelize(js.mc).panels:
+        tag = p.label
+        js.jump_stack(0.0, 0.0, p.nodes, tag)
+    per = Counter(calls)
+    assert len(per) >= 6
+    assert max(per.values()) <= 2, per.most_common(3)
+
+
+def test_an_array_that_is_no_panel_is_built_alone(sr_hbump):
+    # -k of a real_outer panel is real_outer too, but no panel of the
+    # spec: it is built by itself, and the tag is still filled whole at
+    # the first miss on one of its panels
+    js = CountingJumps(sr_hbump.sd, sr_hbump, build_master_contour(sr_hbump))
+    panels = [p for p in js.ps.panels if p.label == "real_outer"]
+    k = -panels[0].nodes
+    js.jump_stack(0.0, 0.0, k, "real_outer")
+    assert js.builds == [("real_outer", len(k))]
+    for p in panels:
+        js.jump_stack(0.3, 0.7, p.nodes, "real_outer")
+    js.jump_stack(0.7, 0.3, k, "real_outer")
+    n_tag = tag_sizes(js)["real_outer"]
+    assert js.builds == [("real_outer", len(k)), ("real_outer", n_tag)]
 
 
 def test_a_failed_build_is_not_kept(sr_hbump):
-    mc = build_master_contour(sr_hbump)
-    panel = panelize(mc).panels[0]
-    js = CountingJumps(sr_hbump.sd, sr_hbump, mc)
-    js.fail = True
+    # a tag whose build raises keeps nothing and is built again at the
+    # next call; another tag builds meanwhile
+    js = CountingJumps(sr_hbump.sd, sr_hbump, build_master_contour(sr_hbump))
+    first = {}
+    for p in js.ps.panels:
+        first.setdefault(p.label, p)
+    bad, good = first["circle"], first["real_outer"]
+    js.failing = {"circle"}
     for _ in range(2):
         with pytest.raises(PerchError):
-            js.jump_stack(0.0, 0.0, panel.nodes, panel.label)
-    assert js.builds == 2
-    js.fail = False
-    js.jump_stack(0.0, 0.0, panel.nodes, panel.label)
-    js.jump_stack(0.3, 0.7, panel.nodes, panel.label)
-    assert js.builds == 3
+            js.jump_stack(0.0, 0.0, bad.nodes, "circle")
+    js.jump_stack(0.0, 0.0, good.nodes, "real_outer")
+    js.failing = set()
+    for p in js.ps.panels:
+        if p.label == "circle":
+            js.jump_stack(0.3, 0.7, p.nodes, "circle")
+    n = tag_sizes(js)
+    assert js.builds == [("circle", n["circle"])] * 2 + [
+        ("real_outer", n["real_outer"]), ("circle", n["circle"])]
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -200,7 +293,7 @@ def test_check_jumps_passes(request, name, yt):
     # every tag present is sampled at its own quadrature nodes (the
     # junction check evaluates off the nodes, so it does not count)
     nodes = {}
-    for p in panelize(js.mc).panels:
+    for p in js.ps.panels:
         nodes.setdefault(p.label, []).append(p.nodes)
     sampled = {tag for tag, calls in js.seen.items() if tag in nodes and any(
         np.all(np.isin(k, np.concatenate(nodes[tag]))) for k in calls)}
@@ -258,7 +351,7 @@ def test_disk_jump_is_the_residue_condition(sr_bump):
     # about conj(mu) the (2,1) entry with conj(c) and the opposite phase
     js = disk_jumps(sr_bump, RES_DISK)
     y, t = 0.3 * js.theta, 0.7
-    for panel in panelize(js.mc).panels:
+    for panel in js.ps.panels:
         k = panel.nodes
         lower = panel.center.imag < 0
         m, c, sgn = ((MU_DISK, RES_DISK, 1.0) if lower else
@@ -277,7 +370,7 @@ def test_disk_jump_is_the_residue_condition(sr_bump):
 def test_disk_jumps_obey_both_rules(sr_bump, yt):
     js = disk_jumps(sr_bump, RES_DISK)
     d = check_jumps(js, y=yt[0] * js.theta, t=yt[1])
-    assert d["nodes_checked"] == panelize(js.mc).n == 96
+    assert d["nodes_checked"] == js.ps.n == 96
     assert max(d["det"], d["holomorphic"], d["antiholomorphic"]) < 1e-14
 
 

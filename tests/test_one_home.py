@@ -4,9 +4,11 @@ in config.  The window config has one reader besides the window formula:
 the sheet, which hands its k_max down as a value.  Nothing in assembly
 reads a cut side, only the branch-point polish differences the trace,
 and only jump_stack builds the t-independent jump, so every path to a
-jump goes through its memo; likewise only integrate_transfer builds and
-evaluates the step polynomials, so every integration goes through their
-memo and the benchmark's count of integrations.  Every sheet is built once, from the
+jump goes through its memo.  Only JumpSpec panelizes the master contour,
+so its per-tag fill and jump_diagnostics read the one PanelSet it keeps
+(ps).  Likewise only integrate_transfer builds and evaluates the step
+polynomials, so every integration goes through their memo and the
+benchmark's count of integrations.  Every sheet is built once, from the
 scattering data and the window, and nothing in the package builds one.
 Only _rows applies the Q-form of a Cauchy row, and only _side_Q takes the
 one-sided Q values, so both boundary matrices and the off-node boundary
@@ -135,6 +137,13 @@ def test_only_jump_stack_builds_the_t_independent_jump():
     # jump_stack keeps J0 per (tag, node array); a second caller of
     # j0_stack would rebuild it around that memo
     assert package_callers("j0_stack") == ["assembly.JumpSpec.jump_stack"]
+
+
+def test_only_the_jump_spec_panelizes_the_master_contour():
+    # JumpSpec keeps its PanelSet; the per-tag fill reads its panels and
+    # jump_diagnostics samples them, so a second panelize would lay the
+    # same panels twice
+    assert package_callers("panelize") == ["assembly.JumpSpec.__init__"]
 
 
 def test_only_integrate_transfer_builds_and_evaluates_step_polynomials():
