@@ -9,11 +9,16 @@ the transfer matrix T(k) for (psi, psi_x).  The system is linear, so each
 step of the fixed-step RK8 scheme acts as a propagator P_n, and
 T = P_{N-1} ... P_0.  k enters only through lam, so every increment
 E_n = P_n - I is a polynomial in lam of degree at most 6, with real
-coefficients that depend on (m0, L, N) alone.  The integrator builds
-those coefficients once per (m0, L, N) and keeps them, evaluates the
-E_n for each batch of k, and multiplies them by a pairwise product in
-that increment form, adding I once at the end.  Because m0 vanishes at the
-period endpoints, the wave-basis change
+coefficients that depend on (m0, L, N) alone.  The integrator multiplies
+the P_n by a pairwise product in that increment form, adding I once at
+the end.  Its first two levels pair polynomials that do not depend on k,
+so they are taken once per (m0, L, N) on the coefficients: four steps
+make one factor F_m = P_{4m+3} ... P_{4m} - I of degree at most
+(24 23; 24 24) in lam.  A third level would reach degree 48, whose
+smallest coefficients fall into the subnormal range.  The integrator
+keeps the factor coefficients, evaluates the N/4 factors for each batch
+of k, and takes the rest of the product there.  Because m0 vanishes at
+the period endpoints, the wave-basis change
 
     W = (1/2) (1, -1/(ik); 1, 1/(ik)),     W^{-1} = (1, 1; -ik, ik)
 
@@ -65,9 +70,14 @@ _B_SUM = math.fsum(_B)
 
 ODE_STEPS_MIN = 192       # RK8 steps across [0, L] for small |k|
 ODE_STEPS_PER_K = 12.0    # extra steps ~ this * |k| * L
-SLAB_STEPK = 8192         # steps x k per pass of the kernel, about 1.2 MB
-# (profile, step count) pairs whose step coefficients are kept, 224 bytes a
-# step each: one spectra round of four profiles uses 27 (2.3 MB), a cold
+# steps x k per pass of the kernel, about 1.2 MB.  It also bounds the
+# width of the evaluation's matrix product, which keeps each k's result
+# independent of its batch: with OpenBLAS 0.3.31 (Haswell kernel) a product
+# 97 k or more wide can give its last one to three columns other bits than
+# a product one k wide, and at ODE_STEPS_MIN this slab is 42 k
+SLAB_STEPK = 8192
+# (profile, step count) pairs whose four-step factors are kept, 200 bytes a
+# step each: one spectra round of four profiles uses 27 (2.0 MB), a cold
 # Riemann-Hilbert pass of three profiles 6
 COEFF_MEMO = 32
 # degree in lam of E_n = P_n - I, per (row, col); _step_coefficients derives it
@@ -101,30 +111,36 @@ def integrate_transfer(m0, L, ks, n_steps):
         E_n(lam) = sum_d C[d, :, :, n] lam^d,     d = 0 .. 6,
 
     whose coefficients are real and depend on (m0, L, n_steps) alone; the
-    degree bound is derived in _step_coefficients.  The coefficients are
-    built once per (m0, L, n_steps) and kept (the COEFF_MEMO most recent).
-    Each k then costs the evaluation of E_n and the product, taken
+    degree bound is derived in _step_coefficients.  The product is taken
     pairwise, (I + E_hi)(I + E_lo) = I + (E_hi + E_lo + E_hi E_lo), with
     I added once at the end.  Keeping I out of the factors keeps its
     rounding from repeating at every step, which would otherwise cost
     det Y = 1 a digit when all the P_n are alike.
 
+    The first two levels of that product pair polynomials whose
+    coefficients do not depend on k, so _factor_coefficients takes them
+    on the coefficients, once per (m0, L, n_steps), and keeps the result
+    (the COEFF_MEMO most recent): the factors F_m with I + F_m =
+    P_{4m+3} ... P_{4m}, of degree at most (24 23; 24 24) in lam.  Each
+    k then costs the evaluation of the N/4 factors and the rest of the
+    pairwise product.
+
     The evaluation keeps that increment form's rounding.  I never enters
-    the sum, so E_n carries a few ulps of its own terms C_d lam^d, not
-    of 1.  Past the leading degree
-    the terms fall by about h^2 |lam| w / ((2d + 1)(2d + 2)) per degree,
-    which the callers' step counts keep well under 1, so no cancellation
-    grows with the degree.  k is taken in slabs of at most SLAB_STEPK
-    steps x k.
+    the sum, so F_m carries a few ulps of its own terms F_d lam^d, not
+    of 1.  In E_n the terms fall by about h^2 |lam| w / ((2d + 1)(2d + 2))
+    per degree past the leading one, which the callers' step counts keep
+    well under 1, and F_m, a product of four such steps, falls alike, so
+    no cancellation grows with the degree.  k is taken in slabs of at
+    most SLAB_STEPK steps x k.
     """
     ks = np.asarray(ks, dtype=complex)
-    C = _step_coefficients(np.asarray(m0, dtype=float).tobytes(), float(L),
-                           int(n_steps))
+    F = _factor_coefficients(np.asarray(m0, dtype=float).tobytes(), float(L),
+                             int(n_steps))
     lam = -(ks**2 + 0.25)
     per_slab = max(1, SLAB_STEPK // n_steps)
     Y = np.empty((len(ks), 2, 2), dtype=complex)
     for s in range(0, len(ks), per_slab):
-        E = _evaluate_increments(C, lam[s:s + per_slab])
+        E = _evaluate_increments(F, lam[s:s + per_slab])
         Y[s:s + per_slab] = _pairwise_product(E).transpose(2, 0, 1)
     Y[:, 0, 0] += 1.0
     Y[:, 1, 1] += 1.0
@@ -132,8 +148,44 @@ def integrate_transfer(m0, L, ks, n_steps):
 
 
 @functools.lru_cache(maxsize=COEFF_MEMO)
+def _factor_coefficients(m0_bytes, L, n_steps):
+    """F[d, row, col, m]: four steps in one factor, I + F_m = P_4m+3 ... P_4m.
+
+    The step polynomials of _step_coefficients, paired as
+    _pairwise_product pairs their values, F = E_hi + E_lo + E_hi E_lo
+    with hi the odd and lo the even factors, but on the coefficients:
+    E_hi E_lo is a convolution along the degree axis.  The algebra is
+    that of the product taken at each k; only the rounding differs.  A
+    level is taken only while the factor count is even, so a bucket of
+    steps (a multiple of 64) gives N/4 factors, and a single step one.
+
+    Degree bound.  A product entry (r, c) has degree
+    max_j deg(r, j) + deg(j, c), so (6 5; 6 6) becomes (12 11; 12 12) and
+    then (24 23; 24 24).  Every coefficient above it is an exact 0, a sum
+    of products with a zero factor.  The coefficients fall steeply with
+    the degree, since the terms of each step do (integrate_transfer).
+    """
+    F = _step_coefficients(m0_bytes, L, n_steps)
+    # two levels, not three: at degree (24 23; 24 24) the smallest nonzero
+    # coefficient is 1e-110 to 1e-197 on the test profiles at 64 to 1792
+    # steps, but a third level, of degree 48, falls to 2e-307 and below
+    # (down to 5e-324) at 512 steps, subnormal, where digits are lost
+    for _ in range(2):
+        if F.shape[-1] % 2:
+            break
+        hi, lo = F[..., 1::2], F[..., 0::2]
+        deg = len(F)
+        F = np.zeros((2 * deg - 1,) + hi.shape[1:])
+        F[:deg] = hi + lo
+        for d in range(2 * deg - 1):
+            i = np.arange(max(0, d - deg + 1), min(d, deg - 1) + 1)
+            F[d] += np.einsum("irjm,ijcm->rcm", hi[i], lo[d - i])
+    F.flags.writeable = False
+    return F
+
+
 def _step_coefficients(m0_bytes, L, n_steps):
-    """C[d, row, col, n] with E_n = P_n - I = sum_d C[d] lam^d, read-only.
+    """C[d, row, col, n] with E_n = P_n - I = sum_d C[d] lam^d.
 
     One RK8 step from the identity, all steps at once, on the
     coefficients of polynomials in lam.  With the stage values
@@ -189,9 +241,7 @@ def _step_coefficients(m0_bytes, L, n_steps):
     e0[0, 1] += h * _B_SUM
     e1[0, 0] += h * 0.25 * _B_SUM
     e1[1, 0] += h * bw
-    C = np.stack([e0, e1], axis=1)
-    C.flags.writeable = False
-    return C
+    return np.stack([e0, e1], axis=1)
 
 
 def _evaluate_increments(C, lam):
@@ -201,9 +251,9 @@ def _evaluate_increments(C, lam):
     takes every (row, col, n) at once, with the powers seen as float
     pairs: C is real, so the real and imaginary parts of each power take
     the same coefficients.  Horner's rule gives the same digits here,
-    since the terms fall with the degree, but needs six elementwise
-    passes over E, about ten times slower a slab (one Xeon core,
-    OpenBLAS).
+    since the terms fall with the degree, but on the four-step factors it
+    needs 24 elementwise passes over E, 9 to 17 times slower a slab at
+    192 to 1792 steps (one Xeon core, OpenBLAS).
     """
     powers = np.ones((len(C), len(lam)), dtype=complex)
     for d in range(1, len(C)):
@@ -272,22 +322,26 @@ class ScatteringData:
         if kabs > self.kmax_guard:
             raise StiffnessFailure(
                 f"|k| = {kabs:.3g} beyond the {self.kmax_guard:.3g} guard")
-        missing = sorted({k for k in ks.tolist() if k not in self._cache},
-                         key=lambda z: (abs(z), z.real, z.imag))
+        cache = self._cache
+        missing = [k for k in np.unique(ks).tolist() if k not in cache]
         if missing:
-            self._integrate_batch(np.asarray(missing))
-        out = np.array([self._cache[k] for k in ks.tolist()])
+            self._integrate_batch(np.array(missing))
+        out = np.array([cache[k] for k in ks.tolist()])
         return out[:, 0], out[:, 1], out[:, 2], out[:, 3]
 
     def _integrate_batch(self, ks):
+        """Integrate ks by step bucket and keep each k's (a, b, a*, b*).
+
+        Each value depends on its k alone, not on the rest of the batch
+        (SLAB_STEPK), so the order of ks changes no digit.
+        """
         steps = _step_count(np.abs(ks), self.wmax, self.mp.L,
                             ODE_STEPS_MIN, ODE_STEPS_PER_K)
         for n in np.unique(steps):
             sel = ks[steps == n]
             T = integrate_transfer(self.mp.m0, self.mp.L, sel, int(n))
-            A, Bv, As, Bs = _unpack_monodromy(sel, T, self.theta)
-            for i, k in enumerate(sel.tolist()):
-                self._cache[k] = (A[i], Bv[i], As[i], Bs[i])
+            vals = np.stack(_unpack_monodromy(sel, T, self.theta), axis=1)
+            self._cache.update(zip(sel.tolist(), vals.tolist()))
 
     def ab_coarse(self, ks):
         """Low-accuracy (~1e-4) evaluation for the b probe of b_vanishes.

@@ -6,10 +6,11 @@ reads a cut side, only the branch-point polish differences the trace,
 and only jump_stack builds the t-independent jump, so every path to a
 jump goes through its memo.  Only JumpSpec panelizes the master contour,
 so its per-tag fill and jump_diagnostics read the one PanelSet it keeps
-(ps).  Likewise only integrate_transfer builds and evaluates the step
-polynomials, so every integration goes through their memo and the
-benchmark's count of integrations.  Every sheet is built once, from the
-scattering data and the window, and nothing in the package builds one.
+(ps).  Likewise only integrate_transfer builds (through the four-step
+factors) and evaluates the step polynomials, so every integration goes
+through their memo and the benchmark's count of integrations.  Every
+sheet is built once, from the scattering data and the window, and
+nothing in the package builds one.
 Only _rows applies the Q-form of a Cauchy row, and only _side_Q takes the
 one-sided Q values, so both boundary matrices and the off-node boundary
 rows build their self-panel rows through the same two functions; only
@@ -147,12 +148,16 @@ def test_only_the_jump_spec_panelizes_the_master_contour():
 
 
 def test_only_integrate_transfer_builds_and_evaluates_step_polynomials():
-    # integrate_transfer keeps the coefficients per (m0, L, n_steps), and
-    # the benchmark's tracer counts integrations by wrapping it
+    # the four-step factors are kept per (m0, L, n_steps) and built from
+    # the step polynomials alone, and the benchmark's tracer counts
+    # integrations by wrapping integrate_transfer
     callers = {target: package_callers(target)
-               for target in ("_step_coefficients", "_evaluate_increments")}
-    assert callers == {"_step_coefficients": ["scattering.integrate_transfer"],
-                       "_evaluate_increments": ["scattering.integrate_transfer"]}
+               for target in ("_step_coefficients", "_factor_coefficients",
+                              "_evaluate_increments")}
+    assert callers == {
+        "_step_coefficients": ["scattering._factor_coefficients"],
+        "_factor_coefficients": ["scattering.integrate_transfer"],
+        "_evaluate_increments": ["scattering.integrate_transfer"]}
 
 
 def test_self_panel_rows_are_built_only_through_rows():

@@ -14,8 +14,8 @@ from perch.errors import BasisSingular, IdenticallyZero, StiffnessFailure
 from perch.initial import trig_eval
 from perch.scattering import (DEGREE_BOUND, IMAG_GUARD, ODE_STEPS_MIN,
                               ODE_STEPS_PER_K, SLAB_STEPK, ScatteringData,
-                              _step_coefficients, _step_count,
-                              integrate_transfer, rk8_tableau)
+                              _factor_coefficients, _step_coefficients,
+                              _step_count, integrate_transfer, rk8_tableau)
 
 L = 2.0
 
@@ -134,6 +134,23 @@ def test_one_pass_matches_step_loop_across_slabs(mp_bump):
     assert _rel_diff(T, _rk8_loop(mp_bump.m0, L, ks, 1024)) < 1e-13
 
 
+@pytest.mark.parametrize("n_steps", [192, 320, 1024])
+def test_each_k_is_independent_of_its_batch(mp_bump, n_steps):
+    # the cache keeps each k's value whatever batch computed it, so a k
+    # must come out with the same bits alone, in a panel and in a batch
+    # of several slabs (SLAB_STEPK bounds the width of the matrix product)
+    assert 300 > 2 * (SLAB_STEPK // n_steps)
+    rng = np.random.default_rng(n_steps + 1)
+    ks = rng.uniform(-20, 20, 300) + 1j * rng.uniform(-1, 1, 300)
+    T = integrate_transfer(mp_bump.m0, L, ks, n_steps)
+    for s in range(0, 300, 12):
+        panel = integrate_transfer(mp_bump.m0, L, ks[s:s + 12], n_steps)
+        assert np.array_equal(panel, T[s:s + 12])
+    for i in range(300):
+        alone = integrate_transfer(mp_bump.m0, L, ks[i:i + 1], n_steps)
+        assert np.array_equal(alone, T[i:i + 1])
+
+
 def test_det_one_where_every_step_is_alike(sd_zero):
     # m0 = 0 makes every step propagator the same matrix, so a rounding
     # made once per factor repeats N times instead of averaging out
@@ -210,20 +227,83 @@ def test_step_polynomial_is_one_rk8_step_on_zero_momentum():
     assert _rel_diff(T, P) < 1e-14
 
 
-def test_step_coefficients_are_memoized_read_only(mp_bump):
+def _product_degrees(D):
+    """Degree of each entry of a product of two 2x2 matrices of degrees D."""
+    return np.max(D[:, :, None] + D[None, :, :], axis=1)
+
+
+FACTOR_DEGREES = _product_degrees(_product_degrees(DEGREE_BOUND))
+
+
+def test_factor_coefficients_vanish_above_the_composed_bound(mp_bump):
+    assert FACTOR_DEGREES.tolist() == [[24, 23], [24, 24]]
+    F = _factor_coefficients(mp_bump.m0.tobytes(), L, 320)
+    assert F.shape == (FACTOR_DEGREES.max() + 1, 2, 2, 80)
+    for r in range(2):
+        for c in range(2):
+            d = FACTOR_DEGREES[r, c]
+            assert np.all(F[d + 1:, r, c] == 0.0)
+            assert np.all(F[d, r, c] != 0.0)    # the bound is reached
+
+
+@pytest.mark.parametrize("name", ["bump", "zero", "asym", "hbump"])
+@pytest.mark.parametrize("n_steps", [64, 192, 640, 1792])
+def test_factor_coefficients_stay_normal(request, name, n_steps):
+    # a third level would reach the subnormal range (at degree 48), where
+    # a coefficient keeps fewer digits than its neighbours
+    mp = request.getfixturevalue(f"sd_{name}").mp
+    F = _factor_coefficients(mp.m0.tobytes(), mp.L, n_steps)
+    assert np.min(np.abs(F[F != 0.0])) > 1e-300
+
+
+@pytest.mark.parametrize("n_steps", [64, 192, 640, 1792])
+def test_factor_is_the_product_of_its_four_steps(sd_bump, n_steps):
+    mp = sd_bump.mp
+    C = _step_coefficients(mp.m0.tobytes(), L, n_steps)
+    F = _factor_coefficients(mp.m0.tobytes(), L, n_steps)
+    assert F.shape[-1] * 4 == n_steps
+    # k up to the largest |k| that _step_count gives this many steps
+    kmax = n_steps / (ODE_STEPS_PER_K * sd_bump.wmax * L)
+    rng = np.random.default_rng(n_steps)
+    ks = rng.uniform(-kmax, kmax, 40) + 1j * rng.uniform(-1, 1, 40)
+    lam = -(ks**2 + 0.25)
+
+    def at_lam(X):
+        return sum(np.multiply.outer(X[d], lam**d) for d in range(len(X)))
+
+    eye = np.eye(2)[:, :, None, None]
+    P = [eye + at_lam(C[..., j::4]) for j in range(4)]
+    want = np.einsum("abmk,bcmk,cdmk,demk->aemk", *P[::-1])
+    got = eye + at_lam(F)
+    scale = np.max(np.abs(want), axis=(0, 1))
+    assert np.max(np.max(np.abs(got - want), axis=(0, 1)) / scale) < 1e-14
+
+
+@pytest.mark.parametrize("n_steps,n_factors", [(1, 1), (2, 1), (6, 3),
+                                               (7, 7)])
+def test_a_level_is_folded_only_while_the_factor_count_is_even(
+        mp_bump, n_steps, n_factors):
+    F = _factor_coefficients(mp_bump.m0.tobytes(), L, n_steps)
+    assert F.shape[-1] == n_factors
+    ks = np.array([0.7, 2.0 - 0.3j, 0.25j])
+    T = integrate_transfer(mp_bump.m0, L, ks, n_steps)
+    assert _rel_diff(T, _rk8_loop(mp_bump.m0, L, ks, n_steps)) < 1e-13
+
+
+def test_factor_coefficients_are_memoized_read_only(mp_bump):
     ks = np.array([0.7, 3.1 + 0.2j, 0.25j, 9.0])
     ScatteringData(mp_bump).ab(ks)
-    built = _step_coefficients.cache_info().misses
+    built = _factor_coefficients.cache_info().misses
     fresh = ScatteringData(mp_bump)
     memo = fresh.ab(ks)
-    C = _step_coefficients(mp_bump.m0.tobytes(), L, ODE_STEPS_MIN)
+    F = _factor_coefficients(mp_bump.m0.tobytes(), L, ODE_STEPS_MIN)
     T = integrate_transfer(mp_bump.m0, L, ks, ODE_STEPS_MIN)
-    assert _step_coefficients.cache_info().misses == built
+    assert _factor_coefficients.cache_info().misses == built
     with pytest.raises(ValueError):
-        C[0, 0, 0, 0] = 1.0
-    _step_coefficients.cache_clear()
+        F[0, 0, 0, 0] = 1.0
+    _factor_coefficients.cache_clear()
     assert np.array_equal(
-        _step_coefficients(mp_bump.m0.tobytes(), L, ODE_STEPS_MIN), C)
+        _factor_coefficients(mp_bump.m0.tobytes(), L, ODE_STEPS_MIN), F)
     assert np.array_equal(
         integrate_transfer(mp_bump.m0, L, ks, ODE_STEPS_MIN), T)
     again = ScatteringData(mp_bump).ab(ks)
