@@ -16,9 +16,11 @@ so they are taken once per (m0, L, N) on the coefficients: four steps
 make one factor F_m = P_{4m+3} ... P_{4m} - I of degree at most
 (24 23; 24 24) in lam.  A third level would reach degree 48, whose
 smallest coefficients fall into the subnormal range.  The integrator
-keeps the factor coefficients, evaluates the N/4 factors for each batch
-of k, and takes the rest of the product there.  Because m0 vanishes at
-the period endpoints, the wave-basis change
+keeps the factor coefficients, evaluates the N/4 factors by one matrix
+product per group of at most MATMUL_K k, and takes the rest of the
+product once per slab of at most SLAB_STEPK steps x k.
+
+Because m0 vanishes at the period endpoints, the wave-basis change
 
     W = (1/2) (1, -1/(ik); 1, 1/(ik)),     W^{-1} = (1, 1; -ik, ik)
 
@@ -70,12 +72,17 @@ _B_SUM = math.fsum(_B)
 
 ODE_STEPS_MIN = 192       # RK8 steps across [0, L] for small |k|
 ODE_STEPS_PER_K = 12.0    # extra steps ~ this * |k| * L
-# steps x k per pass of the kernel, about 1.2 MB.  It also bounds the
-# width of the evaluation's matrix product, which keeps each k's result
-# independent of its batch: with OpenBLAS 0.3.31 (Haswell kernel) a product
-# 97 k or more wide can give its last one to three columns other bits than
-# a product one k wide, and at ODE_STEPS_MIN this slab is 42 k
-SLAB_STEPK = 8192
+# k per matrix product of the factor evaluation.  A k's value must not
+# depend on its batch, and only that BLAS product could make it: with
+# OpenBLAS 0.3.31 (Haswell kernel) a product 97 k or more wide can give its
+# last one to three columns other bits than a product one k wide, and
+# DYNAMIC_ARCH builds pick their kernel per CPU, so 42 stays well under it
+MATMUL_K = 42
+# steps x k per slab of the pairwise product, 4 MB of factor values.  The
+# product holds two of its levels at a time, at most a half and a quarter
+# of that, and a temporary of an eighth, so a call peaks near 8 MB however
+# many k it takes (8.8 MB for 5000 k at 192 steps, tracemalloc)
+SLAB_STEPK = 2**18
 # (profile, step count) pairs whose four-step factors are kept, 200 bytes a
 # step each: one spectra round of four profiles uses 27 (2.0 MB), a cold
 # Riemann-Hilbert pass of three profiles 6
@@ -130,8 +137,12 @@ def integrate_transfer(m0, L, ks, n_steps):
     of 1.  In E_n the terms fall by about h^2 |lam| w / ((2d + 1)(2d + 2))
     per degree past the leading one, which the callers' step counts keep
     well under 1, and F_m, a product of four such steps, falls alike, so
-    no cancellation grows with the degree.  k is taken in slabs of at
-    most SLAB_STEPK steps x k.
+    no cancellation grows with the degree.
+
+    k is taken in slabs of at most SLAB_STEPK steps x k, which bounds the
+    memory, and the pairwise product runs once per slab.  The factors are
+    evaluated in groups of at most MATMUL_K k, one matrix product each,
+    which keeps each k's bits independent of its batch.
     """
     ks = np.asarray(ks, dtype=complex)
     F = _factor_coefficients(np.asarray(m0, dtype=float).tobytes(), float(L),
@@ -140,7 +151,11 @@ def integrate_transfer(m0, L, ks, n_steps):
     per_slab = max(1, SLAB_STEPK // n_steps)
     Y = np.empty((len(ks), 2, 2), dtype=complex)
     for s in range(0, len(ks), per_slab):
-        E = _evaluate_increments(F, lam[s:s + per_slab])
+        lam_s = lam[s:s + per_slab]
+        E = np.empty(F.shape[1:] + lam_s.shape, dtype=complex)
+        for g in range(0, len(lam_s), MATMUL_K):
+            E[..., g:g + MATMUL_K] = _evaluate_increments(
+                F, lam_s[g:g + MATMUL_K])
         Y[s:s + per_slab] = _pairwise_product(E).transpose(2, 0, 1)
     Y[:, 0, 0] += 1.0
     Y[:, 1, 1] += 1.0
@@ -267,18 +282,29 @@ def _pairwise_product(E):
 
     E[row, col, n, k] holds E_n; F[row, col, k] is returned.  Each level
     pairs neighbours as E_hi + E_lo + E_hi E_lo, the 2x2 product written
-    out; an odd last factor is carried to the next level unchanged.
+    out; an odd last factor is carried to the next level unchanged.  Every
+    operation acts on each k alone, so integrate_transfer passes a whole
+    slab of k at once: numpy's call overhead, not the arithmetic, sets the
+    cost of a narrow slab.  Each level writes into one new array, the
+    carried factor into its tail, and the eight terms E_hi[r, j] E_lo[j, c]
+    pass through one temporary.
     """
+    tmp = np.empty((E.shape[2] // 2,) + E.shape[3:], dtype=complex)
     while E.shape[2] > 1:
         n = E.shape[2]
-        m = n // 2 * 2
-        hi, lo = E[:, :, 1:m:2], E[:, :, 0:m:2]
-        F = hi + lo
+        m = n // 2
+        hi, lo = E[:, :, 1:2 * m:2], E[:, :, 0:2 * m:2]
+        out = np.empty(E.shape[:2] + (n - m,) + E.shape[3:], dtype=complex)
+        F = out[:, :, :m]
+        np.add(hi, lo, out=F)
+        t = tmp[:m]
         for r in range(2):
             for c in range(2):
-                F[r, c] += hi[r, 0] * lo[0, c]
-                F[r, c] += hi[r, 1] * lo[1, c]
-        E = np.concatenate([F, E[:, :, m:]], axis=2) if m < n else F
+                for j in range(2):
+                    np.multiply(hi[r, j], lo[j, c], out=t)
+                    F[r, c] += t
+        out[:, :, m:] = E[:, :, 2 * m:]
+        E = out
     return E[:, :, 0]
 
 

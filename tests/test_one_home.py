@@ -153,11 +153,12 @@ def test_only_integrate_transfer_builds_and_evaluates_step_polynomials():
     # integrations by wrapping integrate_transfer
     callers = {target: package_callers(target)
                for target in ("_step_coefficients", "_factor_coefficients",
-                              "_evaluate_increments")}
+                              "_evaluate_increments", "_pairwise_product")}
     assert callers == {
         "_step_coefficients": ["scattering._factor_coefficients"],
         "_factor_coefficients": ["scattering.integrate_transfer"],
-        "_evaluate_increments": ["scattering.integrate_transfer"]}
+        "_evaluate_increments": ["scattering.integrate_transfer"],
+        "_pairwise_product": ["scattering.integrate_transfer"]}
 
 
 def test_self_panel_rows_are_built_only_through_rows():
