@@ -115,8 +115,13 @@ def _real_axis_segments(sr):
         mid = 0.5 * (x0 + x1)
         tag = (("cut_hor_" if sr.cuts.covers("real", mid) else "real_")
                + ("outer" if abs(mid) > 0.5 else "inner"))
-        gs = x0 in branch_pts or x0 in (-0.5, 0.5) or x0 == ORIGIN_STUB
-        ge = x1 in branch_pts or x1 in (-0.5, 0.5) or x1 == -ORIGIN_STUB
+        # a piece at k = 0 is one ungraded panel: grading it would put
+        # nodes within ORIGIN_OFFSET of 0 on a cut shorter than ORIGIN_STUB
+        whole = 0.0 in (x0, x1)
+        gs = not whole and (x0 in branch_pts or x0 in (-0.5, 0.5)
+                            or x0 == ORIGIN_STUB)
+        ge = not whole and (x1 in branch_pts or x1 in (-0.5, 0.5)
+                            or x1 == -ORIGIN_STUB)
         segs.append(Segment("line", a=complex(x0), b=complex(x1), label=tag,
                             grade_start=gs, grade_end=ge))
     return segs
@@ -150,6 +155,12 @@ def _eps_segments(eps):
 
 
 def _vertical_cut_segments(sr):
+    """Vertical cuts as segments running away from the origin.
+
+    A cut through 0 splits there; each half starts with an ungraded stub
+    of length ORIGIN_STUB, or is one ungraded segment when it is no
+    longer than that (see _real_axis_segments).
+    """
     segs = []
     for c in sr.cuts.imag_cuts:
         pieces = []
@@ -161,17 +172,14 @@ def _vertical_cut_segments(sr):
             near = c.lo if far is c.hi else c.hi
             pieces.append((near, far))
         for near, far in pieces:
-            if near == 0.0:
-                stub = ORIGIN_STUB * np.sign(far)
-                segs.append(Segment("line", a=0j, b=1j * stub,
+            if near == 0.0 and abs(far) > ORIGIN_STUB:
+                near = ORIGIN_STUB * np.sign(far)
+                segs.append(Segment("line", a=0j, b=1j * near,
                                     label="cut_vert"))
-                segs.append(Segment("line", a=1j * stub, b=1j * far,
-                                    label="cut_vert", grade_start=True,
-                                    grade_end=True))
-            else:
-                segs.append(Segment("line", a=1j * near, b=1j * far,
-                                    label="cut_vert", grade_start=True,
-                                    grade_end=True))
+            graded = near != 0.0
+            segs.append(Segment("line", a=1j * near, b=1j * far,
+                                label="cut_vert", grade_start=graded,
+                                grade_end=graded))
     return segs
 
 
@@ -238,35 +246,6 @@ def _phase_raw(y, t, k):
 # ------------------------------------------------------------ G-functions
 
 
-def _sided_roots(sr, ks):
-    """Plus boundary values of the root and its conjugate on a cut.
-
-    plus is the left side of the contour orientation: the upper half
-    plane on real cuts (they run rightward), the side away from the
-    travel direction's right on vertical cuts (Re k < 0 on the upper
-    piece, Re k > 0 on the lower one).
-    """
-    flat = np.atleast_1d(ks)
-    K = np.empty(flat.shape, dtype=complex)
-    Ks = np.empty(flat.shape, dtype=complex)
-    on_real = np.abs(flat.imag) <= AXIS_TOL
-    on_imag = ~on_real & (np.abs(flat.real) <= AXIS_TOL)
-    if np.any(~(on_real | on_imag)):
-        raise BadGeometry("sided evaluation requires points on an axis cut")
-    if np.any(on_real):
-        xs = flat.real[on_real]
-        K[on_real] = sr.boundary("real", xs, 1.0)
-        Ks[on_real] = sr.boundary_star("real", xs, 1.0)
-    for sgn in (1.0, -1.0):
-        sel = on_imag & (np.sign(flat.imag) == sgn)
-        if not np.any(sel):
-            continue
-        xs = flat.imag[sel]
-        K[sel] = sr.boundary("imag", xs, -sgn)
-        Ks[sel] = sr.boundary_star("imag", xs, -sgn)
-    return K, Ks
-
-
 def _cross_check(name, first, second, ks):
     scale = np.maximum(1.0, np.maximum(np.abs(first), np.abs(second)))
     bad = np.abs(first - second) > 1e-8 * scale
@@ -287,7 +266,8 @@ def _guard_denominator(name, value, floor=1e-10):
 def _g_core(sd, sr, ks, on_cut=False):
     """Vectorized pair (G, G1) with dual-form checks.
 
-    On a cut the root takes its plus boundary values.  Each function is
+    On a real cut (on_cut) the root takes its plus boundary values, from
+    Im k > 0, as real cuts run rightward.  Each function is
     formed in two algebraically equivalent ways that must agree, and
     every denominator is guarded.  The shifted pair of the eps-circles
     is e^{-2ik(L - theta)} G and e^{2ik(L - theta)} G1
@@ -299,7 +279,10 @@ def _g_core(sd, sr, ks, on_cut=False):
         return z, z
     a, b, _, bstar = sd.ab(flat)
     if on_cut:
-        K, Ks = _sided_roots(sr, flat)
+        if np.any(np.abs(flat.imag) > AXIS_TOL):
+            raise BadGeometry("a real cut's nodes must lie on the real axis")
+        K = sr.boundary("real", flat.real, 1.0)
+        Ks = sr.boundary_star("real", flat.real, 1.0)
     else:
         K, Ks = sr.R(flat), sr.R_star(flat)
     e2t = np.exp(-2j * flat * sr.theta)
@@ -394,15 +377,24 @@ class JumpSpec:
         return out
 
     def _j0_vert(self, flat):
-        # R(-conj k) = conj R(k) takes the plus side of the imaginary axis
-        # onto the minus side: K- = conj K+, so K+ - K- = 2i Im K+
-        Kp, Ksp = _sided_roots(self.sr, flat)
+        # vertical cuts run away from the origin, so their plus side is
+        # Re k < 0 on the upper piece and Re k > 0 on the lower one; the
+        # upper piece reads only K*+ and the lower only K+.  R(-conj k) =
+        # conj R(k) takes the plus side onto the minus side: K- = conj K+,
+        # so K+ - K- = 2i Im K+
+        if np.any(np.abs(flat.real) > AXIS_TOL):
+            raise BadGeometry("a vertical cut's nodes must lie on the "
+                              "imaginary axis")
         out = np.zeros(flat.shape + (2, 2), dtype=complex)
         out[..., 0, 0] = out[..., 1, 1] = 1.0
-        upper = flat.imag > 0
+        up = flat.imag > 0
         e2t = np.exp(-2j * flat * self.theta)
-        out[..., 1, 0] = np.where(upper, e2t * (2j * Ksp.imag), 0.0)
-        out[..., 0, 1] = np.where(upper, 0.0, (2j * Kp.imag) / e2t)
+        if np.any(up):
+            Ksp = self.sr.boundary_star("imag", flat.imag[up], -1.0)
+            out[up, 1, 0] = e2t[up] * (2j * Ksp.imag)
+        if not np.all(up):
+            Kp = self.sr.boundary("imag", flat.imag[~up], 1.0)
+            out[~up, 0, 1] = (2j * Kp.imag) / e2t[~up]
         return out
 
     def j0_stack(self, ks, tag):

@@ -90,7 +90,6 @@ COEFF_MEMO = 32
 # degree in lam of E_n = P_n - I, per (row, col); _step_coefficients derives it
 DEGREE_BOUND = np.array([[6, 5], [6, 6]])
 IMAG_GUARD = 60.0         # refuse |Im k| * theta beyond this
-FD_STEP = 1e-6            # central-difference step for k-derivatives
 B_FLOOR = 1e-12           # b and b* under this on the probe line: b == 0
 # nu grid of the sign-change scan for zeros of b* on i(0, 1/2)
 IMAG_SCAN_NUS = np.linspace(ORIGIN_OFFSET, 0.4999, 480)
@@ -388,14 +387,6 @@ class ScatteringData:
         a, _, astar, _ = self.ab(ks)
         ph = np.exp(1j * ks * self.theta)
         return a / ph + astar * ph
-
-    def ab_deriv(self, ks):
-        """d/dk of (a, b, a*, b*) by central differences."""
-        ks = np.atleast_1d(np.asarray(ks, dtype=complex))
-        hs = FD_STEP * np.maximum(1.0, np.abs(ks))
-        vp = self.ab(ks + hs)
-        vm = self.ab(ks - hs)
-        return tuple((p - m) / (2 * hs) for p, m in zip(vp, vm))
 
     def _axis_zeros(self, nus):
         """Zeros i nu of b between the samples i nus.

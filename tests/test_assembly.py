@@ -7,7 +7,10 @@ count, other node arrays built alone, a failed build kept nowhere, the
 diagonal eps-circle jumps, the circle jump inside the eps-circles against
 the shifted G-functions written out, the guard on region tags,
 check_jumps on its two symmetry rules and the junction at k = +-1/2 with
-every region tag sampled, and the residue-disk jumps of a synthetic pole.
+every region tag sampled, a cold pass that integrates only the lower half
+of a vertical cut, a vertical cut off the origin, the typed refusals of
+off-axis cut nodes and of a collapsed or inconsistent root, and the
+residue-disk jumps of a synthetic pole with a node off every disk refused.
 """
 
 import copy
@@ -17,13 +20,15 @@ import numpy as np
 import pytest
 
 from perch import scattering
-from perch.assembly import (ALL_TAGS, UPPER_LOWER_TAGS, JumpSpec,
+from perch.assembly import (ALL_TAGS, UPPER_LOWER_TAGS, JumpSpec, _g_core,
                             build_master_contour, check_jumps,
                             jump_diagnostics, panelize)
 from perch.branch import PoleData, SheetedR, _check_geometry
 from perch.config import DISK_RADIUS, ContourConfig
-from perch.errors import (DenominatorCollapse, JumpConsistencyError,
+from perch.errors import (BadGeometry, CrossValidationFailure,
+                          DenominatorCollapse, JumpConsistencyError,
                           PerchError, UnknownRegion)
+from perch.initial import compute_momentum, load_initial_data
 from perch.mat2 import det2, inv2
 
 FIXTURES = ["sr_zero", "sr_hbump"]
@@ -320,6 +325,72 @@ def test_check_jumps_catches_lower_arcs_without_inverse(request, name):
         check_jumps(js)
 
 
+# ------------------------------------------------------------ cut jumps
+
+
+def test_a_cold_pass_integrates_only_the_lower_half_of_a_vertical_cut(
+        sd_bump):
+    # the upper piece reads K*+ there, the conjugate root at -k, and the
+    # lower piece K+, so no upper node needs (a, b, a*, b*) of its own
+    sd = scattering.ScatteringData(sd_bump.mp)
+    sr = SheetedR(sd)
+    js = JumpSpec(sd, sr, build_master_contour(sr))
+    for p in js.ps.panels:
+        js.jump_stack(0.0, 0.0, p.nodes, p.label)
+    check_jumps(js)
+    k = np.concatenate([p.nodes for p in js.ps.panels
+                        if p.label == "cut_vert"])
+    upper, lower = k[k.imag > 0].tolist(), k[k.imag < 0].tolist()
+    assert len(upper) == len(lower) > 0
+    assert not any(z in sd._cache for z in upper)
+    assert all(z in sd._cache for z in lower)
+
+
+def test_a_vertical_cut_off_the_origin():
+    # bump(2.0) on L = 6 has a real cut through 0 and vertical cuts
+    # +-i[0.2055, 0.3583]: each is one piece, graded at both branch
+    # points and running away from the origin
+    mp = compute_momentum(load_initial_data("bump(2.0)", L=6.0))
+    sd = scattering.ScatteringData(mp)
+    sr = SheetedR(sd, ccfg=ContourConfig(k_window_factor=1.5))
+    assert sr.cuts.covers("real", 0.0)
+    assert sorted((round(c.lo, 9), round(c.hi, 9))
+                  for c in sr.cuts.imag_cuts) == [
+        (-0.358267281, -0.205462196), (0.205462196, 0.358267281)]
+    mc = build_master_contour(sr)
+    vert = [s for s in mc if s.label == "cut_vert"]
+    assert len(vert) == 2
+    for s in vert:
+        assert 0.2 < abs(s.a) < abs(s.b) and s.a.real == s.b.real == 0.0
+        assert s.grade_start and s.grade_end
+    js = JumpSpec(sd, sr, mc)
+    for p in js.ps.panels:
+        js.jump_stack(0.0, 0.0, p.nodes, p.label)
+    check_jumps(js, n=32)
+
+
+def test_cut_tags_refuse_nodes_off_their_axis(sr_bump):
+    js = JumpSpec(sr_bump.sd, sr_bump, build_master_contour(sr_bump))
+    with pytest.raises(BadGeometry, match="real axis"):
+        js.jump_stack(0.0, 0.0, np.array([1.4 + 1e-6j]), "cut_hor_outer")
+    with pytest.raises(BadGeometry, match="imaginary axis"):
+        js.jump_stack(0.0, 0.0, np.array([1e-6 - 0.1j]), "cut_vert")
+
+
+def test_g_functions_refuse_a_collapsed_or_inconsistent_root(sr_bump):
+    # copies of the evaluator and the sheet with one value corrupted:
+    # a = 0 trips the denominator guard, a perturbed R* the dual forms
+    k = np.array([0.3 + 0.2j, -0.7 - 0.4j])
+    sd = copy.copy(sr_bump.sd)
+    sd.ab = lambda ks: (0.0 * sr_bump.sd.ab(ks)[0],) + sr_bump.sd.ab(ks)[1:]
+    with pytest.raises(DenominatorCollapse, match="^a fell under"):
+        _g_core(sd, sr_bump, k)
+    sr = copy.copy(sr_bump)
+    sr.R_star = lambda ks: 1.001 * sr_bump.R_star(ks)
+    with pytest.raises(CrossValidationFailure, match="G forms disagree"):
+        _g_core(sr_bump.sd, sr, k)
+
+
 # ------------------------------------------------------------ residue disks
 
 # No profile seen so far has a pole whose disk clears the contour, so the
@@ -372,6 +443,12 @@ def test_disk_jumps_obey_both_rules(sr_bump, yt):
     d = check_jumps(js, y=yt[0] * js.theta, t=yt[1])
     assert d["nodes_checked"] == js.ps.n == 96
     assert max(d["det"], d["holomorphic"], d["antiholomorphic"]) < 1e-14
+
+
+def test_a_node_off_every_disk_is_refused(sr_bump):
+    js = disk_jumps(sr_bump, RES_DISK)
+    with pytest.raises(BadGeometry, match="not on a residue disk"):
+        js.jump_stack(0.0, 0.0, np.array([MU_DISK + 0.1]), "disk")
 
 
 def test_check_jumps_catches_a_residue_with_a_real_part(sr_bump):

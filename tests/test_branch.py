@@ -304,6 +304,30 @@ def test_origin_miss_is_an_accuracy_failure(sr_asym, monkeypatch):
         sr_asym._validate()
 
 
+@pytest.mark.parametrize("call, what", [
+    (0, "quadratic residual"),       # the root at the probes, perturbed
+    (1, "unimodularity defect"),     # the other root at their conjugates
+    (2, "reflection defect"),        # the other root at their negatives
+])
+def test_validate_refuses_a_faulty_evaluator(sr_bump, call, what):
+    # _validate evaluates the root at its probes, at their conjugates and
+    # at their negatives, in that order; a copy of the sheet gets one of
+    # the three wrong
+    sr = copy.copy(sr_bump)
+    calls = []
+
+    def faulty(ks, sigma=None):
+        calls.append(ks)
+        if len(calls) - 1 != call:
+            return sr_bump._raw(ks, sigma)
+        if call == 0:
+            return 1.001 * sr_bump._raw(ks)
+        return sr_bump._raw(ks, sigma=-sr_bump.sigma)
+    sr._raw = faulty
+    with pytest.raises(BranchSelectionError, match=what):
+        sr._validate()
+
+
 def test_far_field_decay(sr_bump):
     angles = np.exp(1j * np.array([0.55, 1.1, 2.0, 2.6]))
     near = np.abs(sr_bump.R(0.45 * sr_bump.k_max * angles))

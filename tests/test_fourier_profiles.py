@@ -7,8 +7,13 @@ cover a build that a ray-decay sheet test could not settle, a pole
 search that must end in a valid sheet, a zero of b* on the other sheet,
 a genuine pole too close to the origin cut, and two vertical origin cuts
 ending near i/2 that shrink the eps-circles; a hypothesis sweep covers
-the family at large.  The sign of the trace slope on a vertical cut is
-checked against the monodromy on these profiles and the fixtures.
+the family at large.  The seeded family sweep (family) reproduces the
+pinned near-i/2 profiles, and three of its seeds are pinned as builds
+through every jump and check_jumps: two narrow real origin cuts, where
+the origin limit R(0) = -1 needs small probe radii, and a vertical
+origin cut shorter than the ungraded stub at k = 0.  The sign of the
+trace slope on a vertical cut is checked against the monodromy on these
+profiles and the fixtures.
 """
 
 import numpy as np
@@ -16,7 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from perch.assembly import build_master_contour
+from perch.assembly import JumpSpec, build_master_contour, check_jumps
 from perch.branch import (ANCHOR_ZERO, CLEARANCE, EPS_CIRCLE, SheetedR,
                           TraceFunction, locate_branch_points)
 from perch.config import ORIGIN_OFFSET, ContourConfig
@@ -45,6 +50,25 @@ def fourier_m0(L, modes):
         w = 2 * np.pi * j * x / L
         m0 += a * np.sin(w) + b * (np.cos(w) - 1.0)
     return x, m0
+
+
+def family(seed):
+    """(L, modes) of the family sweep at one seed.
+
+    L is uniform in [1, 4) with one to three modes, whose coefficients
+    are standard normal divided by the mode number.  The scale
+    min(0.9 u / (-min m), 3 / max m), u uniform in [0, 1), keeps
+    m0 + 1 > 0.1 and max m0 <= 3 on the N-point grid.
+    """
+    rng = np.random.default_rng(seed)
+    L = rng.uniform(1.0, 4.0)
+    n = int(rng.integers(1, 4))
+    c = rng.normal(size=2 * n)
+    u = rng.uniform()
+    modes = [(j, c[2 * j - 2] / j, c[2 * j - 1] / j) for j in range(1, n + 1)]
+    m = fourier_m0(L, modes)[1]
+    scale = min(0.9 * u / -np.min(m), 3.0 / np.max(m))
+    return L, [(j, scale * a, scale * b) for j, a, b in modes]
 
 
 def fourier_sd(L, modes):
@@ -117,6 +141,35 @@ def test_cut_near_half_i_shrinks_the_eps_circles(seed, monkeypatch):
     radii = {seg.radius for seg in build_master_contour(sr)
              if seg.label in ("eps_outer", "eps_inner")}
     assert radii == {sr.eps}
+
+
+@pytest.mark.parametrize("seed", sorted(NEAR_I_HALF))
+def test_family_reproduces_the_pinned_profiles(seed):
+    L, modes = family(seed)
+    assert round(float(L), 6) == NEAR_I_HALF[seed][0]
+    assert [(j, round(float(a), 6), round(float(b), 6))
+            for j, a, b in modes] == NEAR_I_HALF[seed][1]
+
+
+@pytest.mark.parametrize("seed, axis, half", [
+    (1078, "imag", 0.0159917697),    # shorter than ORIGIN_STUB, 0.03
+    (1102, "real", 0.0147471919),    # R(0) missed by 1.1e-4 at r = 1e-3
+    (1105, "real", 0.0331739733),    # missed by 3.1e-4
+])
+def test_family_seeds_with_a_narrow_origin_cut_build(seed, axis, half):
+    # the piece of a cut at k = 0 is one ungraded panel, so its nodes keep
+    # ORIGIN_OFFSET from 0 on a cut shorter than the stub too, and every
+    # node of the contour carries a jump
+    sd = fourier_sd(*family(seed))
+    sr = SheetedR(sd, ccfg=WINDOW)
+    (cut,) = [c for c in sr.cuts.cuts if c.lo < 0.0 < c.hi]
+    assert cut.axis == axis and abs(cut.hi - half) < 1e-9
+    assert abs(sr.value_at_zero() + 1.0) < 1e-9
+    js = JumpSpec(sd, sr, build_master_contour(sr))
+    assert min(np.min(np.abs(p.nodes)) for p in js.ps.panels) > ORIGIN_OFFSET
+    for p in js.ps.panels:
+        js.jump_stack(0.0, 0.0, p.nodes, p.label)
+    check_jumps(js)
 
 
 @pytest.mark.parametrize("case", ["sd_bump", "sd_asym", "anchor_only",

@@ -261,6 +261,8 @@ def test_csv_roundtrip_bit_exact(tmp_path):
     assert q.L == p.L and q.n == p.n
     assert np.array_equal(q.m0, p.m0)
     np.testing.assert_allclose(q.u0, p.u0, atol=1e-15)
+    # a .csv path given to the preset entry is read the same way
+    assert np.array_equal(load_initial_data(str(path)).m0, q.m0)
 
 
 def test_csv_velocity_kind_and_closing_row(tmp_path):
@@ -284,6 +286,18 @@ def test_csv_rejects_nonuniform_and_bad_rows(tmp_path):
         read_csv(str(path))
     path.write_text("0,0,9\n1,0,9\n")
     with pytest.raises(ParseError):
+        read_csv(str(path))
+
+
+def test_csv_refusals(tmp_path):
+    with pytest.raises(ParseError, match="cannot read"):
+        read_csv(str(tmp_path / "missing.csv"))
+    path = tmp_path / "ic.csv"
+    path.write_text("# L=2\nx,u0\n0,0.5\n")
+    with pytest.raises(ParseError, match="no data rows"):
+        read_csv(str(path))
+    path.write_text("# L=2\n0,0.5\n1,0.25\n2,0.75\n")
+    with pytest.raises(ParseError, match="closing row at x = L disagrees"):
         read_csv(str(path))
 
 

@@ -2,8 +2,11 @@
 in exactly one module, and a constant that a second module imports lives
 in config.  The window config has one reader besides the window formula:
 the sheet, which hands its k_max down as a value.  Nothing in assembly
-reads a cut side, only the branch-point polish differences the trace,
-and only jump_stack builds the t-independent jump, so every path to a
+reads a cut side, and only the Newton polish of the branch points
+(_polish_edges) differences the trace: its last step's slope is the
+simple-zero check, and the residues take db* from Cauchy's formula on
+their ring, so the package has no difference quotient of (a, b, a*, b*).
+Only jump_stack builds the t-independent jump, so every path to a
 jump goes through its memo.  Only JumpSpec panelizes the master contour,
 so its per-tag fill and jump_diagnostics read the one PanelSet it keeps
 (ps).  Likewise only integrate_transfer builds (through the four-step
@@ -131,7 +134,7 @@ def test_only_the_branch_point_polish_differences_the_trace():
                if any(isinstance(n, ast.Call)
                       and isinstance(n.func, ast.Attribute)
                       and n.func.attr == "axis_slope" for n in ast.walk(fn))]
-    assert callers == ["_polish_level", "_polish_edges"]
+    assert callers == ["_polish_edges"]
 
 
 def test_only_jump_stack_builds_the_t_independent_jump():
