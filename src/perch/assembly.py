@@ -243,6 +243,16 @@ def _phase_raw(y, t, k):
     return y - t / (2.0 * (k * k + 0.25))
 
 
+def _memo_entry(j0, k):
+    """What jump_stack keeps per node array k: J0 and the k-only factors
+    of the phase, -2ik and 2 (k^2 + 1/4), all read-only (and so is every
+    view of them)."""
+    entry = (j0, -2j * k, 2.0 * (k * k + 0.25))
+    for a in entry:
+        a.flags.writeable = False
+    return entry
+
+
 # ------------------------------------------------------------ G-functions
 
 
@@ -305,13 +315,14 @@ class JumpSpec:
     """Evaluator for the piecewise jump matrix on the master contour.
 
     j0_stack gives the t-independent matrix J0 per region tag; jump_stack
-    conjugates it with the phase exponential.  jump_stack keeps J0 per
-    (tag, node array), so a node array asked for again at another (y, t)
-    costs a lookup, a copy and the phase.  The spec panelizes mc once
-    (ps), and the first miss on one of its own panels builds J0 for every
-    panel of that region tag in one j0_stack call, so the integrator sees
-    the whole tag at once; any other node array (-k, conj k, a sample, a
-    junction point) is built alone.  A j0_stack that raises leaves
+    conjugates it with the phase exponential.  jump_stack keeps J0 and the
+    k-only factors of the phase per (tag, node array), so a node array
+    asked for again at another (y, t) costs a lookup, a copy and one
+    exponential.  The spec panelizes mc once (ps), and the first miss on
+    one of its own panels builds J0 for every panel of that region tag in
+    one j0_stack call, so the integrator sees the whole tag at once; any
+    other node array (-k, conj k, a sample, a junction point) is built
+    alone.  A j0_stack that raises leaves
     nothing kept, and the next call builds the tag or array again.
     Residue disks are the one exception: their nilpotent entry carries
     the phase evaluated at the pole, exactly as the residue conditions
@@ -441,23 +452,32 @@ class JumpSpec:
     # -------------------------------------------- assembled jump
 
     def jump_stack(self, y, t, ks, tag, side=None):
-        """Jump matrices at (y, t) for nodes sharing one region tag."""
+        """Jump matrices at (y, t) for nodes sharing one region tag.
+
+        The memo holds one read-only entry per (tag, node array k): J0,
+        -2ik and 2 (k^2 + 1/4) (_memo_entry).  A warm call takes the phase
+        from them in _phase_raw's order of operations, so it returns what
+        a cold call returns, to the bit.
+        """
         # side is not read; perfbench/workloads.py passes it by position
         flat = np.atleast_1d(np.asarray(ks, dtype=complex))
         if tag == "disk":
             return self._disk_stack(y, t, flat)
         key = (tag, flat.shape, flat.tobytes())
-        j0 = self._j0.get(key)
-        if j0 is None and key in self._own.get(tag, ()):
+        memo = self._j0.get(key)
+        if memo is None and key in self._own.get(tag, ()):
             panels = self._own[tag]
             cuts = np.cumsum([len(k) for k in panels.values()])[:-1]
-            built = self.j0_stack(np.concatenate(list(panels.values())), tag)
-            self._j0.update(zip(panels, np.split(built, cuts)))
-            j0 = self._j0[key]
-        elif j0 is None:
-            j0 = self._j0[key] = self.j0_stack(flat, tag)
+            nodes = np.concatenate(list(panels.values()))
+            entry = _memo_entry(self.j0_stack(nodes, tag), nodes)
+            self._j0.update(zip(panels, zip(*(np.split(a, cuts)
+                                              for a in entry))))
+            memo = self._j0[key]
+        elif memo is None:
+            memo = self._j0[key] = _memo_entry(self.j0_stack(flat, tag), flat)
+        j0, m2k, den = memo
         out = j0.copy()
-        e = np.exp(-2j * flat * _phase_raw(y, t, flat))
+        e = np.exp(m2k * (y - t / den))
         out[..., 0, 1] *= e
         out[..., 1, 0] /= e
         return out
@@ -520,7 +540,11 @@ def jump_diagnostics(js, y=0.0, t=0.0, n=200, seed=5):
 def check_jumps(js, **kw):
     """Raise JumpConsistencyError when a defect exceeds 1e-9.
 
-    The junction defect on the fixture profiles is at most 1.9e-12."""
+    The junction defect on the fixture profiles is at most 1.9e-12.  Like
+    jump_diagnostics it evaluates a sample of at most n nodes (and the
+    junction points), so a panel outside the sample can still fail to
+    carry a jump; only a full jump set, every panel through jump_stack,
+    shows every panel."""
     d = jump_diagnostics(js, **kw)
     keys = ("det", "holomorphic", "antiholomorphic", "junction")
     if max(d[key] for key in keys) > 1e-9:

@@ -1,6 +1,7 @@
 """Tests for the jump assembly: unimodular jumps on every region tag, the
 (y, t) phase conjugation, the t-independent jump built once per node
-array and equal to a fresh build, a cold pass that builds each region
+array and equal to a fresh build, warm jumps taking the phase from
+read-only memoized factors, a cold pass that builds each region
 tag of the spec's own panels in one stack, bit-equal to a panel-by-panel
 build on an evaluator of its own and integrating each tag once per step
 count, other node arrays built alone, a failed build kept nowhere, the
@@ -147,6 +148,26 @@ def test_a_cold_pass_builds_each_tag_once_bit_equal_to_panel_builds(
             want = with_phase(ref.j0_stack(p.nodes, p.label), p.nodes, y, t)
             assert np.array_equal(js.jump_stack(y, t, p.nodes, p.label), want)
     assert sorted(js.builds) == sorted(tag_sizes(js).items())
+
+
+def test_warm_jumps_take_the_phase_from_read_only_factors(sd_hbump):
+    # the memo keeps J0, -2ik and 2 (k^2 + 1/4) per node array, none of
+    # them writable; on the benchmark's sweep contour every warm jump set
+    # is the panel's J0 times the phase written out, to the bit, also
+    # after the caller has overwritten what an earlier call returned
+    sr = SheetedR(sd_hbump, ccfg=ContourConfig(k_window_factor=1.5))
+    js = JumpSpec(sd_hbump, sr, build_master_contour(sr))
+    panels = js.ps.panels
+    j0 = [js.j0_stack(p.nodes, p.label) for p in panels]
+    for y, t in ((0.3 * js.theta, 0.7), (0.7 * js.theta, 1.9),
+                 (-0.2 * js.theta, 0.05)):
+        for p, j in zip(panels, j0):
+            J = js.jump_stack(y, t, p.nodes, p.label)
+            assert np.array_equal(J, with_phase(j, p.nodes, y, t))
+            J[:] = np.nan
+    assert len(js._j0) == len(panels)
+    assert not any(a.flags.writeable for entry in js._j0.values()
+                   for a in entry)
 
 
 def test_a_cold_pass_integrates_each_tag_once_per_step_count(sd_hbump,

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from perch import cauchy
 from perch.assembly import build_master_contour, panelize
@@ -12,8 +12,10 @@ from perch.branch import SheetedR
 from perch.config import ContourConfig
 from perch.contour import Segment, build_panels
 from perch.cauchy import (NEAR_PARAM, CauchyOperator, _boundary_rows,
-                          _near_rows, _param_preimage, leg_Q, param_distance)
+                          _near_rows, _param_preimage, _reach_disc, leg_Q,
+                          param_distance)
 from perch.errors import BadGeometry, TooCloseToContour
+from test_assembly import RES_DISK, with_pole
 
 
 def circle_segments(radius=0.5, center=0j):
@@ -122,18 +124,32 @@ def per_panel_matrix(op, side):
     return K
 
 
+CONTOURS = ["circle+line", "hbump@1.5", "bump@1.5", "disks"]
+
+
 @pytest.fixture(scope="module")
 def contours(request):
-    def hbump():
-        # the benchmark's sweep contour: bump(-0.8) at window factor 1.5
-        window = ContourConfig(k_window_factor=1.5)
-        sr = SheetedR(request.getfixturevalue("sd_hbump"), ccfg=window)
+    window = ContourConfig(k_window_factor=1.5)
+
+    def at_window(sd):
+        # the benchmark's window: bump(-0.8) at factor 1.5 is its sweep
+        # contour, bump(0.5) cuts the imaginary axis
+        sr = SheetedR(request.getfixturevalue(sd), ccfg=window)
         return panelize(build_master_contour(sr))
-    return {"circle+line": circle_and_line, "hbump@1.5": hbump}
+
+    def disks():
+        # the residue disks of test_assembly's synthetic pole at -0.3i,
+        # small quarter-circle arcs about the pole and its mirror
+        sr = with_pole(request.getfixturevalue("sr_bump"), RES_DISK)
+        return panelize([s for s in build_master_contour(sr)
+                         if s.label == "disk"])
+    return {"circle+line": circle_and_line,
+            "hbump@1.5": lambda: at_window("sd_hbump"),
+            "bump@1.5": lambda: at_window("sd_bump"), "disks": disks}
 
 
 @pytest.mark.parametrize("order", [("plus", "minus"), ("minus", "plus")])
-@pytest.mark.parametrize("name", ["circle+line", "hbump@1.5"])
+@pytest.mark.parametrize("name", CONTOURS)
 def test_both_sides_come_from_one_side_free_fill(contours, name, order,
                                                  monkeypatch):
     # each side equals the per-panel construction to the bit, in either
@@ -163,6 +179,70 @@ def test_both_sides_come_from_one_side_free_fill(contours, name, order,
     assert np.array_equal(second, want[order[1]])
     assert [v for v in vars(op).values()
             if isinstance(v, np.ndarray) and v.size >= ps.n**2] == []
+
+
+def test_the_fill_takes_preimages_only_inside_the_reach_discs(contours,
+                                                              monkeypatch):
+    # on the sweep contour a preimage is taken for under 3 % of the
+    # target-panel pairs, and one Q recurrence serves every near row
+    ps = contours["hbump@1.5"]()
+    n_near = sum(int(np.sum((param_distance(_param_preimage(p, ps.nodes))
+                             < NEAR_PARAM) & (ps.panel_index != q)))
+                 for q, p in enumerate(ps.panels))
+    preimage, leg = cauchy._param_preimage, cauchy.leg_Q
+    sizes, q_calls = [], []
+
+    def counted_preimage(panel, ks):
+        sizes.append(len(ks))
+        return preimage(panel, ks)
+
+    def counted_leg_Q(z, p):
+        q_calls.append(len(z))
+        return leg(z, p)
+
+    monkeypatch.setattr(cauchy, "_param_preimage", counted_preimage)
+    monkeypatch.setattr(cauchy, "leg_Q", counted_leg_Q)
+    CauchyOperator(ps).boundary_matrix("plus")
+    assert n_near <= sum(sizes) <= 0.03 * ps.n * len(ps.panels)
+    assert q_calls == [n_near]
+
+
+def reach_points(panel, seed):
+    """Points s(zeta) of the panel's near field: zeta seeded in the
+    rectangle around [-1, 1], kept within NEAR_PARAM of it, plus the line
+    bound's tight points zeta = +-(1 + NEAR_PARAM)."""
+    rng = np.random.default_rng(seed)
+    reach = 1.0 + NEAR_PARAM
+    zeta = (rng.uniform(-reach, reach, 4000)
+            + 1j * rng.uniform(-NEAR_PARAM, NEAR_PARAM, 4000))
+    zeta = zeta[param_distance(zeta) < NEAR_PARAM]
+    tight = np.array([reach, -reach, np.nextafter(reach, 0.0),
+                      -np.nextafter(reach, 0.0)])
+    return panel.s_of_tau(np.concatenate([zeta, tight]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.complex_numbers(max_magnitude=5.0),
+       st.floats(min_value=1e-3, max_value=10.0),
+       st.floats(min_value=-np.pi, max_value=np.pi),
+       st.floats(min_value=1e-6, max_value=3.0),
+       st.booleans(), st.integers(0, 2**32 - 1))
+@example(0.5j, 1.0, 0.3, 2.5, False, 1)     # 1.7 |beta| > pi / |beta|
+@example(0j, 10.0, 0.0, 3.0, True, 2)
+def test_reach_disc_holds_the_near_field(center, radius, phi, beta,
+                                         clockwise, seed):
+    # a line from center to center + 2 radius e^{i phi}, and an arc of
+    # half-angle beta on the circle of that centre and radius; |beta|
+    # starts at 1e-6, as a shorter arc sits within the rounding of its
+    # own points
+    beta = -beta if clockwise else beta
+    for seg in (Segment("line", a=center,
+                        b=center + 2.0 * radius * np.exp(1j * phi)),
+                Segment("arc", center=center, radius=radius,
+                        phi1=phi - beta, phi2=phi + beta)):
+        (panel,) = build_panels([seg], order=12, target_len=seg.length).panels
+        mid, reach = _reach_disc(panel)
+        assert np.all(np.abs(reach_points(panel, seed) - mid) <= reach)
 
 
 def per_panel_rows(op, ks, skip=None):
@@ -196,7 +276,7 @@ def near_and_far_targets(ps):
     return np.concatenate(ks)
 
 
-@pytest.mark.parametrize("name", ["circle+line", "hbump@1.5"])
+@pytest.mark.parametrize("name", CONTOURS)
 def test_offcontour_and_offnode_rows_match_the_per_panel_rows(contours, name):
     # the one fill gives every target the rows the per-panel construction
     # gives it, to the bit; the targets fall near several panels and far
