@@ -24,12 +24,14 @@ A target is near a panel when its preimage lies within NEAR_PARAM of
 [-1, 1].  Each panel carries a reach disc that holds every such target, so
 only the targets inside it need a preimage (a complex log on arcs); on the
 benchmark's sweep contour that is 6,234 of 371,712 target-panel pairs.
-The near rows of all panels are then built in one pass: one Q recurrence
-over all their preimages and one arc smooth part over all arc rows, both
-elementwise.  The product of Q with the projection matrix stays one per
-panel, since one product over the stack differs from the per-panel
-products in the last bits under OpenBLAS, and the per-panel rows are what
-the tests pin.
+Every row comes from one builder, _rows, which takes a stack of panels and
+gives one block per panel: the near rows of all panels in one pass, with
+one Q recurrence over all their preimages, and a side's self blocks in
+another, from one Q at the rule's nodes.  The arc smooth part is
+elementwise, so a pass takes it once over all its arc rows.  The product
+of Q with the projection matrix stays one per panel, since one product
+over the stack differs from the per-panel products in the last bits under
+OpenBLAS, and the per-panel rows are what the tests pin.
 
 The "+" side of a panel is the left side walking in the direction of
 increasing parameter; with this convention C_plus - C_minus equals the
@@ -39,8 +41,7 @@ relies on.
 
 import numpy as np
 
-from .contour import Panel
-from .errors import BadGeometry, TooCloseToContour
+from .errors import BadGeometry, OutOfRange, TooCloseToContour
 
 # parameter-plane distance below which the Q-form replaces the plain sum.
 # Every target within it of a panel lies in the panel's reach disc about
@@ -90,9 +91,13 @@ def leg_Q(z, p):
 
 
 def leg_Q_side(x, p, side):
-    """Boundary values Q_m(x + i0) [side=+1] or Q_m(x - i0) [side=-1]."""
+    """Boundary values Q_m(x + i0) (side "plus") or Q_m(x - i0) ("minus");
+    any other side is refused."""
+    if side not in ("plus", "minus"):
+        raise BadGeometry(f"side must be 'plus' or 'minus', not {side!r}")
+    sign = 1 if side == "plus" else -1
     x = np.asarray(x, dtype=float)
-    q0 = 0.5 * np.log((1.0 + x) / (1.0 - x)) - side * 0.5j * np.pi
+    q0 = 0.5 * np.log((1.0 + x) / (1.0 - x)) - sign * 0.5j * np.pi
     return _leg_Q_forward(x.astype(complex), p, q0)
 
 
@@ -161,55 +166,22 @@ def param_distance(zeta):
     return np.hypot(dx, zeta.imag)
 
 
-def _rows(panels, proj, Q, taus, sizes=None):
+def _rows(panels, proj, Q, taus, sizes):
     """Rows from the Q values at the targets' parameter positions taus.
 
-    panels is one panel, which takes every row, or a stack (a sequence):
-    panel i takes the next sizes[i] rows of Q and taus, and the rows come
-    back as one block per panel.  With sizes None every panel of a stack
-    takes all of them: the self blocks, as every panel carries the same
-    rule and so the same Q at its own nodes.  Each panel's (-2 Q) @ proj
-    is a product of its own (see the module docstring); a Q all panels
-    share is multiplied once.  The arc smooth part is elementwise, so it
-    is taken once for all arc rows.
+    Panel i of the stack takes the next sizes[i] rows of Q and taus, and
+    the rows come back as one block per panel.  Each panel's (-2 Q) @ proj
+    is a product of its own (see the module docstring); the arc smooth
+    part is elementwise, so it is taken once for all arc rows.
     """
-    one = isinstance(panels, Panel)
-    if one:
-        panels, sizes = [panels], [len(Q)]
-    if sizes is None:
-        rows = np.tile((-2.0 * Q) @ proj, (len(panels), 1))
-        sizes = [len(Q)] * len(panels)
-        taus = np.tile(taus, len(panels))
-    else:
-        rows = np.concatenate([(-2.0 * q) @ proj for q in
-                               np.split(Q, np.cumsum(sizes)[:-1])])
+    cuts = np.cumsum(sizes)[:-1]
+    rows = np.concatenate([(-2.0 * q) @ proj for q in np.split(Q, cuts)])
     arc = np.repeat([p.kind == "arc" for p in panels], sizes)
     if np.any(arc):
         beta = np.repeat([p.beta for p in panels], sizes)[arc]
         g = _arc_smooth_part(beta, panels[0].tau, taus[arc])
         rows[arc] += g * panels[0].wref[None, :]
-    blocks = np.split(rows / (2j * np.pi), np.cumsum(sizes)[:-1])
-    return blocks[0] if one else blocks
-
-
-def _near_rows(panels, proj, zeta, sizes=None):
-    """Exact rows for targets given by parameter preimages zeta (off
-    curve); panels and sizes as for _rows."""
-    return _rows(panels, proj, leg_Q(zeta, len(proj)), zeta, sizes)
-
-
-def _side_Q(taus, p, side):
-    """Q_0..Q_{p-1} at taus + i0 (side "plus") or taus - i0 ("minus")."""
-    if side not in ("plus", "minus"):
-        raise BadGeometry(f"side must be 'plus' or 'minus', not {side!r}")
-    return leg_Q_side(taus, p, +1 if side == "plus" else -1)
-
-
-def _boundary_rows(panel, proj, taus, side):
-    """Rows for boundary values at parameter positions taus on the panel."""
-    taus = np.asarray(taus, dtype=float)
-    Q = _side_Q(taus, len(panel.tau), side)
-    return _rows(panel, proj, Q, taus.astype(complex))
+    return np.split(rows / (2j * np.pi), cuts)
 
 
 class CauchyOperator:
@@ -224,16 +196,16 @@ class CauchyOperator:
     on belongs to the caller.  The fill takes the far sum for every
     target and panel, then the exact rows of the pairs it finds near: it
     takes the parameter preimage only of the targets inside each panel's
-    reach disc (_reach_disc), and builds all near rows in one _near_rows
-    pass with one product per panel (see the module docstring).  The two
-    boundary matrices differ only in the self blocks, so the first
-    boundary_matrix call fills the nodes once and each side writes its
-    self blocks over that fill, all of one side's from one product.  The
-    operator keeps the fill until both sides have been handed out; the
-    last side is written into the kept array itself, which the operator
-    then drops.  So while it has handed out only one side, an operator
-    holds one extra N x N complex array (71 MB at N = 2112); after both,
-    none.
+    reach disc (_reach_disc), and builds all near rows in one _rows pass
+    (see the module docstring).  The owner blocks are one-sided rows from
+    _own_rows, the same _rows pass on one side's Q.  The two boundary
+    matrices differ only in the self blocks, so the first boundary_matrix
+    call fills the nodes once and each side writes its self blocks over
+    that fill.  The operator keeps the fill until both sides have been
+    handed out; the last side is written into the kept array itself,
+    which the operator then drops.  So while it has handed out only one
+    side, an operator holds one extra N x N complex array (71 MB at
+    N = 2112); after both, none.
     """
 
     def __init__(self, panelset):
@@ -244,7 +216,7 @@ class CauchyOperator:
         self._centres = np.array(centres, dtype=complex)
         self._reach = np.array(radii)
         self._kept = None        # the node fill, until both sides are served
-        self._owed = set()       # sides not yet served from self._kept
+        self._served = set()     # sides served from self._kept
 
     def _fill(self, ks, owner):
         """Rows of C at targets ks, target i lying on panel owner[i] (-1:
@@ -273,11 +245,22 @@ class CauchyOperator:
                 near.append((q, cand[hit]))
                 zetas.append(zeta[hit])
         if near:
-            blocks = _near_rows([ps.panels[q] for q, _ in near], self.proj,
-                                np.concatenate(zetas), [len(z) for z in zetas])
+            zeta = np.concatenate(zetas)
+            blocks = _rows([ps.panels[q] for q, _ in near], self.proj,
+                           leg_Q(zeta, len(self.proj)), zeta,
+                           [len(z) for z in zetas])
             for (q, targets), block in zip(near, blocks):
                 K[targets, ps.node_slice(q)] = block
         return K
+
+    def _own_rows(self, owners, taus, side):
+        """One-sided rows at parameter positions taus on each panel of
+        owners, one block per owner: one Q for all, a product each."""
+        Q = leg_Q_side(taus, len(self.proj), side)
+        n = len(owners)
+        return _rows([self.ps.panels[q] for q in owners], self.proj,
+                     np.tile(Q, (n, 1)), np.tile(taus.astype(complex), n),
+                     [len(taus)] * n)
 
     def offcontour_rows(self, ks):
         """(len(ks), N) matrix mapping node values to C[rho](ks)."""
@@ -286,27 +269,31 @@ class CauchyOperator:
 
     def boundary_matrix(self, side):
         """(N, N) matrix of one-sided boundary values at all nodes."""
-        tau = self.ps.panels[0].tau
-        Q = _side_Q(tau, len(tau), side)
+        blocks = self._own_rows(range(len(self.ps.panels)),
+                                self.ps.panels[0].tau, side)
         if self._kept is None:
             self._kept = self._fill(self.ps.nodes, self.ps.panel_index)
-            self._owed = {"plus", "minus"}
-        self._owed.discard(side)
-        if self._owed:
+            self._served = set()
+        self._served.add(side)
+        if len(self._served) < 2:
             K = self._kept.copy()
         else:
             K, self._kept = self._kept, None
-        blocks = _rows(self.ps.panels, self.proj, Q, tau.astype(complex))
         for q, block in enumerate(blocks):
             cols = self.ps.node_slice(q)
             K[cols, cols] = block
         return K
 
     def boundary_rows_at(self, ipanel, taus, side):
-        """Rows for one-sided values at off-node positions on panel ipanel."""
-        panel = self.ps.panels[ipanel]
+        """Rows for one-sided values at off-node positions taus in (-1, 1)
+        on panel ipanel; a position outside it is refused."""
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        own = _boundary_rows(panel, self.proj, taus, side)
-        out = self._fill(panel.s_of_tau(taus), np.full(len(taus), ipanel))
+        off = ~(np.abs(taus) < 1.0)
+        if np.any(off):
+            raise OutOfRange(f"tau = {taus[off][0]} outside (-1, 1) "
+                             f"on panel {ipanel}")
+        (own,) = self._own_rows([ipanel], taus, side)
+        ks = self.ps.panels[ipanel].s_of_tau(taus)
+        out = self._fill(ks, np.full(len(taus), ipanel))
         out[:, self.ps.node_slice(ipanel)] = own
         return out

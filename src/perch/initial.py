@@ -126,6 +126,11 @@ def _refuse_non_finite(name, v):
                          "non-finite samples (NaN or inf)")
 
 
+def _refuse_bad_period(L):
+    if not (np.isfinite(L) and L > 0):
+        raise ParseError(f"period L = {L} is not finite and positive")
+
+
 @dataclass(frozen=True)
 class InitialProfile:
     """Sampled periodic initial data on x_j = j L / n, j = 0..n-1."""
@@ -137,6 +142,7 @@ class InitialProfile:
     source: str
 
     def validate(self):
+        _refuse_bad_period(self.L)
         if self.n < 16:
             raise ParseError(f"need n >= 16 samples, got {self.n}")
         for name, v in (("u0", self.u0), ("m0", self.m0)):
@@ -233,6 +239,7 @@ def load_initial_data(source, L=2.0, n=256):
         raise UnknownPreset(f"source descriptor must be a string, got {source!r}")
     if source.endswith(".csv") or "/" in source:
         return read_csv(source)
+    _refuse_bad_period(L)      # before the grid and the Helmholtz solve
     if source == "zero":
         x = np.arange(n) * (L / n)
         z = np.zeros(n)
@@ -257,9 +264,9 @@ def read_csv(path):
 
     Comment lines start with '#'; the marker 'kind=momentum' in a comment
     or an 'x,m0' header row switches the second column to momentum.  A
-    comment 'L=<value>' pins the period; otherwise L is inferred from the
-    uniform grid spacing.  A duplicated final row at x = L is dropped
-    after checking it matches the first.
+    comment token 'L=<value>' (whitespace-separated) pins the period;
+    otherwise L is inferred from the uniform grid spacing.  A duplicated
+    final row at x = L is dropped after checking it matches the first.
     """
     kind = "velocity"
     L = None
@@ -276,9 +283,12 @@ def read_csv(path):
         if s.startswith("#"):
             if "kind=momentum" in s:
                 kind = "momentum"
-            mt = re.search(r"L=([0-9eE+\-.]+)", s)
-            if mt:
-                L = float(mt.group(1))
+            for tok in s.lstrip("#").split():
+                if tok.startswith("L="):
+                    try:
+                        L = float(tok[2:])
+                    except ValueError as exc:
+                        raise ParseError(f"bad period {tok!r}") from exc
             continue
         first = s.split(",")[0].strip()
         if any(ch.isalpha() for ch in first):
@@ -307,6 +317,7 @@ def read_csv(path):
         x, v = x[:-1], v[:-1]
     if L is None:
         L = (x[-1] - x[0]) + dx[0]
+    _refuse_bad_period(L)      # before the Helmholtz solve
     n = len(x)
     x0 = x - x[0]
     if kind == "momentum":
@@ -371,6 +382,7 @@ def normalize_gauge(u_raw, omega, L, x=None):
     m_raw + omega must be positive (with A + omega > 0) or every value
     negative (with A + omega < 0); otherwise no admissible gauge exists.
     """
+    _refuse_bad_period(L)      # before the Fourier derivative
     u_raw = np.asarray(u_raw, dtype=float)
     if x is not None:
         x = np.asarray(x, dtype=float)

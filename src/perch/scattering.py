@@ -59,8 +59,8 @@ import numpy as np
 from scipy.integrate._ivp import dop853_coefficients as _dop
 
 from .config import ORIGIN_OFFSET, ContourConfig
-from .errors import (BasisSingular, IdenticallyZero, StiffnessFailure,
-                     VerificationFailure)
+from .errors import (BasisSingular, IdenticallyZero, OutOfRange,
+                     StiffnessFailure, VerificationFailure)
 from .initial import trig_eval_steps
 
 _STAGES = _dop.N_STAGES                       # 12-stage order-8 scheme
@@ -482,9 +482,13 @@ class ScatteringData:
                      if nu < top)
 
     def k_window(self, ccfg=None):
-        """Half-width of the truncation window on the real axis."""
-        ccfg = ccfg or ContourConfig()
-        return ccfg.k_window_factor * np.pi / self.theta
+        """Half-width of the truncation window on the real axis; a factor
+        that is not finite and positive is refused."""
+        factor = (ccfg or ContourConfig()).k_window_factor
+        if not (np.isfinite(factor) and factor > 0):
+            raise OutOfRange(f"k_window_factor = {factor} is not finite "
+                             "and positive")
+        return factor * np.pi / self.theta
 
 
 def _unpack_monodromy(ks, T, theta):

@@ -18,8 +18,9 @@ from perch.branch import (ANCHOR_APART, ANCHOR_ZERO, SheetedR, TraceFunction,
 from perch.config import ORIGIN_OFFSET, ContourConfig
 from perch.errors import (BadGeometry, BranchSelectionError, ContourClash,
                           CrossValidationFailure, DoubleZeroUnresolved,
-                          NearPole, NonGenericCase, TooCloseToContour,
-                          VerificationFailure, WindowTooSmall)
+                          NearPole, NonGenericCase, OutOfRange,
+                          TooCloseToContour, VerificationFailure,
+                          WindowTooSmall)
 from perch.initial import compute_momentum, load_initial_data
 from perch.mat2 import det2
 from perch.scattering import ScatteringData
@@ -259,6 +260,17 @@ def test_integer_window_factors_build(request, name, factor):
     for p in panelize(mc).panels:
         J = js.jump_stack(0.0, 0.0, p.nodes, p.label)
         assert np.max(np.abs(det2(J) - 1.0)) <= 1e-12, p.label
+
+
+@pytest.mark.parametrize("factor", [0.0, -1.5, np.nan, np.inf])
+def test_window_factor_must_be_finite_and_positive(sd_hbump, factor):
+    # a factor of 0 would build a contour with no real axis, and a
+    # negative or NaN one failed deep in the walk with an untyped error
+    ccfg = ContourConfig(k_window_factor=factor)
+    with pytest.raises(OutOfRange, match="k_window_factor"):
+        sd_hbump.k_window(ccfg)
+    with pytest.raises(OutOfRange, match="k_window_factor"):
+        SheetedR(sd_hbump, ccfg=ccfg)
 
 
 def test_double_zero_guard(sr_asym, monkeypatch):

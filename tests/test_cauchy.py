@@ -11,10 +11,10 @@ from perch.assembly import build_master_contour, panelize
 from perch.branch import SheetedR
 from perch.config import ContourConfig
 from perch.contour import Segment, build_panels
-from perch.cauchy import (NEAR_PARAM, CauchyOperator, _boundary_rows,
-                          _near_rows, _param_preimage, _reach_disc, leg_Q,
+from perch.cauchy import (NEAR_PARAM, CauchyOperator, _param_preimage,
+                          _reach_disc, _rows, leg_Q, leg_Q_side,
                           param_distance)
-from perch.errors import BadGeometry, TooCloseToContour
+from perch.errors import BadGeometry, OutOfRange, TooCloseToContour
 from test_assembly import RES_DISK, with_pole
 
 
@@ -106,6 +106,17 @@ def test_offnode_boundary_rows():
     np.testing.assert_allclose(rows @ rho, pts**2, atol=1e-11)
 
 
+def near_rows(panel, proj, zeta):
+    """Exact rows of one panel at targets with preimages zeta."""
+    return _rows([panel], proj, leg_Q(zeta, len(proj)), zeta, [len(zeta)])[0]
+
+
+def side_rows(panel, proj, taus, side):
+    """One-sided rows of one panel at parameter positions taus on it."""
+    return _rows([panel], proj, leg_Q_side(taus, len(proj), side),
+                 np.asarray(taus, dtype=complex), [len(taus)])[0]
+
+
 def per_panel_matrix(op, side):
     """The boundary matrix built panel by panel, both sides apart: the far
     formula, exact rows on near targets, one-sided rows on the panel's own
@@ -119,8 +130,8 @@ def per_panel_matrix(op, side):
         zeta = _param_preimage(panel, ps.nodes)
         near = param_distance(zeta) < NEAR_PARAM
         near[cols] = False
-        K[near, cols] = _near_rows(panel, op.proj, zeta[near])
-        K[cols, cols] = _boundary_rows(panel, op.proj, panel.tau, side)
+        K[near, cols] = near_rows(panel, op.proj, zeta[near])
+        K[cols, cols] = side_rows(panel, op.proj, panel.tau, side)
     return K
 
 
@@ -155,7 +166,8 @@ def test_both_sides_come_from_one_side_free_fill(contours, name, order,
     # each side equals the per-panel construction to the bit, in either
     # order; the caller may overwrite the first side (the benchmark takes
     # C+ - C- in place) without touching the second, which reuses the fill
-    # and makes no preimage or near-row call; then the operator lets go
+    # and takes no preimage and no Q off the panels; then the operator
+    # lets go
     ps = contours[name]()
     op = CauchyOperator(ps)
     want = {side: per_panel_matrix(op, side) for side in order}
@@ -167,11 +179,11 @@ def test_both_sides_come_from_one_side_free_fill(contours, name, order,
             return fn(*args)
         return wrapper
 
-    for fn in (_near_rows, _param_preimage):
+    for fn in (leg_Q, _param_preimage):
         monkeypatch.setattr(cauchy, fn.__name__, counted(fn))
     first = op.boundary_matrix(order[0])
     assert np.array_equal(first, want[order[0]])
-    assert {"_near_rows", "_param_preimage"} <= set(calls)
+    assert {"leg_Q", "_param_preimage"} <= set(calls)
     calls.clear()
     first -= want[order[1]]
     second = op.boundary_matrix(order[1])
@@ -259,7 +271,7 @@ def per_panel_rows(op, ks, skip=None):
         if np.any(d < 1e-13):
             raise TooCloseToContour("target lies on a panel")
         near = d < NEAR_PARAM
-        rows[near, cols] = _near_rows(panel, op.proj, zeta[near])
+        rows[near, cols] = near_rows(panel, op.proj, zeta[near])
         rows[~near, cols] = (panel.weights[None, :]
                              / (panel.nodes[None, :] - ks[~near, None])
                              ) / (2j * np.pi)
@@ -293,8 +305,7 @@ def test_offcontour_and_offnode_rows_match_the_per_panel_rows(contours, name):
         panel = ps.panels[q]
         for side in ("plus", "minus"):
             want = per_panel_rows(op, panel.s_of_tau(taus), skip=q)
-            want[:, ps.node_slice(q)] = _boundary_rows(panel, op.proj, taus,
-                                                       side)
+            want[:, ps.node_slice(q)] = side_rows(panel, op.proj, taus, side)
             assert np.array_equal(op.boundary_rows_at(q, taus, side), want)
 
 
@@ -306,6 +317,28 @@ def test_offcontour_target_on_a_panel_is_refused():
     for k in (ps.nodes[27], ps.panels[5].s_of_tau(0.3)):
         with pytest.raises(TooCloseToContour, match="lies on a panel"):
             op.offcontour_rows(np.array([0.3 + 0.1j, k]))
+
+
+def one_line():
+    seg = [Segment("line", a=-1.0 + 0j, b=1.0 + 0j)]
+    return build_panels(seg, order=8, target_len=2.0)
+
+
+@pytest.mark.parametrize("make", [one_line,
+                                  lambda: build_panels(circle_segments(0.5),
+                                                       order=12,
+                                                       target_len=0.25)],
+                         ids=["line", "circle"])
+def test_offnode_position_off_its_panel_is_refused(make):
+    # past an end of the panel, at an end, or not a number: on a lone
+    # line the rows would come out non-finite, on a circle the point may
+    # or may not lie on the next panel; both are refused before the fill
+    op = CauchyOperator(make())
+    for tau in (1.5, -3.0, 1.0, -1.0, np.nan, np.inf):
+        with pytest.raises(OutOfRange, match=r"outside \(-1, 1\) on panel 0"):
+            op.boundary_rows_at(0, np.array([0.2, tau]), "plus")
+    rows = op.boundary_rows_at(0, np.array([-0.999, 0.999]), "minus")
+    assert np.all(np.isfinite(rows))
 
 
 def test_unknown_side_is_refused():

@@ -11,9 +11,10 @@ the family at large.  The seeded family sweep (family) reproduces the
 pinned near-i/2 profiles, and three of its seeds are pinned as builds
 through every jump and check_jumps: two narrow real origin cuts, where
 the origin limit R(0) = -1 needs small probe radii, and a vertical
-origin cut shorter than the ungraded stub at k = 0.  The sign of the
-trace slope on a vertical cut is checked against the monodromy on these
-profiles and the fixtures.
+origin cut shorter than the ungraded stub at k = 0; seven more seeds
+whose origin limit once missed -1 are pinned as sheet builds.  The sign
+of the trace slope on a vertical cut is checked against the monodromy on
+these profiles and the fixtures.
 """
 
 import numpy as np
@@ -170,6 +171,19 @@ def test_family_seeds_with_a_narrow_origin_cut_build(seed, axis, half):
     for p in js.ps.panels:
         js.jump_stack(0.0, 0.0, p.nodes, p.label)
     check_jumps(js)
+
+
+@pytest.mark.parametrize("seed, axis", [
+    (1024, "real"), (1025, "real"),
+    (1030, "imag"),                  # half-length 0.0173, under ORIGIN_STUB
+    (1032, "real"), (1081, "real"), (1096, "real"), (1099, "real")])
+def test_family_seeds_meet_the_origin_limit(seed, axis):
+    # with 1102 and 1105 above, the seeds whose R(0) missed -1 by up to
+    # 3.1e-4 at the old probe radius; now they miss by 1e-12 to 3e-11
+    sr = SheetedR(fourier_sd(*family(seed)), ccfg=WINDOW)
+    (cut,) = [c for c in sr.cuts.cuts if c.lo < 0.0 < c.hi]
+    assert cut.axis == axis
+    assert abs(sr.value_at_zero() + 1.0) < 1e-9
 
 
 @pytest.mark.parametrize("case", ["sd_bump", "sd_asym", "anchor_only",

@@ -301,6 +301,52 @@ def test_csv_refusals(tmp_path):
         read_csv(str(path))
 
 
+def period_csv(path, comment, kind):
+    """A 32-row CSV of bump(0.3) data on [0, 2), velocity or momentum."""
+    p = load_initial_data("bump(0.3)", L=2.0, n=32)
+    col = p.m0 if kind == "m0" else p.u0
+    rows = [comment, f"x,{kind}"]
+    rows += [f"{xi:.17g},{vi:.17g}" for xi, vi in zip(p.x, col)]
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["u0", "m0"])
+@pytest.mark.parametrize("comment, match", [
+    ("# L=e5", "bad period 'L=e5'"), ("# period L=-", "bad period 'L=-'"),
+    *[(c, "not finite and positive")
+      for c in ("# L=0", "# L=-2", "#L=nan", "# L=inf")],
+])
+def test_csv_period_must_be_a_positive_number(tmp_path, comment, match, kind):
+    # refused as ParseError before the Helmholtz solve; any warning on the
+    # way fails the test
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match=match):
+            read_csv(period_csv(tmp_path / "p.csv", comment, kind))
+
+
+def test_csv_period_is_read_only_as_its_own_token(tmp_path):
+    # COL=7 and L= inside another word leave L to the grid spacing
+    for comment in ("# COL=7", "# data: XL=3 kind=momentum"):
+        assert read_csv(period_csv(tmp_path / "p.csv", comment, "m0")).L == 2.0
+    assert read_csv(period_csv(tmp_path / "p.csv", "# COL=7 L=2", "u0")).L == 2.0
+
+
+@pytest.mark.parametrize("L", [0.0, -2.0, np.nan, np.inf])
+def test_period_must_be_finite_and_positive(L):
+    x = np.arange(32) * 0.0625
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for source in ("bump(0.5)", "zero"):
+            with pytest.raises(ParseError, match="not finite and positive"):
+                load_initial_data(source, L=L, n=32)
+        with pytest.raises(ParseError, match="not finite and positive"):
+            InitialProfile(L, 32, x, np.zeros(32), None, "zero").validate()
+        with pytest.raises(ParseError, match="not finite and positive"):
+            normalize_gauge(np.zeros(32), 1.0, L)
+
+
 def test_gauge_reduction_and_roundtrip():
     L, n, c = 2.0, 64, 0.5
     x = np.arange(n) * (L / n)

@@ -14,11 +14,13 @@ factors) and evaluates the step polynomials, so every integration goes
 through their memo and the benchmark's count of integrations.  Every
 sheet is built once, from the scattering data and the window, and
 nothing in the package builds one.
-Only _rows applies the Q-form of a Cauchy row, and only _side_Q takes the
-one-sided Q values, so both boundary matrices and the off-node boundary
-rows build their self-panel rows through the same two functions; only
-CauchyOperator._fill takes parameter preimages and near rows, so nodes,
-off-contour points and off-node boundary points share one near/far split.
+Only _rows applies the Q-form of a Cauchy row, for the near rows of the
+fill and for the one-sided rows of CauchyOperator._own_rows alike, and
+only leg_Q_side names a side, so both boundary matrices and the off-node
+boundary rows build their self-panel rows through the same two
+functions; only CauchyOperator._fill takes parameter preimages and Q off
+the panels, so nodes, off-contour points and off-node boundary points
+share one near/far split.
 No module of the package or of its tests imports a name it never reads,
 and every name the benchmark's tracer wraps exists.
 """
@@ -166,29 +168,34 @@ def test_only_integrate_transfer_builds_and_evaluates_step_polynomials():
 
 def test_self_panel_rows_are_built_only_through_rows():
     # the Q-form, ((-2 Q) @ proj plus an arc's smooth part) / (2 pi i),
-    # lives in _rows; boundary_matrix takes Q once per side for all of its
-    # self blocks, so an inline copy there could drift from _rows
-    matmuls = [qual for qual, fn in functions(dict(modules())["cauchy"])
+    # lives in _rows; _own_rows takes Q once per side for all the self
+    # blocks of boundary_matrix, so an inline copy there could drift
+    tree = dict(modules())["cauchy"]
+    matmuls = [qual for qual, fn in functions(tree)
                if any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)
                       for n in ast.walk(fn))]
     assert matmuls == ["_rows"]
     assert package_callers("_arc_smooth_part") == ["cauchy._rows"]
-    assert package_callers("leg_Q_side") == ["cauchy._side_Q"]
-    assert package_callers("_side_Q") == [
-        "cauchy._boundary_rows", "cauchy.CauchyOperator.boundary_matrix"]
     assert package_callers("_rows") == [
-        "cauchy._near_rows", "cauchy._boundary_rows",
-        "cauchy.CauchyOperator.boundary_matrix"]
-    assert package_callers("_boundary_rows") == [
+        "cauchy.CauchyOperator._fill", "cauchy.CauchyOperator._own_rows"]
+    assert package_callers("leg_Q_side") == ["cauchy.CauchyOperator._own_rows"]
+    assert package_callers("_own_rows") == [
+        "cauchy.CauchyOperator.boundary_matrix",
         "cauchy.CauchyOperator.boundary_rows_at"]
+    # leg_Q_side checks the side and takes its sign; no other function
+    # of the module names one
+    namers = [qual for qual, fn in functions(tree)
+              if any(isinstance(n, ast.Constant) and n.value in ("plus", "minus")
+                     for n in ast.walk(fn))]
+    assert namers == ["leg_Q_side"]
 
 
 def test_only_the_fill_splits_near_from_far():
     # _fill forms the far sum for every target and writes the exact rows
-    # of its near panels; a second caller of the preimage or the near rows
-    # would be a second near/far split to keep in step with it
+    # of its near panels; a second caller of the preimage or of Q off the
+    # panels would be a second near/far split to keep in step with it
     assert package_callers("_param_preimage") == ["cauchy.CauchyOperator._fill"]
-    assert package_callers("_near_rows") == ["cauchy.CauchyOperator._fill"]
+    assert package_callers("leg_Q") == ["cauchy.CauchyOperator._fill"]
 
 
 def test_every_sheet_is_built_once_from_the_data_and_the_window():
