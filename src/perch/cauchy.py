@@ -33,11 +33,29 @@ of Q with the projection matrix stays one per panel, since one product
 over the stack differs from the per-panel products in the last bits under
 OpenBLAS, and the per-panel rows are what the tests pin.
 
+The far sum, w_j / (s_j - k) / (2 pi i) for every target and node, is
+three elementwise passes over an N-wide row per target: subtract, divide
+the weights, scale.  numpy runs them without the GIL, so _by_bands splits
+the rows into contiguous bands, one per CPU the process may run on
+(_workers), and runs the bands on a thread pool made for that call; a
+fill under two bands of BAND_ELEMENTS runs in the caller's thread and
+starts none.  Each element is computed as before, so the bands change no
+bit.  The scale is a product with SCALE = -i / (2 pi): numpy divides by a
+divisor whose real part is zero as a product with its rounded
+reciprocal, so the product gives the division's bits.  A test pins this
+from 1e-320 to 1e300; only a part within three subnormal steps of zero,
+which scales to zero, may come out as a zero of the other sign.  The
+near rows, the self blocks and every matrix product stay in the caller's
+thread.
+
 The "+" side of a panel is the left side walking in the direction of
 increasing parameter; with this convention C_plus - C_minus equals the
 density exactly (discrete Christoffel-Darboux identity), which the solver
 relies on.
 """
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -57,6 +75,11 @@ NEAR_PARAM = 0.7
 # relative margin on a reach disc's radius, for the rounding of targets
 # on a tight line bound
 REACH_MARGIN = 1e-6
+# 1 / (2 pi i), rounded as numpy rounds it when it divides by 2j * pi (see
+# the module docstring)
+SCALE = complex(0.0, -(1.0 / (2.0 * np.pi)))
+# fewest elements of a band worth a thread of its own (2 MB of complex)
+BAND_ELEMENTS = 1 << 17
 
 
 def leg_P(x, p):
@@ -166,6 +189,26 @@ def param_distance(zeta):
     return np.hypot(dx, zeta.imag)
 
 
+def _workers():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _by_bands(work, rows, cols):
+    """work(band) over contiguous row bands of a rows x cols array, one
+    band per CPU of the process but none under BAND_ELEMENTS; a lone band
+    runs in the caller's thread, more on a pool made for this call."""
+    n = max(1, min(_workers(), rows * cols // BAND_ELEMENTS))
+    bands = [slice(i * rows // n, (i + 1) * rows // n) for i in range(n)]
+    if n == 1:
+        work(bands[0])
+        return
+    with ThreadPoolExecutor(n) as pool:
+        list(pool.map(work, bands))
+
+
 def _rows(panels, proj, Q, taus, sizes):
     """Rows from the Q values at the targets' parameter positions taus.
 
@@ -205,7 +248,10 @@ class CauchyOperator:
     handed out; the last side is written into the kept array itself,
     which the operator then drops.  So while it has handed out only one
     side, an operator holds one extra N x N complex array (71 MB at
-    N = 2112); after both, none.
+    N = 2112); after both, none.  The far sum and the copy of the kept
+    fill for the first side run by row bands on every CPU the process
+    may use (see the module docstring); the rest runs in the caller's
+    thread.
     """
 
     def __init__(self, panelset):
@@ -224,11 +270,16 @@ class CauchyOperator:
         whose block the caller fills; a target on another panel is refused."""
         ps = self.ps
         K = np.empty((len(ks), ps.n), dtype=complex)
-        np.subtract(ps.nodes[None, :], ks[:, None], out=K)
-        # a node target divides by zero at its own node, in its owner block
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(ps.weights[None, :], K, out=K)
-            K /= 2j * np.pi
+
+        def far(band):
+            out = K[band]
+            np.subtract(ps.nodes[None, :], ks[band, None], out=out)
+            # a node target divides by zero at its own node, in its owner
+            # block; errstate is per thread, so each band sets its own
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(ps.weights[None, :], out, out=out)
+                out *= SCALE
+        _by_bands(far, len(ks), ps.n)
         # a target on or near a panel lies in its reach disc
         inside = (np.abs(ks[None, :] - self._centres[:, None])
                   <= self._reach[:, None])
@@ -263,8 +314,12 @@ class CauchyOperator:
                      [len(taus)] * n)
 
     def offcontour_rows(self, ks):
-        """(len(ks), N) matrix mapping node values to C[rho](ks)."""
+        """(len(ks), N) matrix mapping node values to C[rho](ks); a target
+        that is not finite is refused."""
         ks = np.atleast_1d(np.asarray(ks, dtype=complex))
+        bad = ~np.isfinite(ks)
+        if np.any(bad):
+            raise OutOfRange(f"target k = {ks[bad][0]} is not finite")
         return self._fill(ks, np.full(len(ks), -1))
 
     def boundary_matrix(self, side):
@@ -276,7 +331,9 @@ class CauchyOperator:
             self._served = set()
         self._served.add(side)
         if len(self._served) < 2:
-            K = self._kept.copy()
+            K = np.empty_like(self._kept)
+            _by_bands(lambda band: np.copyto(K[band], self._kept[band]),
+                      *K.shape)
         else:
             K, self._kept = self._kept, None
         for q, block in enumerate(blocks):

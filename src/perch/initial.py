@@ -262,8 +262,9 @@ def load_initial_data(source, L=2.0, n=256):
 def read_csv(path):
     """Read a two-column CSV of x,u0 (or x,m0 when flagged kind=momentum).
 
-    Comment lines start with '#'; the marker 'kind=momentum' in a comment
-    or an 'x,m0' header row switches the second column to momentum.  A
+    Comment lines start with '#'; a row whose first field does not parse
+    as a float is a header.  The marker 'kind=momentum' in a comment or
+    an 'x,m0' header row switches the second column to momentum.  A
     comment token 'L=<value>' (whitespace-separated) pins the period;
     otherwise L is inferred from the uniform grid spacing.  A duplicated
     final row at x = L is dropped after checking it matches the first.
@@ -290,23 +291,25 @@ def read_csv(path):
                     except ValueError as exc:
                         raise ParseError(f"bad period {tok!r}") from exc
             continue
-        first = s.split(",")[0].strip()
-        if any(ch.isalpha() for ch in first):
+        parts = s.split(",")
+        try:
+            xj = float(parts[0])
+        except ValueError:          # a header: its first field is no number
             if "m0" in s:
                 kind = "momentum"
             continue
-        parts = s.split(",")
         if len(parts) != 2:
             raise ParseError(f"expected two comma-separated columns, got {s!r}")
         try:
-            xs.append(float(parts[0]))
             vs.append(float(parts[1]))
         except ValueError as exc:
             raise ParseError(f"non-numeric row {s!r}") from exc
+        xs.append(xj)
     if len(xs) < 2:
         raise ParseError(f"no data rows in {path}")
     x = np.asarray(xs)
     v = np.asarray(vs)
+    _refuse_non_finite("x", x)      # a NaN would pass the grid check below
     dx = np.diff(x)
     if np.any(dx <= 0) or np.max(np.abs(dx - dx[0])) > 1e-9 * dx[0] + 1e-14:
         raise ParseError("x column must be a uniform increasing grid")

@@ -1,6 +1,8 @@
 """Quadrature and Cauchy-transform core: exactness, Plemelj, convergence."""
 
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -307,6 +309,100 @@ def test_offcontour_and_offnode_rows_match_the_per_panel_rows(contours, name):
             want = per_panel_rows(op, panel.s_of_tau(taus), skip=q)
             want[:, ps.node_slice(q)] = side_rows(panel, op.proj, taus, side)
             assert np.array_equal(op.boundary_rows_at(q, taus, side), want)
+
+
+def test_the_scale_multiplies_as_numpy_divides_by_2j_pi():
+    # the far sum scales by SCALE where it divided by 2j * pi, as the
+    # per-panel references still do; numpy divides by a divisor with a
+    # zero real part as a product with its rounded reciprocal, so both
+    # give the same bits from 1e-320 to 1e300, subnormals and signed
+    # zeros included
+    rng = np.random.default_rng(30)
+    parts = (rng.choice([-1.0, 1.0], 2 * 200_000)
+             * 10.0 ** rng.uniform(-320.0, 300.0, 2 * 200_000))
+    parts[:8] = [0.0, -0.0, -0.0, 0.0, 1e-320, -1e-320, 2.2e-308, -1e-310]
+    x = parts.view(complex)
+    assert np.sum(np.abs(parts) < np.finfo(float).tiny) > 1000
+    want = (x / (2j * np.pi)).view(np.uint64)
+    assert np.array_equal((x * cauchy.SCALE).view(np.uint64), want)
+    y = x.copy()
+    y *= cauchy.SCALE
+    assert np.array_equal(y.view(np.uint64), want)
+    # below that, a part within three steps of zero scales to a zero
+    # whose sign may differ between the two (5e-324 - 5e-324j gives +0
+    # and -0 real parts); the values stay equal
+    tiny = np.array([1, 2, 3, -1, -2, -3]) * 5e-324
+    x = (tiny[:, None] + 1j * tiny[None, :]).ravel()
+    assert np.all(x * cauchy.SCALE == 0) and np.all(x / (2j * np.pi) == 0)
+
+
+def test_the_banded_fill_gives_the_same_bits_on_any_number_of_workers(
+        contours, monkeypatch):
+    # on the sweep contour (N = 2112) both boundary matrices and the
+    # off-contour rows are the same arrays from one band in the caller's
+    # thread, from this machine's CPUs and from three uneven bands
+    ps = contours["hbump@1.5"]()
+    ks = near_and_far_targets(ps)
+    made = []
+
+    def counted(n):
+        made.append(n)
+        return ThreadPoolExecutor(n)
+    monkeypatch.setattr(cauchy, "ThreadPoolExecutor", counted)
+
+    def outputs():
+        op = CauchyOperator(ps)
+        return [op.boundary_matrix("minus"), op.boundary_matrix("plus"),
+                op.offcontour_rows(ks)]
+    want = outputs()
+    for workers in (1, 3):
+        monkeypatch.setattr(cauchy, "_workers", lambda: workers)
+        made.clear()
+        got = outputs()
+        # the first side's fill and its copy, then the off-contour rows'
+        # fill; the second side neither fills nor copies
+        assert made == ([] if workers == 1 else [3, 3, 3])
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_a_fill_of_a_few_targets_starts_no_thread(contours, monkeypatch):
+    # under BAND_ELEMENTS a fill is one band in the caller's thread,
+    # however many CPUs there are; with one CPU so is every fill
+    ps = contours["hbump@1.5"]()
+    op = CauchyOperator(ps)
+    rows = [op.offcontour_rows(near_and_far_targets(ps)[:3]),
+            op.boundary_rows_at(7, np.array([-0.5, 0.1, 0.9]), "plus")]
+
+    def no_pool(n):
+        raise AssertionError("a thread pool was made")
+    monkeypatch.setattr(cauchy, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(cauchy, "_workers", lambda: 64)
+    assert 3 * ps.n < cauchy.BAND_ELEMENTS
+    assert np.array_equal(
+        op.offcontour_rows(near_and_far_targets(ps)[:3]), rows[0])
+    assert np.array_equal(
+        op.boundary_rows_at(7, np.array([-0.5, 0.1, 0.9]), "plus"), rows[1])
+    monkeypatch.setattr(cauchy, "_workers", lambda: 1)
+    assert np.array_equal(op.boundary_matrix("plus"),
+                          per_panel_matrix(op, "plus"))
+
+
+def test_offcontour_target_that_is_not_finite_is_refused(monkeypatch):
+    # refused before the N-wide fill, with no warning on the way; no
+    # target gives no rows
+    ps = circle_and_line()
+    op = CauchyOperator(ps)
+
+    def no_fill(*args):
+        raise AssertionError("the fill ran")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert op.offcontour_rows([]).shape == (0, ps.n)
+        monkeypatch.setattr(cauchy, "_by_bands", no_fill)
+        for k in (np.nan, np.inf, -np.inf, complex(0.1, np.inf),
+                  complex(np.nan, 0.2)):
+            with pytest.raises(OutOfRange, match="is not finite"):
+                op.offcontour_rows(np.array([0.3 + 0.1j, k]))
 
 
 def test_offcontour_target_on_a_panel_is_refused():

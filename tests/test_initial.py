@@ -265,6 +265,32 @@ def test_csv_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(load_initial_data(str(path)).m0, q.m0)
 
 
+def test_csv_roundtrip_in_exponent_notation(tmp_path):
+    # at L = 0.001 the grid is written as 1.5625e-05, ...; such a row is
+    # data, not a header, and the round trip stays bit-exact
+    p = load_initial_data("bump(0.3)", L=0.001, n=64)
+    path = tmp_path / "ic.csv"
+    save_csv(p, str(path))
+    assert "\n1.5625e-05," in path.read_text()
+    q = read_csv(str(path))
+    assert q.L == p.L and q.n == p.n
+    assert np.array_equal(q.x, p.x) and np.array_equal(q.m0, p.m0)
+
+
+@pytest.mark.parametrize("x1", ["nan", "inf", "-inf"])
+def test_csv_non_finite_x_is_refused(tmp_path, x1):
+    # a first field that parses as a float makes a data row, and a
+    # non-finite x is refused rather than skipped or gridded
+    rows = [f"{j / 16:.17g},0" for j in range(16)]
+    rows[5] = f"{x1},0"
+    path = tmp_path / "ic.csv"
+    path.write_text("\n".join(["# L=1", "x,u0"] + rows) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="x holds 1 non-finite"):
+            read_csv(str(path))
+
+
 def test_csv_velocity_kind_and_closing_row(tmp_path):
     L, n = 2.0, 32
     x = np.arange(n) * (L / n)

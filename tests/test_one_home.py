@@ -20,7 +20,10 @@ only leg_Q_side names a side, so both boundary matrices and the off-node
 boundary rows build their self-panel rows through the same two
 functions; only CauchyOperator._fill takes parameter preimages and Q off
 the panels, so nodes, off-contour points and off-node boundary points
-share one near/far split.
+share one near/far split.  Only _by_bands makes a thread pool, and only
+for the far sum of _fill and the copy of the kept fill in
+boundary_matrix, so no other pass of the package runs off the caller's
+thread.
 No module of the package or of its tests imports a name it never reads,
 and every name the benchmark's tracer wraps exists.
 """
@@ -196,6 +199,16 @@ def test_only_the_fill_splits_near_from_far():
     # panels would be a second near/far split to keep in step with it
     assert package_callers("_param_preimage") == ["cauchy.CauchyOperator._fill"]
     assert package_callers("leg_Q") == ["cauchy.CauchyOperator._fill"]
+
+
+def test_only_the_far_sum_and_the_fill_copy_run_on_threads():
+    # a pass moved onto the pool must release the GIL and set its own
+    # errstate; _by_bands does neither for it, so each new caller is a
+    # decision, not an accident
+    assert package_callers("ThreadPoolExecutor") == ["cauchy._by_bands"]
+    assert package_callers("_workers") == ["cauchy._by_bands"]
+    assert package_callers("_by_bands") == [
+        "cauchy.CauchyOperator._fill", "cauchy.CauchyOperator.boundary_matrix"]
 
 
 def test_every_sheet_is_built_once_from_the_data_and_the_window():
