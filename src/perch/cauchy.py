@@ -107,9 +107,15 @@ def _leg_Q_forward(z, p, q0):
 
 
 def leg_Q(z, p):
-    """Q_m(z) off the cut [-1, 1]; branch cut exactly on the segment."""
+    """Q_m(z) off the cut [-1, 1]; branch cut exactly on the segment.
+
+    Q_0(z) = arctanh(1/z), whose cuts are those of Q_0 and no more: a real
+    z outside [-1, 1] takes the real value whatever the sign of its zero
+    imaginary part, where 1/2 (log(z + 1) - log(z - 1)) gains i pi at
+    z < -1 with a -0 imaginary part.
+    """
     z = np.asarray(z, dtype=complex)
-    q0 = 0.5 * (np.log(z + 1.0) - np.log(z - 1.0))
+    q0 = np.arctanh(1.0 / z)
     return _leg_Q_forward(z, p, q0)
 
 

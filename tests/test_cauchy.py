@@ -46,6 +46,22 @@ def test_legendre_Q_matches_series_lowest_orders():
     np.testing.assert_allclose(Q[:, 2], 0.5 * (3 * z**2 - 1) * q0 - 1.5 * z, rtol=1e-12)
 
 
+@pytest.mark.parametrize("x, bound", [(1.2, 1e-13), (-1.2, 1e-13),
+                                      (1.683, 4e-12), (-1.683, 4e-12)])
+@pytest.mark.parametrize("imag", [0.0, -0.0], ids=["+0", "-0"])
+def test_legendre_Q_on_the_real_axis_matches_quadrature(x, bound, imag):
+    # a real zeta off [-1, 1] is what a target on a line panel's own line
+    # gives; Q_m(zeta) = 1/2 int P_m(t) / (zeta - t) dt by 200-point
+    # Gauss-Legendre, whose error is far below the bound, and the bound is
+    # the forward recurrence's loss (2e-14 at 1.2, 1.9e-12 at 1.683)
+    # doubled; a -0 imaginary part at zeta < -1 once put i pi P_m on Q_m
+    t, w = np.polynomial.legendre.leggauss(200)
+    P = np.polynomial.legendre.legvander(t, 11)
+    z = complex(x, imag)
+    want = 0.5 * (w / (z - t)) @ P
+    assert np.max(np.abs(leg_Q(np.array([z]), 12)[0] - want)) < bound
+
+
 @pytest.mark.parametrize("k,expect", [
     (0.1 + 0.05j, 0.0),            # inside: residues of 1/s/(s-k) cancel
     (0.9 + 0.4j, None),            # outside: -1/k
@@ -193,6 +209,30 @@ def test_both_sides_come_from_one_side_free_fill(contours, name, order,
     assert np.array_equal(second, want[order[1]])
     assert [v for v in vars(op).values()
             if isinstance(v, np.ndarray) and v.size >= ps.n**2] == []
+
+
+@pytest.mark.parametrize("name", ["bump@1.5", "hbump@1.5"])
+def test_c_minus_is_equivariant_under_k_to_minus_k(contours, name):
+    # (C_- f)(-k) = (C_s [eps f(-.)])(k): k -> -k keeps the vertical cuts'
+    # orientation (eps = +1, s = minus) and reverses every other piece
+    # (eps = -1, s = plus); both contours are symmetric, so -k of a node
+    # is a node.  The worst defect of a random density is 1.1e-11 on
+    # bump@1.5, whose cut on the imaginary axis once gave 1.5e5, and
+    # 1.9e-11 on hbump@1.5
+    ps = contours[name]()
+    k = ps.nodes
+    image = np.argmin(np.abs(k[None, :] + k[:, None]), axis=1)
+    assert np.max(np.abs(k[image] + k)) < 1e-15
+    vert = np.array([p.label == "cut_vert" for p in ps.panels])[ps.panel_index]
+    assert np.any(vert) == (name == "bump@1.5")
+    op = CauchyOperator(ps)
+    Cm = op.boundary_matrix("minus")
+    Cp = op.boundary_matrix("plus")
+    rng = np.random.default_rng(11)
+    f = rng.standard_normal(ps.n) + 1j * rng.standard_normal(ps.n)
+    g = np.where(vert, 1.0, -1.0) * f[image]
+    want = np.where(vert, Cm @ g, Cp @ g)
+    assert np.max(np.abs((Cm @ f)[image] - want)) < 5e-11
 
 
 def test_the_fill_takes_preimages_only_inside_the_reach_discs(contours,
