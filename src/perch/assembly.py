@@ -67,12 +67,15 @@ conjugated by that same D: circle_eps = D J_circle D^{-1}.
 The time dependence enters through the scalar phase
 p(y, t, k) = y - t / (2 (k^2 + 1/4)): the jump at (y, t) is the k-fixed
 matrix J0 conjugated by exp(-i k p sigma3), except on residue disks, where
-the phase is evaluated at the pole itself.  So JumpSpec builds J0 once
-per region tag and node array, all panels of one tag in one stack, and
-reuses it at every (y, t); the disks, whose jump is not J0 times a
-phase at each node, are built whole at every call.
+the phase is evaluated at the pole itself.  So JumpSpec groups its
+nodes: all own panels of one region tag form one group, and any other
+node array a group of its own.  It builds a group's J0 in one stack and
+takes the phase over the whole group once per (y, t), and each panel's
+call copies its slice; the disks, whose jump is not J0 times a phase at
+each node, are built whole at every call.
 """
 
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -243,14 +246,38 @@ def _phase_raw(y, t, k):
     return y - t / (2.0 * (k * k + 0.25))
 
 
-def _memo_entry(j0, k):
-    """What jump_stack keeps per node array k: J0 and the k-only factors
-    of the phase, -2ik and 2 (k^2 + 1/4), all read-only (and so is every
-    view of them)."""
-    entry = (j0, -2j * k, 2.0 * (k * k + 0.25))
-    for a in entry:
-        a.flags.writeable = False
-    return entry
+def _with_phase(j0, m2k, den, y, t):
+    """j0 conjugated by exp(-ik p(y, t, k) sigma3), from the k-only factors
+    m2k = -2ik and den = 2 (k^2 + 1/4) in _phase_raw's order of operations:
+    J12 times e = exp(-2ik p), J21 divided by it."""
+    out = j0.copy()
+    e = np.exp(m2k * (y - t / den))
+    out[..., 0, 1] *= e
+    out[..., 1, 0] /= e
+    return out
+
+
+class _PhaseGroup:
+    """What jump_stack keeps per group of nodes k: J0, the k-only factors
+    of the phase, -2ik and 2 (k^2 + 1/4), and the jump stack at the last
+    (y, t) the group served, all read-only (and so is every view of
+    them).  (y, t) is compared by its bits, as -0.0 and 0.0 may give
+    different zeros in the stack."""
+
+    def __init__(self, j0, k):
+        self.j0, self.m2k, self.den = j0, -2j * k, 2.0 * (k * k + 0.25)
+        for a in (self.j0, self.m2k, self.den):
+            a.flags.writeable = False
+        self.yt = self.stack = None
+
+    def at(self, y, t):
+        """The group's jump stack at (y, t), read-only."""
+        yt = struct.pack("4d", y.real, y.imag, t.real, t.imag)
+        if yt != self.yt:
+            self.stack = _with_phase(self.j0, self.m2k, self.den, y, t)
+            self.stack.flags.writeable = False
+            self.yt = yt
+        return self.stack
 
 
 # ------------------------------------------------------------ G-functions
@@ -315,15 +342,17 @@ class JumpSpec:
     """Evaluator for the piecewise jump matrix on the master contour.
 
     j0_stack gives the t-independent matrix J0 per region tag; jump_stack
-    conjugates it with the phase exponential.  jump_stack keeps J0 and the
-    k-only factors of the phase per (tag, node array), so a node array
-    asked for again at another (y, t) costs a lookup, a copy and one
-    exponential.  The spec panelizes mc once (ps), and the first miss on
-    one of its own panels builds J0 for every panel of that region tag in
-    one j0_stack call, so the integrator sees the whole tag at once; any
-    other node array (-k, conj k, a sample, a junction point) is built
-    alone.  A j0_stack that raises leaves
-    nothing kept, and the next call builds the tag or array again.
+    conjugates it with the phase exponential.  The spec panelizes mc once
+    (ps).  jump_stack keeps one _PhaseGroup per group of nodes: all own
+    panels of a region tag, or one other node array (-k, conj k, a
+    sample, a junction point).  The first miss on an own panel builds J0
+    for every panel of its tag in one j0_stack call, so the integrator
+    sees the whole tag at once.  A group keeps its stack at the last
+    (y, t) it served: a call at that (y, t) costs a lookup and a copy of
+    the panel's slice, a call at a new one takes the phase once over the
+    group.  So a jump set, every own panel at one (y, t), takes one phase
+    per tag.  A j0_stack that raises leaves nothing kept, and the next
+    call builds the tag or array again.
     Residue disks are the one exception: their nilpotent entry carries
     the phase evaluated at the pole, exactly as the residue conditions
     prescribe, so jump_stack builds them whole at every call and
@@ -337,12 +366,19 @@ class JumpSpec:
         self.theta = sr.theta
         self.L = sd.mp.L
         self.ps = panelize(mc)
-        # per tag, the memo key and nodes of each own panel, in contour order
-        self._own = {}
+        # per tag, the nodes of its own panels in contour order, and per
+        # own panel's key, its tag and its slice of the tag's nodes
+        own = {}
         for p in self.ps.panels:
-            self._own.setdefault(p.label, {})[
+            own.setdefault(p.label, {})[
                 (p.label, p.nodes.shape, p.nodes.tobytes())] = p.nodes
-        self._j0 = {}
+        self._tag_nodes, self._slots = {}, {}
+        for tag, panels in own.items():
+            self._tag_nodes[tag] = np.concatenate(list(panels.values()))
+            ends = np.cumsum([len(k) for k in panels.values()])
+            for key, end, k in zip(panels, ends, panels.values()):
+                self._slots[key] = (tag, slice(end - len(k), end))
+        self._groups = {}
 
     # -------------------------------------------- t = 0 matrices
 
@@ -454,33 +490,25 @@ class JumpSpec:
     def jump_stack(self, y, t, ks, tag, side=None):
         """Jump matrices at (y, t) for nodes sharing one region tag.
 
-        The memo holds one read-only entry per (tag, node array k): J0,
-        -2ik and 2 (k^2 + 1/4) (_memo_entry).  A warm call takes the phase
-        from them in _phase_raw's order of operations, so it returns what
-        a cold call returns, to the bit.
+        The memo holds one _PhaseGroup per group: all own panels of a tag,
+        or one other node array.  A call at the (y, t) its group last
+        served copies its slice of the group's stack; a call at another
+        (y, t) first takes the phase over the whole group.  The phase is
+        elementwise, so every call returns what a cold call on its own
+        nodes returns, to the bit.
         """
         # side is not read; perfbench/workloads.py passes it by position
         flat = np.atleast_1d(np.asarray(ks, dtype=complex))
         if tag == "disk":
             return self._disk_stack(y, t, flat)
         key = (tag, flat.shape, flat.tobytes())
-        memo = self._j0.get(key)
-        if memo is None and key in self._own.get(tag, ()):
-            panels = self._own[tag]
-            cuts = np.cumsum([len(k) for k in panels.values()])[:-1]
-            nodes = np.concatenate(list(panels.values()))
-            entry = _memo_entry(self.j0_stack(nodes, tag), nodes)
-            self._j0.update(zip(panels, zip(*(np.split(a, cuts)
-                                              for a in entry))))
-            memo = self._j0[key]
-        elif memo is None:
-            memo = self._j0[key] = _memo_entry(self.j0_stack(flat, tag), flat)
-        j0, m2k, den = memo
-        out = j0.copy()
-        e = np.exp(m2k * (y - t / den))
-        out[..., 0, 1] *= e
-        out[..., 1, 0] /= e
-        return out
+        group, part = self._slots.get(key, (key, slice(None)))
+        memo = self._groups.get(group)
+        if memo is None:
+            nodes = flat if group is key else self._tag_nodes[tag]
+            memo = _PhaseGroup(self.j0_stack(nodes, tag), nodes)
+            self._groups[group] = memo
+        return memo.at(y, t)[part].copy()
 
 
 # ------------------------------------------------------------ diagnostics

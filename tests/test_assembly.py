@@ -20,7 +20,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from perch import scattering
+from perch import assembly, scattering
 from perch.assembly import (ALL_TAGS, UPPER_LOWER_TAGS, JumpSpec, _g_core,
                             build_master_contour, check_jumps,
                             jump_diagnostics, panelize)
@@ -150,13 +150,19 @@ def test_a_cold_pass_builds_each_tag_once_bit_equal_to_panel_builds(
     assert sorted(js.builds) == sorted(tag_sizes(js).items())
 
 
-def test_warm_jumps_take_the_phase_from_read_only_factors(sd_hbump):
-    # the memo keeps J0, -2ik and 2 (k^2 + 1/4) per node array, none of
-    # them writable; on the benchmark's sweep contour every warm jump set
-    # is the panel's J0 times the phase written out, to the bit, also
-    # after the caller has overwritten what an earlier call returned
-    sr = SheetedR(sd_hbump, ccfg=ContourConfig(k_window_factor=1.5))
-    js = JumpSpec(sd_hbump, sr, build_master_contour(sr))
+@pytest.fixture(scope="module")
+def sweep_sr(sd_hbump):
+    """The benchmark's sweep sheet: bump(-0.8) at window factor 1.5."""
+    return SheetedR(sd_hbump, ccfg=ContourConfig(k_window_factor=1.5))
+
+
+def test_warm_jumps_take_the_phase_from_read_only_factors(sweep_sr):
+    # the memo keeps one slot per own panel in one group per tag, and the
+    # group's J0, -2ik, 2 (k^2 + 1/4) and last stack, none of them
+    # writable; on the benchmark's sweep contour every warm jump set is
+    # the panel's J0 times the phase written out, to the bit, also after
+    # the caller has overwritten what an earlier call returned
+    js = JumpSpec(sweep_sr.sd, sweep_sr, build_master_contour(sweep_sr))
     panels = js.ps.panels
     j0 = [js.j0_stack(p.nodes, p.label) for p in panels]
     for y, t in ((0.3 * js.theta, 0.7), (0.7 * js.theta, 1.9),
@@ -165,9 +171,53 @@ def test_warm_jumps_take_the_phase_from_read_only_factors(sd_hbump):
             J = js.jump_stack(y, t, p.nodes, p.label)
             assert np.array_equal(J, with_phase(j, p.nodes, y, t))
             J[:] = np.nan
-    assert len(js._j0) == len(panels)
-    assert not any(a.flags.writeable for entry in js._j0.values()
-                   for a in entry)
+    assert len(js._slots) == len(panels)
+    assert set(js._groups) == {p.label for p in panels}
+    assert not any(a.flags.writeable for g in js._groups.values()
+                   for a in (g.j0, g.m2k, g.den, g.stack))
+
+
+def bits(a):
+    return a.view(np.uint64)
+
+
+def test_a_warm_jump_set_takes_the_phase_once_per_tag(sweep_sr, monkeypatch):
+    # on the sweep contour: one phase per tag and (y, t), none when the
+    # (y, t) repeats; an earlier (y, t) gives its first bits back; an
+    # overwritten stack leaves the next call alone; and -k of a panel,
+    # an array of its own, never gets a stack of another (y, t)
+    js = JumpSpec(sweep_sr.sd, sweep_sr, build_master_contour(sweep_sr))
+    panels = js.ps.panels
+    phases = []
+
+    def counted(j0, *args):
+        phases.append(len(j0))
+        return with_phase_of(j0, *args)
+    with_phase_of = assembly._with_phase
+    monkeypatch.setattr(assembly, "_with_phase", counted)
+    grid = [(0.3 * js.theta, 0.7), (0.7 * js.theta, 1.9), (-0.0, 0.0),
+            (0.0, 0.0)]
+    sets = []
+    for y, t in grid + grid[:1]:
+        phases.clear()
+        for _ in range(2):
+            sets.append([js.jump_stack(y, t, p.nodes, p.label)
+                         for p in panels])
+        assert sorted(phases) == sorted(tag_sizes(js).values())
+    for first, again in zip(sets[0], sets[-1]):
+        assert np.array_equal(bits(first), bits(again))
+    p = panels[40]
+    J = js.jump_stack(*grid[0], p.nodes, p.label)
+    J[:] = np.nan
+    assert np.array_equal(bits(js.jump_stack(*grid[0], p.nodes, p.label)),
+                          bits(sets[0][40]))
+    k = -p.nodes
+    j0 = js.j0_stack(k, p.label)
+    for y, t in grid[:2] + grid[:1]:
+        js.jump_stack(y, t, p.nodes, p.label)
+        for yk, tk in grid[:2]:
+            assert np.array_equal(bits(js.jump_stack(yk, tk, k, p.label)),
+                                  bits(with_phase(j0, k, yk, tk)))
 
 
 def test_a_cold_pass_integrates_each_tag_once_per_step_count(sd_hbump,
