@@ -375,9 +375,10 @@ class JumpSpec:
         self._tag_nodes, self._slots = {}, {}
         for tag, panels in own.items():
             self._tag_nodes[tag] = np.concatenate(list(panels.values()))
-            ends = np.cumsum([len(k) for k in panels.values()])
-            for key, end, k in zip(panels, ends, panels.values()):
-                self._slots[key] = (tag, slice(end - len(k), end))
+            start = 0
+            for key, k in panels.items():
+                self._slots[key] = (tag, slice(start, start + len(k)))
+                start += len(k)
         self._groups = {}
 
     # -------------------------------------------- t = 0 matrices
@@ -502,10 +503,11 @@ class JumpSpec:
         if tag == "disk":
             return self._disk_stack(y, t, flat)
         key = (tag, flat.shape, flat.tobytes())
-        group, part = self._slots.get(key, (key, slice(None)))
+        slot = self._slots.get(key)
+        group, part = slot or (key, slice(None))
         memo = self._groups.get(group)
         if memo is None:
-            nodes = flat if group is key else self._tag_nodes[tag]
+            nodes = self._tag_nodes[tag] if slot else flat
             memo = _PhaseGroup(self.j0_stack(nodes, tag), nodes)
             self._groups[group] = memo
         return memo.at(y, t)[part].copy()

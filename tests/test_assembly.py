@@ -1,17 +1,20 @@
 """Tests for the jump assembly: unimodular jumps on every region tag, the
 (y, t) phase conjugation, the t-independent jump built once per node
 array and equal to a fresh build, warm jumps taking the phase from
-read-only memoized factors, a cold pass that builds each region
-tag of the spec's own panels in one stack, bit-equal to a panel-by-panel
-build on an evaluator of its own and integrating each tag once per step
-count, other node arrays built alone, a failed build kept nowhere, the
-diagonal eps-circle jumps, the circle jump inside the eps-circles against
-the shifted G-functions written out, the guard on region tags,
-check_jumps on its two symmetry rules and the junction at k = +-1/2 with
-every region tag sampled, a cold pass that integrates only the lower half
-of a vertical cut, a vertical cut off the origin, the typed refusals of
-off-axis cut nodes and of a collapsed or inconsistent root, and the
-residue-disk jumps of a synthetic pole with a node off every disk refused.
+read-only memoized factors once per region tag and (y, t), with an
+earlier (y, t) giving its bits back and a caller's overwrite or another
+node array's (y, t) reaching no later call, a cold pass that builds
+each region tag of the spec's own panels in one stack, bit-equal to a
+panel-by-panel build on an evaluator of its own and integrating each tag
+once per step count, other node arrays built alone, a failed build kept
+nowhere, the diagonal eps-circle jumps, the circle jump inside the
+eps-circles against the shifted G-functions written out, the guard on
+region tags, check_jumps on its two symmetry rules and the junction at
+k = +-1/2 with every region tag sampled, a cold pass that integrates
+only the lower half of a vertical cut, a vertical cut off the origin,
+the typed refusals of off-axis cut nodes and of a collapsed or
+inconsistent root, and the residue-disk jumps of a synthetic pole with
+a node off every disk refused.
 """
 
 import copy
@@ -189,11 +192,11 @@ def test_a_warm_jump_set_takes_the_phase_once_per_tag(sweep_sr, monkeypatch):
     js = JumpSpec(sweep_sr.sd, sweep_sr, build_master_contour(sweep_sr))
     panels = js.ps.panels
     phases = []
+    with_phase_of = assembly._with_phase
 
     def counted(j0, *args):
         phases.append(len(j0))
         return with_phase_of(j0, *args)
-    with_phase_of = assembly._with_phase
     monkeypatch.setattr(assembly, "_with_phase", counted)
     grid = [(0.3 * js.theta, 0.7), (0.7 * js.theta, 1.9), (-0.0, 0.0),
             (0.0, 0.0)]
@@ -212,6 +215,7 @@ def test_a_warm_jump_set_takes_the_phase_once_per_tag(sweep_sr, monkeypatch):
     assert np.array_equal(bits(js.jump_stack(*grid[0], p.nodes, p.label)),
                           bits(sets[0][40]))
     k = -p.nodes
+    assert (p.label, k.shape, k.tobytes()) not in js._slots
     j0 = js.j0_stack(k, p.label)
     for y, t in grid[:2] + grid[:1]:
         js.jump_stack(y, t, p.nodes, p.label)

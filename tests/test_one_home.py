@@ -143,7 +143,7 @@ def test_only_the_branch_point_polish_differences_the_trace():
 
 
 def test_only_jump_stack_builds_the_t_independent_jump():
-    # jump_stack keeps J0 per (tag, node array); a second caller of
+    # jump_stack keeps J0 per group of nodes; a second caller of
     # j0_stack would rebuild it around that memo
     assert package_callers("j0_stack") == ["assembly.JumpSpec.jump_stack"]
 
