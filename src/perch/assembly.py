@@ -67,12 +67,12 @@ conjugated by that same D: circle_eps = D J_circle D^{-1}.
 The time dependence enters through the scalar phase
 p(y, t, k) = y - t / (2 (k^2 + 1/4)): the jump at (y, t) is the k-fixed
 matrix J0 conjugated by exp(-i k p sigma3), except on residue disks, where
-the phase is evaluated at the pole itself.  So JumpSpec groups its
-nodes: all own panels of one region tag form one group, and any other
-node array a group of its own.  It builds a group's J0 in one stack and
-takes the phase over the whole group once per (y, t), and each panel's
-call copies its slice; the disks, whose jump is not J0 times a phase at
-each node, are built whole at every call.
+the phase is evaluated at the pole itself.  So JumpSpec keeps one group
+per region tag of its own panels: it builds the tag's J0 in one stack and
+takes the phase over the whole tag once per (y, t), and each panel's call
+copies its slice.  Any other node array (an image -k or conj k, a
+junction point, a caller's sample) is built whole at every call, and so
+are the disks, whose jump is not J0 times a phase at each node.
 """
 
 import struct
@@ -145,7 +145,7 @@ def _circle_segments(eps):
 
 
 def _eps_segments(eps):
-    h = float(np.arcsin(min(eps, 0.999)))
+    h = float(np.arcsin(eps))
     upper = [Segment("arc", center=0.5j, radius=eps, phi1=np.pi + h,
                      phi2=-h, label="eps_outer"),
              Segment("arc", center=0.5j, radius=eps, phi1=-h,
@@ -258,11 +258,11 @@ def _with_phase(j0, m2k, den, y, t):
 
 
 class _PhaseGroup:
-    """What jump_stack keeps per group of nodes k: J0, the k-only factors
-    of the phase, -2ik and 2 (k^2 + 1/4), and the jump stack at the last
-    (y, t) the group served, all read-only (and so is every view of
-    them).  (y, t) is compared by its bits, as -0.0 and 0.0 may give
-    different zeros in the stack."""
+    """What jump_stack keeps per region tag of the own panels, nodes k:
+    J0, the k-only factors of the phase, -2ik and 2 (k^2 + 1/4), and the
+    jump stack at the last (y, t) the group served, all read-only (and so
+    is every view of them).  (y, t) is compared by its bits, as -0.0 and
+    0.0 may give different zeros in the stack."""
 
     def __init__(self, j0, k):
         self.j0, self.m2k, self.den = j0, -2j * k, 2.0 * (k * k + 0.25)
@@ -343,16 +343,16 @@ class JumpSpec:
 
     j0_stack gives the t-independent matrix J0 per region tag; jump_stack
     conjugates it with the phase exponential.  The spec panelizes mc once
-    (ps).  jump_stack keeps one _PhaseGroup per group of nodes: all own
-    panels of a region tag, or one other node array (-k, conj k, a
-    sample, a junction point).  The first miss on an own panel builds J0
-    for every panel of its tag in one j0_stack call, so the integrator
-    sees the whole tag at once.  A group keeps its stack at the last
-    (y, t) it served: a call at that (y, t) costs a lookup and a copy of
-    the panel's slice, a call at a new one takes the phase once over the
-    group.  So a jump set, every own panel at one (y, t), takes one phase
-    per tag.  A j0_stack that raises leaves nothing kept, and the next
-    call builds the tag or array again.
+    (ps).  jump_stack keeps one _PhaseGroup per region tag of the own
+    panels and nothing else: the first call on an own panel builds J0 for
+    every panel of its tag in one j0_stack call, so the integrator sees
+    the whole tag at once.  A group keeps its stack at the last (y, t) it
+    served: a call at that (y, t) costs a lookup and a copy of the
+    panel's slice, a call at a new one takes the phase once over the tag.
+    So a jump set, every own panel at one (y, t), takes one phase per
+    tag.  A node array that is no own panel (-k, conj k, a sample, a
+    junction point) is built whole at every call.  A j0_stack that raises
+    leaves nothing kept, and the next call builds the tag again.
     Residue disks are the one exception: their nilpotent entry carries
     the phase evaluated at the pole, exactly as the residue conditions
     prescribe, so jump_stack builds them whole at every call and
@@ -367,7 +367,7 @@ class JumpSpec:
         self.L = sd.mp.L
         self.ps = panelize(mc)
         # per tag, the nodes of its own panels in contour order, and per
-        # own panel's key, its tag and its slice of the tag's nodes
+        # own panel's key (tag, shape, bytes), its slice of the tag's nodes
         own = {}
         for p in self.ps.panels:
             own.setdefault(p.label, {})[
@@ -377,7 +377,7 @@ class JumpSpec:
             self._tag_nodes[tag] = np.concatenate(list(panels.values()))
             start = 0
             for key, k in panels.items():
-                self._slots[key] = (tag, slice(start, start + len(k)))
+                self._slots[key] = slice(start, start + len(k))
                 start += len(k)
         self._groups = {}
 
@@ -387,15 +387,14 @@ class JumpSpec:
         a, b, astar, bstar = self.sd.ab(flat)
         r = bstar / a
         rs = b / astar
-        out = np.empty(flat.shape + (2, 2), dtype=complex)
-        mid = np.empty_like(out)
+        mid = np.empty(flat.shape + (2, 2), dtype=complex)
         mid[..., 0, 0] = 1.0 - r * rs
         mid[..., 0, 1] = rs
         mid[..., 1, 0] = -r
         mid[..., 1, 1] = 1.0
         G, G1 = _g_core(self.sd, self.sr, flat, tag.startswith("cut_hor"))
-        left = np.zeros_like(out)
-        right = np.zeros_like(out)
+        left = np.zeros_like(mid)
+        right = np.zeros_like(mid)
         left[..., 0, 0] = left[..., 1, 1] = 1.0
         right[..., 0, 0] = right[..., 1, 1] = 1.0
         if tag.endswith("outer"):
@@ -491,26 +490,25 @@ class JumpSpec:
     def jump_stack(self, y, t, ks, tag, side=None):
         """Jump matrices at (y, t) for nodes sharing one region tag.
 
-        The memo holds one _PhaseGroup per group: all own panels of a tag,
-        or one other node array.  A call at the (y, t) its group last
-        served copies its slice of the group's stack; a call at another
-        (y, t) first takes the phase over the whole group.  The phase is
-        elementwise, so every call returns what a cold call on its own
-        nodes returns, to the bit.
+        The memo holds one _PhaseGroup per region tag of the own panels.
+        An own panel's call at the (y, t) its tag last served copies its
+        slice of the tag's stack; a call at another (y, t) first takes the
+        phase over the whole tag.  Any other node array is built whole.
+        J0 and the phase are elementwise, so every call returns what a
+        cold call on its own nodes returns, to the bit.
         """
         # side is not read; perfbench/workloads.py passes it by position
         flat = np.atleast_1d(np.asarray(ks, dtype=complex))
         if tag == "disk":
             return self._disk_stack(y, t, flat)
-        key = (tag, flat.shape, flat.tobytes())
-        slot = self._slots.get(key)
-        group, part = slot or (key, slice(None))
-        memo = self._groups.get(group)
-        if memo is None:
-            nodes = self._tag_nodes[tag] if slot else flat
-            memo = _PhaseGroup(self.j0_stack(nodes, tag), nodes)
-            self._groups[group] = memo
-        return memo.at(y, t)[part].copy()
+        slot = self._slots.get((tag, flat.shape, flat.tobytes()))
+        if slot is None:
+            return _with_phase(self.j0_stack(flat, tag), -2j * flat,
+                               2.0 * (flat * flat + 0.25), y, t)
+        if tag not in self._groups:
+            nodes = self._tag_nodes[tag]
+            self._groups[tag] = _PhaseGroup(self.j0_stack(nodes, tag), nodes)
+        return self._groups[tag].at(y, t)[slot].copy()
 
 
 # ------------------------------------------------------------ diagnostics
@@ -536,30 +534,33 @@ def _junction_defect(js, y, t):
 def jump_diagnostics(js, y=0.0, t=0.0, n=200, seed=5):
     """Worst |det J - 1|, symmetry-rule and junction defects.
 
-    Samples max(1, n // tags) quadrature nodes of every region tag
-    present on js.ps, so a tag with few nodes (a residue disk) is
-    checked on every seed, and evaluates them, one stack per tag, with
-    their images -k and conj(k) under the two rules of the module
-    docstring.
+    Takes every own panel's jump through jump_stack, the jumps a jump set
+    serves, and checks det J = 1 on every node of js.ps.  Samples
+    max(1, n // tags) quadrature nodes of every region tag present, so a
+    tag with few nodes (a residue disk) is checked on every seed, and
+    compares their served jumps with those at their images -k and conj(k)
+    under the two rules of the module docstring, the images of one tag
+    built in one stack.
     """
     ps = js.ps
+    served = np.concatenate([js.jump_stack(y, t, p.nodes, p.label)
+                             for p in ps.panels])
+    det_defect = float(np.max(np.abs(det2(served) - 1.0)))
     rng = np.random.default_rng(seed)
     node_tags = np.array([p.label for p in ps.panels])[ps.panel_index]
     tags = np.unique(node_tags)
     share = max(1, n // len(tags))
-    det_defect = holo = anti = 0.0
+    holo = anti = 0.0
     checked = 0
     for tag in tags:
-        k = ps.nodes[rng.permutation(np.flatnonzero(node_tags == tag))[:share]]
+        pick = rng.permutation(np.flatnonzero(node_tags == tag))[:share]
+        j, k = served[pick], ps.nodes[pick]
         checked += len(k)
-        j = js.jump_stack(y, t, k, tag)
-        det_defect = max(det_defect, float(np.max(np.abs(det2(j) - 1.0))))
-        j_neg = js.jump_stack(y, t, -k, tag)
+        j_neg, j_conj = np.split(js.jump_stack(
+            y, t, np.concatenate([-k, np.conj(k)]), tag), 2)
         if tag not in ("cut_vert", "disk"):
             j_neg = inv2(j_neg)
-        j_conj = np.conj(js.jump_stack(y, t, np.conj(k), tag))
-        if tag != "disk":
-            j_conj = inv2(j_conj)
+        j_conj = np.conj(j_conj) if tag == "disk" else inv2(np.conj(j_conj))
         holo = max(holo, float(np.max(frob(j - sigma1_conj(j_neg)))))
         anti = max(anti, float(np.max(frob(j - sigma1_conj(j_conj)))))
     return {"det": det_defect, "holomorphic": holo, "antiholomorphic": anti,
@@ -570,11 +571,11 @@ def jump_diagnostics(js, y=0.0, t=0.0, n=200, seed=5):
 def check_jumps(js, **kw):
     """Raise JumpConsistencyError when a defect exceeds 1e-9.
 
-    The junction defect on the fixture profiles is at most 1.9e-12.  Like
-    jump_diagnostics it evaluates a sample of at most n nodes (and the
-    junction points), so a panel outside the sample can still fail to
-    carry a jump; only a full jump set, every panel through jump_stack,
-    shows every panel."""
+    The junction defect on the fixture profiles is at most 1.9e-12.  It
+    reads the jumps jump_stack serves on every own panel, so a panel that
+    cannot carry a jump raises here, and det J = 1 is checked on every
+    node; the symmetry rules on jump_diagnostics' sample of at most n
+    nodes."""
     d = jump_diagnostics(js, **kw)
     keys = ("det", "holomorphic", "antiholomorphic", "junction")
     if max(d[key] for key in keys) > 1e-9:

@@ -150,7 +150,6 @@ class TraceFunction:
 
     def __init__(self, sd):
         self.sd = sd
-        self.theta = sd.theta
 
     def __call__(self, ks):
         scalar = np.asarray(ks).shape == ()

@@ -145,14 +145,16 @@ def projection_matrix(tau, wref):
 
 
 def _cot_minus_inv(z):
-    """cot(z) - 1/z, series-switched so z -> 0 is exact."""
+    """cot(z) - 1/z, series-switched so z -> 0 is exact: the series where
+    |z| < 0.25, the direct form only elsewhere."""
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) < 0.25
-    zs = np.where(small, z, 1.0)
-    series = -zs / 3.0 - zs**3 / 45.0 - 2.0 * zs**5 / 945.0 - zs**7 / 4725.0
-    zb = np.where(small, 1.0, z)
-    direct = np.cos(zb) / np.sin(zb) - 1.0 / zb
-    return np.where(small, series, direct)
+    out = np.empty_like(z)
+    zs, zb = z[small], z[~small]
+    out[small] = (-zs / 3.0 - zs**3 / 45.0 - 2.0 * zs**5 / 945.0
+                  - zs**7 / 4725.0)
+    out[~small] = np.cos(zb) / np.sin(zb) - 1.0 / zb
+    return out
 
 
 def _arc_smooth_part(beta, tau, taustar):

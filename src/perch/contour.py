@@ -81,10 +81,10 @@ def split_points(seg, target_len, levels, ratio):
     n = max(1, int(np.ceil(seg.length / target_len)))
     base = list(np.linspace(0.0, 1.0, n + 1))
     pts = set(base)
-    if seg.grade_start and n >= 1:
+    if seg.grade_start:
         w = base[1] - base[0]
         pts.update(base[0] + w * np.asarray(_graded_knots(levels, ratio)))
-    if seg.grade_end and n >= 1:
+    if seg.grade_end:
         w = base[-1] - base[-2]
         pts.update(base[-1] - w * np.asarray(_graded_knots(levels, ratio)))
     return sorted(pts)

@@ -95,11 +95,6 @@ B_FLOOR = 1e-12           # b and b* under this on the probe line: b == 0
 IMAG_SCAN_NUS = np.linspace(ORIGIN_OFFSET, 0.4999, 480)
 
 
-def rk8_tableau():
-    """(A, B, C) of the order-8 explicit scheme used by the integrator."""
-    return _A.copy(), _B.copy(), _C.copy()
-
-
 def integrate_transfer(m0, L, ks, n_steps):
     """Fixed-step RK8 for Y' = (0 1; q 0) Y over [0, L], batched over k.
 

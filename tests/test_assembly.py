@@ -1,18 +1,20 @@
 """Tests for the jump assembly: unimodular jumps on every region tag, the
-(y, t) phase conjugation, the t-independent jump built once per node
-array and equal to a fresh build, warm jumps taking the phase from
+(y, t) phase conjugation, the t-independent jump built once per own
+region tag and equal to a fresh build, warm jumps taking the phase from
 read-only memoized factors once per region tag and (y, t), with an
 earlier (y, t) giving its bits back and a caller's overwrite or another
 node array's (y, t) reaching no later call, a cold pass that builds
 each region tag of the spec's own panels in one stack, bit-equal to a
 panel-by-panel build on an evaluator of its own and integrating each tag
-once per step count, other node arrays built alone, a failed build kept
-nowhere, the diagonal eps-circle jumps, the circle jump inside the
-eps-circles against the shifted G-functions written out, the guard on
-region tags, check_jumps on its two symmetry rules and the junction at
-k = +-1/2 with every region tag sampled, a cold pass that integrates
-only the lower half of a vertical cut, a vertical cut off the origin,
-the typed refusals of off-axis cut nodes and of a collapsed or
+once per step count, other node arrays built alone at every call and
+kept nowhere, a failed build kept nowhere, the diagonal eps-circle
+jumps, the circle jump inside the eps-circles against the shifted
+G-functions written out, the guard on region tags, check_jumps reading
+every own panel's served jump, with det J = 1 on every node, its two
+symmetry rules and the junction at k = +-1/2 with every region tag
+sampled, and a det defect outside the sample caught, a cold pass that
+integrates only the lower half of a vertical cut, a vertical cut off the
+origin, the typed refusals of off-axis cut nodes and of a collapsed or
 inconsistent root, and the residue-disk jumps of a synthetic pole with
 a node off every disk refused.
 """
@@ -188,7 +190,8 @@ def test_a_warm_jump_set_takes_the_phase_once_per_tag(sweep_sr, monkeypatch):
     # on the sweep contour: one phase per tag and (y, t), none when the
     # (y, t) repeats; an earlier (y, t) gives its first bits back; an
     # overwritten stack leaves the next call alone; and -k of a panel,
-    # an array of its own, never gets a stack of another (y, t)
+    # no panel and built whole at each call, never gets a stack of
+    # another (y, t)
     js = JumpSpec(sweep_sr.sd, sweep_sr, build_master_contour(sweep_sr))
     panels = js.ps.panels
     phases = []
@@ -252,18 +255,21 @@ def test_a_cold_pass_integrates_each_tag_once_per_step_count(sd_hbump,
 
 def test_an_array_that_is_no_panel_is_built_alone(sr_hbump):
     # -k of a real_outer panel is real_outer too, but no panel of the
-    # spec: it is built by itself, and the tag is still filled whole at
-    # the first miss on one of its panels
+    # spec: it is built by itself at every call, kept nowhere, and the
+    # tag is still filled whole at the first call on one of its panels
     js = CountingJumps(sr_hbump.sd, sr_hbump, build_master_contour(sr_hbump))
     panels = [p for p in js.ps.panels if p.label == "real_outer"]
     k = -panels[0].nodes
     js.jump_stack(0.0, 0.0, k, "real_outer")
-    assert js.builds == [("real_outer", len(k))]
+    js.jump_stack(0.0, 0.0, k, "real_outer")
+    assert js.builds == [("real_outer", len(k))] * 2
     for p in panels:
         js.jump_stack(0.3, 0.7, p.nodes, "real_outer")
     js.jump_stack(0.7, 0.3, k, "real_outer")
     n_tag = tag_sizes(js)["real_outer"]
-    assert js.builds == [("real_outer", len(k)), ("real_outer", n_tag)]
+    assert js.builds == [("real_outer", len(k))] * 2 + [
+        ("real_outer", n_tag), ("real_outer", len(k))]
+    assert list(js._groups) == ["real_outer"]
 
 
 def test_a_failed_build_is_not_kept(sr_hbump):
@@ -366,18 +372,67 @@ class RecordingJumps(JumpSpec):
 def test_check_jumps_passes(request, name, yt):
     sr = request.getfixturevalue(name)
     js = RecordingJumps(sr.sd, sr, build_master_contour(sr))
-    d = check_jumps(js, y=yt[0] * sr.theta, t=yt[1])
+    y, t = yt[0] * sr.theta, yt[1]
+    d = check_jumps(js, y=y, t=t)
     assert 0 < d["nodes_checked"] <= 200
     assert max(d["det"], d["holomorphic"], d["antiholomorphic"],
                d["junction"]) <= 1e-9
-    # every tag present is sampled at its own quadrature nodes (the
-    # junction check evaluates off the nodes, so it does not count)
-    nodes = {}
-    for p in js.ps.panels:
-        nodes.setdefault(p.label, []).append(p.nodes)
-    sampled = {tag for tag, calls in js.seen.items() if tag in nodes and any(
-        np.all(np.isin(k, np.concatenate(nodes[tag]))) for k in calls)}
-    assert sampled == set(nodes)
+    # every own panel is read through jump_stack, so det covers each node
+    seen = {(tag, k.tobytes()) for tag, calls in js.seen.items()
+            for k in calls}
+    assert all((p.label, p.nodes.tobytes()) in seen for p in js.ps.panels)
+    J = np.concatenate([js.jump_stack(y, t, p.nodes, p.label)
+                        for p in js.ps.panels])
+    assert d["det"] == float(np.max(np.abs(det2(J) - 1.0)))
+
+
+def drawn(js, n, seed=5):
+    """The nodes jump_diagnostics draws, max(1, n // tags) per region tag
+    with its seeded generator, and their images -k and conj(k)."""
+    ps = js.ps
+    node_tags = np.array([p.label for p in ps.panels])[ps.panel_index]
+    tags = np.unique(node_tags)
+    rng = np.random.default_rng(seed)
+    k = np.concatenate([
+        ps.nodes[rng.permutation(np.flatnonzero(node_tags == tag))[
+            :max(1, n // len(tags))]] for tag in tags])
+    return np.concatenate([k, -k, np.conj(k)])
+
+
+def test_check_jumps_catches_a_det_defect_outside_its_sample(sr_hbump):
+    # a mutant whose J0 has det 4 on one real_outer panel that neither
+    # sample (n = 200, n = 32) nor its images touch: a check of the sample
+    # alone passes it, the det over every served node does not
+    mc = build_master_contour(sr_hbump)
+    ps = panelize(mc)
+    touched = np.concatenate([drawn(JumpSpec(sr_hbump.sd, sr_hbump, mc), n)
+                              for n in (200, 32)])
+    bad = next(p for p in reversed(ps.panels) if p.label == "real_outer"
+               and not np.any(np.isin(p.nodes, touched)))
+
+    class DetOffOnOnePanel(JumpSpec):
+        def j0_stack(self, ks, tag):
+            out = super().j0_stack(ks, tag)
+            out[np.isin(np.atleast_1d(ks), bad.nodes)] *= 2.0
+            return out
+
+    for n in (200, 32):
+        js = DetOffOnOnePanel(sr_hbump.sd, sr_hbump, mc)
+        with pytest.raises(JumpConsistencyError, match="^jump defects "
+                           r"exceed 1e-9: det 3, holomorphic [0-9.e-]+, "):
+            check_jumps(js, n=n)
+        d = jump_diagnostics(js, n=n)
+        assert max(d["holomorphic"], d["antiholomorphic"]) < 1e-9
+
+
+def test_check_jumps_keeps_one_group_per_own_tag(sr_hbump):
+    # the images, samples and junction points check_jumps builds are kept
+    # nowhere: after 4 seeds at 3 (y, t) the memo holds the own tags alone
+    js = JumpSpec(sr_hbump.sd, sr_hbump, build_master_contour(sr_hbump))
+    for y, t in ((0.0, 0.0), (0.3 * js.theta, 0.7), (-0.0, 1.9)):
+        for seed in range(1, 5):
+            check_jumps(js, y=y, t=t, seed=seed)
+    assert sorted(js._groups) == sorted(tag_sizes(js))
 
 
 class LowerArcsWithoutInverse(JumpSpec):

@@ -13,9 +13,9 @@ from perch.assembly import build_master_contour, panelize
 from perch.branch import SheetedR
 from perch.config import ContourConfig
 from perch.contour import Segment, build_panels
-from perch.cauchy import (NEAR_PARAM, CauchyOperator, _param_preimage,
-                          _reach_disc, _rows, leg_Q, leg_Q_side,
-                          param_distance)
+from perch.cauchy import (NEAR_PARAM, CauchyOperator, _cot_minus_inv,
+                          _param_preimage, _reach_disc, _rows, leg_Q,
+                          leg_Q_side, param_distance)
 from perch.errors import BadGeometry, OutOfRange, TooCloseToContour
 from test_assembly import RES_DISK, with_pole
 
@@ -46,20 +46,63 @@ def test_legendre_Q_matches_series_lowest_orders():
     np.testing.assert_allclose(Q[:, 2], 0.5 * (3 * z**2 - 1) * q0 - 1.5 * z, rtol=1e-12)
 
 
+def q_by_quadrature(z):
+    """Q_m(z) = 1/2 int P_m(t) / (z - t) dt, m < 12, by 200-point
+    Gauss-Legendre: within 1.6e-14 of a 40-digit mpmath quadrature at
+    every zeta the tests below take."""
+    t, w = np.polynomial.legendre.leggauss(200)
+    P = np.polynomial.legendre.legvander(t, 11)
+    return 0.5 * (w / (z - t)) @ P
+
+
 @pytest.mark.parametrize("x, bound", [(1.2, 1e-13), (-1.2, 1e-13),
                                       (1.683, 4e-12), (-1.683, 4e-12)])
 @pytest.mark.parametrize("imag", [0.0, -0.0], ids=["+0", "-0"])
 def test_legendre_Q_on_the_real_axis_matches_quadrature(x, bound, imag):
     # a real zeta off [-1, 1] is what a target on a line panel's own line
-    # gives; Q_m(zeta) = 1/2 int P_m(t) / (zeta - t) dt by 200-point
-    # Gauss-Legendre, whose error is far below the bound, and the bound is
-    # the forward recurrence's loss (2e-14 at 1.2, 1.9e-12 at 1.683)
-    # doubled; a -0 imaginary part at zeta < -1 once put i pi P_m on Q_m
-    t, w = np.polynomial.legendre.leggauss(200)
-    P = np.polynomial.legendre.legvander(t, 11)
+    # gives; the bound is the forward recurrence's loss (2e-14 at 1.2,
+    # 1.9e-12 at 1.683) doubled; a -0 imaginary part at zeta < -1 once
+    # put i pi P_m on Q_m
     z = complex(x, imag)
-    want = 0.5 * (w / (z - t)) @ P
-    assert np.max(np.abs(leg_Q(np.array([z]), 12)[0] - want)) < bound
+    assert np.max(np.abs(leg_Q(np.array([z]), 12)[0]
+                         - q_by_quadrature(z))) < bound
+
+
+@pytest.mark.parametrize("z, bound", [(1.663 + 0.192j, 1.6e-12),
+                                      (-1.695 + 0.021j, 2.3e-11),
+                                      (-1.7 + 0.3j, 3.7e-12)])
+def test_legendre_Q_near_a_panel_matches_quadrature(z, bound):
+    # zeta off the axis near [-1, 1]: the first two lie within NEAR_PARAM
+    # of it, where the fill takes a near row from leg_Q, -1.7 + 0.3i just
+    # beyond (0.76); each bound is the forward recurrence's loss there
+    # doubled (8.0e-13; 1.13e-11, the worst of a 0.001 grid over the
+    # region's part beyond |Re zeta| = 1.1; 1.8e-12), the floor a
+    # backward recurrence would lower
+    assert np.max(np.abs(leg_Q(np.array([z]), 12)[0]
+                         - q_by_quadrature(z))) < bound
+
+
+def test_cot_minus_inv_keeps_the_bits_of_both_forms_picked():
+    # the series and the direct form each taken on every element and one
+    # picked by |z| < 0.25 give the bits that each form taken only where
+    # it is picked gives, at seeded z of both sizes, on the switch
+    # |z| = 0.25, at 0 (where the direct form is nan) and at |z| >> 1
+    rng = np.random.default_rng(11)
+    z = (rng.uniform(-0.4, 0.4, (40, 12))
+         + 1j * rng.uniform(-0.4, 0.4, (40, 12)))
+    z[0, :8] = [0.25, -0.25, 0.25j, -0.25j, 0.0, -0.0, complex(-0.0, -0.0),
+                1e-300]
+    z[1, :6] = [40.0 + 30.0j, -200.5, 3e3 + 300.0j, 1.5 - 60.0j, 7.0,
+                -1e4 + 1e-3j]
+    small = np.abs(z) < 0.25
+    zs = np.where(small, z, 1.0)
+    series = -zs / 3.0 - zs**3 / 45.0 - 2.0 * zs**5 / 945.0 - zs**7 / 4725.0
+    zb = np.where(small, 1.0, z)
+    direct = np.cos(zb) / np.sin(zb) - 1.0 / zb
+    want = np.where(small, series, direct)
+    assert 0.3 < small.mean() < 0.6 and not small[0, :4].any()
+    assert np.array_equal(_cot_minus_inv(z).view(np.uint64),
+                          want.view(np.uint64))
 
 
 @pytest.mark.parametrize("k,expect", [

@@ -6,12 +6,14 @@ reads a cut side, and only the Newton polish of the branch points
 (_polish_edges) differences the trace: its last step's slope is the
 simple-zero check, and the residues take db* from Cauchy's formula on
 their ring, so the package has no difference quotient of (a, b, a*, b*).
-Only jump_stack builds the t-independent jump, so every path to a
-jump goes through its memo.  Only JumpSpec panelizes the master contour,
-so its per-tag fill and jump_diagnostics read the one PanelSet it keeps
-(ps).  Likewise only integrate_transfer builds (through the four-step
-factors) and evaluates the step polynomials, so every integration goes
-through their memo and the benchmark's count of integrations.  Every
+Only jump_stack builds the t-independent jump: an own panel's through
+its memo of one group per region tag, any other node array whole at
+every call, so the own panels' jumps that check_jumps reads are those a
+jump set is served.  Only JumpSpec panelizes the master contour, so its
+per-tag fill and jump_diagnostics read the one PanelSet it keeps (ps).
+Likewise only integrate_transfer builds (through the four-step factors)
+and evaluates the step polynomials, so every integration goes through
+their memo and the benchmark's count of integrations.  Every
 sheet is built once, from the scattering data and the window, and
 nothing in the package builds one.
 Only _rows applies the Q-form of a Cauchy row, for the near rows of the
@@ -143,15 +145,15 @@ def test_only_the_branch_point_polish_differences_the_trace():
 
 
 def test_only_jump_stack_builds_the_t_independent_jump():
-    # jump_stack keeps J0 per group of nodes; a second caller of
-    # j0_stack would rebuild it around that memo
+    # jump_stack keeps J0 per region tag of the own panels; a second
+    # caller of j0_stack would rebuild it around that memo
     assert package_callers("j0_stack") == ["assembly.JumpSpec.jump_stack"]
 
 
 def test_only_the_jump_spec_panelizes_the_master_contour():
-    # JumpSpec keeps its PanelSet; the per-tag fill reads its panels and
-    # jump_diagnostics samples them, so a second panelize would lay the
-    # same panels twice
+    # JumpSpec keeps its PanelSet; the per-tag fill and jump_diagnostics
+    # read its panels, so a second panelize would lay the same panels
+    # twice
     assert package_callers("panelize") == ["assembly.JumpSpec.__init__"]
 
 

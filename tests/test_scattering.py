@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as dop
 from scipy.linalg import expm
 
 from perch.branch import EPS_CIRCLE
@@ -18,14 +19,17 @@ from perch.scattering import (DEGREE_BOUND, IMAG_GUARD, MATMUL_K,
                               ODE_STEPS_MIN, ODE_STEPS_PER_K, SLAB_STEPK,
                               ScatteringData, _factor_coefficients,
                               _step_coefficients, _step_count,
-                              integrate_transfer, rk8_tableau)
+                              integrate_transfer)
 
 L = 2.0
+# (A, B, C) of the integrator's order-8 scheme, from its source: the first
+# N_STAGES stages of scipy's DOP853 tableau, without the dense-output ones
+TABLEAU = (dop.A[:dop.N_STAGES, :dop.N_STAGES], dop.B, dop.C[:dop.N_STAGES])
 
 
 def _rk8_loop(m0, L, ks, n_steps):
     """Reference: the RK8 steps taken one after another on Y itself."""
-    A, B, C = rk8_tableau()
+    A, B, C = TABLEAU
     stages = len(B)
     ks = np.asarray(ks, dtype=complex)
     h = L / n_steps
@@ -55,7 +59,7 @@ def _rel_diff(T, ref):
 
 
 def test_tableau_order_conditions():
-    A, B, C = rk8_tableau()
+    A, B, C = TABLEAU
     assert np.allclose(A.sum(axis=1), C, atol=1e-14)
     for p in range(8):
         assert abs(B @ C**p - 1.0 / (p + 1)) < 1e-14
@@ -224,7 +228,7 @@ def _structural_degrees():
     Per column: D_i = h sum_j a_ij (A_j + G_j), G_i = (D_i[1]; q_i D_i[0]),
     counted over the nonzero entries of the tableau only.
     """
-    A, B, _ = rk8_tableau()
+    A, B, _ = TABLEAU
     none = -1
     bound = np.zeros((2, 2), dtype=int)
     for col, a_part in ((0, (none, 1)), (1, (0, none))):
