@@ -246,10 +246,15 @@ def _phase_raw(y, t, k):
     return y - t / (2.0 * (k * k + 0.25))
 
 
+def _phase_factors(k):
+    """The k-only factors of _phase_raw, -2ik and 2 (k^2 + 1/4)."""
+    return -2j * k, 2.0 * (k * k + 0.25)
+
+
 def _with_phase(j0, m2k, den, y, t):
-    """j0 conjugated by exp(-ik p(y, t, k) sigma3), from the k-only factors
-    m2k = -2ik and den = 2 (k^2 + 1/4) in _phase_raw's order of operations:
-    J12 times e = exp(-2ik p), J21 divided by it."""
+    """j0 conjugated by exp(-ik p(y, t, k) sigma3), from m2k, den =
+    _phase_factors(k) in _phase_raw's order of operations: J12 times
+    e = exp(-2ik p), J21 divided by it."""
     out = j0.copy()
     e = np.exp(m2k * (y - t / den))
     out[..., 0, 1] *= e
@@ -259,13 +264,13 @@ def _with_phase(j0, m2k, den, y, t):
 
 class _PhaseGroup:
     """What jump_stack keeps per region tag of the own panels, nodes k:
-    J0, the k-only factors of the phase, -2ik and 2 (k^2 + 1/4), and the
+    J0, the k-only factors of the phase from _phase_factors, and the
     jump stack at the last (y, t) the group served, all read-only (and so
     is every view of them).  (y, t) is compared by its bits, as -0.0 and
     0.0 may give different zeros in the stack."""
 
     def __init__(self, j0, k):
-        self.j0, self.m2k, self.den = j0, -2j * k, 2.0 * (k * k + 0.25)
+        self.j0, (self.m2k, self.den) = j0, _phase_factors(k)
         for a in (self.j0, self.m2k, self.den):
             a.flags.writeable = False
         self.yt = self.stack = None
@@ -503,8 +508,8 @@ class JumpSpec:
             return self._disk_stack(y, t, flat)
         slot = self._slots.get((tag, flat.shape, flat.tobytes()))
         if slot is None:
-            return _with_phase(self.j0_stack(flat, tag), -2j * flat,
-                               2.0 * (flat * flat + 0.25), y, t)
+            return _with_phase(self.j0_stack(flat, tag),
+                               *_phase_factors(flat), y, t)
         if tag not in self._groups:
             nodes = self._tag_nodes[tag]
             self._groups[tag] = _PhaseGroup(self.j0_stack(nodes, tag), nodes)

@@ -381,21 +381,37 @@ def test_check_jumps_passes(request, name, yt):
     seen = {(tag, k.tobytes()) for tag, calls in js.seen.items()
             for k in calls}
     assert all((p.label, p.nodes.tobytes()) in seen for p in js.ps.panels)
+    # every region tag present is sampled at its own nodes, and the
+    # sample reaches the symmetry rules: one jump_stack call on the tag
+    # builds its images -k and conj(k)
+    own = {}
+    for p in js.ps.panels:
+        own.setdefault(p.label, []).append(p.nodes)
+    samples = sampled(js, 200)
+    assert set(samples) == set(own)
+    for tag, k in samples.items():
+        assert 0 < len(k) and np.all(np.isin(k, np.concatenate(own[tag])))
+        images = np.concatenate([-k, np.conj(k)])
+        assert sum(np.array_equal(c, images) for c in js.seen[tag]) == 1
     J = np.concatenate([js.jump_stack(y, t, p.nodes, p.label)
                         for p in js.ps.panels])
     assert d["det"] == float(np.max(np.abs(det2(J) - 1.0)))
 
 
-def drawn(js, n, seed=5):
-    """The nodes jump_diagnostics draws, max(1, n // tags) per region tag
-    with its seeded generator, and their images -k and conj(k)."""
+def sampled(js, n, seed=5):
+    """The nodes jump_diagnostics draws per region tag, max(1, n // tags)
+    each, with its seeded generator."""
     ps = js.ps
     node_tags = np.array([p.label for p in ps.panels])[ps.panel_index]
     tags = np.unique(node_tags)
     rng = np.random.default_rng(seed)
-    k = np.concatenate([
-        ps.nodes[rng.permutation(np.flatnonzero(node_tags == tag))[
-            :max(1, n // len(tags))]] for tag in tags])
+    return {tag: ps.nodes[rng.permutation(np.flatnonzero(node_tags == tag))[
+        :max(1, n // len(tags))]] for tag in tags}
+
+
+def drawn(js, n, seed=5):
+    """The nodes jump_diagnostics draws and their images -k and conj(k)."""
+    k = np.concatenate(list(sampled(js, n, seed).values()))
     return np.concatenate([k, -k, np.conj(k)])
 
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.integrate._ivp import dop853_coefficients as dop
 
 from perch import initial
 from perch.initial import (InitialProfile, compute_momentum,
@@ -17,6 +16,7 @@ from perch.initial import (InitialProfile, compute_momentum,
 from perch.errors import (EndpointViolation, IncompatibleEndpoints,
                           OutOfRange, ParseError, PositivityViolation,
                           SignCondition, SmoothnessViolation, UnknownPreset)
+from test_scattering import TABLEAU
 
 
 def test_zero_preset_is_flat():
@@ -154,7 +154,7 @@ def test_y_map_pinned_and_gauss_rule_built_once(monkeypatch):
     assert mp.x_of_y(1.9) == float.fromhex("0x1.ad148d6584dbbp+0")
 
 
-RK8_STAGES = dop.C[:dop.N_STAGES]      # the integrator's stage points
+RK8_STAGES = TABLEAU[2]                # the integrator's stage points
 GL_CELL = 0.5 * (1.0 + np.polynomial.legendre.leggauss(10)[0])
 QUARTERS = np.array([0.0, 0.25, 0.5, 0.75])
 

@@ -12,6 +12,7 @@ from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as dop
 from scipy.linalg import expm
 
+from perch import scattering
 from perch.branch import EPS_CIRCLE
 from perch.errors import BasisSingular, IdenticallyZero, StiffnessFailure
 from perch.initial import trig_eval
@@ -23,7 +24,8 @@ from perch.scattering import (DEGREE_BOUND, IMAG_GUARD, MATMUL_K,
 
 L = 2.0
 # (A, B, C) of the integrator's order-8 scheme, from its source: the first
-# N_STAGES stages of scipy's DOP853 tableau, without the dense-output ones
+# N_STAGES stages of scipy's DOP853 tableau, without the dense-output ones.
+# The one test-side copy; test_initial.py imports it
 TABLEAU = (dop.A[:dop.N_STAGES, :dop.N_STAGES], dop.B, dop.C[:dop.N_STAGES])
 
 
@@ -59,7 +61,11 @@ def _rel_diff(T, ref):
 
 
 def test_tableau_order_conditions():
-    A, B, C = TABLEAU
+    # the integrator runs TABLEAU, so its order conditions hold for what
+    # the integrator runs
+    A, B, C = scattering._A, scattering._B, scattering._C
+    for got, want in zip((A, B, C), TABLEAU):
+        assert got.shape == want.shape and np.array_equal(got, want)
     assert np.allclose(A.sum(axis=1), C, atol=1e-14)
     for p in range(8):
         assert abs(B @ C**p - 1.0 / (p + 1)) < 1e-14
