@@ -18,7 +18,8 @@ make one factor F_m = P_{4m+3} ... P_{4m} - I of degree at most
 smallest coefficients fall into the subnormal range.  The integrator
 keeps the factor coefficients, evaluates the N/4 factors by one matrix
 product per group of at most MATMUL_K k, and takes the rest of the
-product once per slab of at most SLAB_STEPK steps x k.
+product once per slab of at most SLAB_STEPK steps x k, in float64 where
+lam is real and in complex arithmetic elsewhere.
 
 Because m0 vanishes at the period endpoints, the wave-basis change
 
@@ -31,8 +32,20 @@ factorizes into spectral functions:
                             -b* e^{ik theta},   a* e^{ik theta} ).
 
 Here theta = y(L) and a*(k) = conj(a(conj(k))), b*(k) = conj(b(conj(k))).
-One integration per k yields all four functions; det T = 1 forces
+One transfer matrix yields all four functions; det T = 1 forces
 a a* - b b* = 1, and a(-k) = conj(a(conj(k))) ties the two half planes.
+
+T depends on k only through lam, so T(-k) = T(k), T(conj k) = conj T(k),
+and T is real wherever lam is: on the real and the imaginary axis
+(Magnus and Winkler, Hill's Equation, 1966).  ScatteringData therefore
+integrates one T per lam up to conjugation, and integrate_transfer takes
+a real lam in real arithmetic.  Neither changes a bit of T.  (-k)^2 and
+conj(k)^2 round to k^2 and its conjugate, and the rest is sums and
+products with real coefficients, each of which commutes with
+conjugation exactly, so the integration at conj(k) gives conj T(k).
+With every imaginary part an exact 0, each complex sum and product
+rounds as its real part alone, and the factor evaluation's real matrix
+product gets the same columns, only not the zero ones (MATMUL_K).
 
 Also found here: the zeros of b* on -i(0, 1/2), the only places where
 the sheeted quadratic root can have poles (bstar_zeros derives why).  b
@@ -76,7 +89,11 @@ ODE_STEPS_PER_K = 12.0    # extra steps ~ this * |k| * L
 # depend on its batch, and only that BLAS product could make it: with
 # OpenBLAS 0.3.31 (Haswell kernel) a product 97 k or more wide can give its
 # last one to three columns other bits than a product one k wide, and
-# DYNAMIC_ARCH builds pick their kernel per CPU, so 42 stays well under it
+# DYNAMIC_ARCH builds pick their kernel per CPU, so 42 stays well under it.
+# A complex k takes two columns (real and imaginary part), a real lam one;
+# a product one column wide goes to gemv, whose bits differ from gemm's in
+# every entry, so _evaluate_increments never takes it (widths 2 to 128
+# give the bits of the complex path)
 MATMUL_K = 42
 # steps x k per slab of the pairwise product, 4 MB of factor values.  The
 # product holds two of its levels at a time, at most a half and a quarter
@@ -136,21 +153,28 @@ def integrate_transfer(m0, L, ks, n_steps):
     k is taken in slabs of at most SLAB_STEPK steps x k, which bounds the
     memory, and the pairwise product runs once per slab.  The factors are
     evaluated in groups of at most MATMUL_K k, one matrix product each,
-    which keeps each k's bits independent of its batch.
+    which keeps each k's bits independent of its batch.  The k whose lam
+    is real, on the real and the imaginary axis, are taken apart in
+    float64 by the same evaluation and product, with the bits the complex
+    path would give them (module docstring), in half its memory, half
+    its matrix product and a quarter of its pairwise multiplications.
     """
     ks = np.asarray(ks, dtype=complex)
     F = _factor_coefficients(np.asarray(m0, dtype=float).tobytes(), float(L),
                              int(n_steps))
     lam = -(ks**2 + 0.25)
+    real = lam.imag == 0
     per_slab = max(1, SLAB_STEPK // n_steps)
     Y = np.empty((len(ks), 2, 2), dtype=complex)
-    for s in range(0, len(ks), per_slab):
-        lam_s = lam[s:s + per_slab]
-        E = np.empty(F.shape[1:] + lam_s.shape, dtype=complex)
-        for g in range(0, len(lam_s), MATMUL_K):
-            E[..., g:g + MATMUL_K] = _evaluate_increments(
-                F, lam_s[g:g + MATMUL_K])
-        Y[s:s + per_slab] = _pairwise_product(E).transpose(2, 0, 1)
+    for sel, lam_sel in ((~real, lam[~real]), (real, lam[real].real)):
+        at = np.flatnonzero(sel)
+        for s in range(0, len(lam_sel), per_slab):
+            lam_s = lam_sel[s:s + per_slab]
+            E = np.empty(F.shape[1:] + lam_s.shape, dtype=lam_s.dtype)
+            for g in range(0, len(lam_s), MATMUL_K):
+                E[..., g:g + MATMUL_K] = _evaluate_increments(
+                    F, lam_s[g:g + MATMUL_K])
+            Y[at[s:s + per_slab]] = _pairwise_product(E).transpose(2, 0, 1)
     Y[:, 0, 0] += 1.0
     Y[:, 1, 1] += 1.0
     return Y
@@ -254,41 +278,49 @@ def _step_coefficients(m0_bytes, L, n_steps):
 
 
 def _evaluate_increments(C, lam):
-    """E[row, col, n, k] = sum_d C[d, row, col, n] lam_k^d.
+    """E[row, col, n, k] = sum_d C[d, row, col, n] lam_k^d, in lam's dtype.
 
     The powers of lam are formed once per k, and one real matrix product
-    takes every (row, col, n) at once, with the powers seen as float
+    takes every (row, col, n) at once, with complex powers seen as float
     pairs: C is real, so the real and imaginary parts of each power take
-    the same coefficients.  Horner's rule gives the same digits here,
-    since the terms fall with the degree, but on the four-step factors it
-    needs 24 elementwise passes over E, 9 to 17 times slower a slab at
-    192 to 1792 steps (one Xeon core, OpenBLAS).
+    the same coefficients, and a real lam takes one column.  Horner's
+    rule gives the same digits here, since the terms fall with the
+    degree, but on the four-step factors it needs 24 elementwise passes
+    over E, 9 to 17 times slower a slab at 192 to 1792 steps (one Xeon
+    core, OpenBLAS).
     """
-    powers = np.ones((len(C), len(lam)), dtype=complex)
+    powers = np.ones((len(C), len(lam)), dtype=lam.dtype)
     for d in range(1, len(C)):
         powers[d] = powers[d - 1] * lam
-    E = C.reshape(len(C), -1).T @ powers.view(float)
-    return E.view(complex).reshape(C.shape[1:] + lam.shape)
+    cols = powers.view(float)
+    width = cols.shape[1]
+    if width == 1:
+        # numpy takes a one-column product by gemv, whose bits differ from
+        # gemm's (MATMUL_K): a lone real lam is taken twice
+        cols = np.repeat(cols, 2, axis=1)
+    E = (C.reshape(len(C), -1).T @ cols)[:, :width]
+    return E.view(lam.dtype).reshape(C.shape[1:] + lam.shape)
 
 
 def _pairwise_product(E):
     """F with I + F = (I + E_{N-1}) ... (I + E_0), by halving the step axis.
 
-    E[row, col, n, k] holds E_n; F[row, col, k] is returned.  Each level
-    pairs neighbours as E_hi + E_lo + E_hi E_lo, the 2x2 product written
-    out; an odd last factor is carried to the next level unchanged.  Every
-    operation acts on each k alone, so integrate_transfer passes a whole
-    slab of k at once: numpy's call overhead, not the arithmetic, sets the
-    cost of a narrow slab.  Each level writes into one new array, the
-    carried factor into its tail, and the eight terms E_hi[r, j] E_lo[j, c]
-    pass through one temporary.
+    E[row, col, n, k] holds E_n, real or complex; F[row, col, k] is
+    returned in E's dtype.  Each level pairs neighbours as
+    E_hi + E_lo + E_hi E_lo, the 2x2 product written out; an odd last
+    factor is carried to the next level unchanged.  Every operation acts
+    on each k alone, so integrate_transfer passes a whole slab of k at
+    once: numpy's call overhead, not the arithmetic, sets the cost of a
+    narrow slab.  Each level writes into one new array, the carried
+    factor into its tail, and the eight terms E_hi[r, j] E_lo[j, c] pass
+    through one temporary.
     """
-    tmp = np.empty((E.shape[2] // 2,) + E.shape[3:], dtype=complex)
+    tmp = np.empty((E.shape[2] // 2,) + E.shape[3:], dtype=E.dtype)
     while E.shape[2] > 1:
         n = E.shape[2]
         m = n // 2
         hi, lo = E[:, :, 1:2 * m:2], E[:, :, 0:2 * m:2]
-        out = np.empty(E.shape[:2] + (n - m,) + E.shape[3:], dtype=complex)
+        out = np.empty(E.shape[:2] + (n - m,) + E.shape[3:], dtype=E.dtype)
         F = out[:, :, :m]
         np.add(hi, lo, out=F)
         t = tmp[:m]
@@ -314,7 +346,15 @@ def _step_count(kabs, wmax, L, steps_min, steps_per_k):
 
 
 class ScatteringData:
-    """Cached evaluator of (a, b, a*, b*) built from one MomentumProfile."""
+    """Cached evaluator of (a, b, a*, b*) built from one MomentumProfile.
+
+    It keeps transfer matrices, not values: one T per canonical lam, the
+    one of lam and conj(lam) with Im >= 0, in a sorted key array beside
+    an (n, 2, 2) array of T.  k, -k, conj(k) and -conj(k) share one
+    integration, taken at a k with the canonical lam, and a flipped lam
+    reads conj T.  Each k comes out with the bits of its own integration
+    (module docstring), whatever its batch and the calls before it.
+    """
 
     def __init__(self, mp):
         self.mp = mp
@@ -323,14 +363,18 @@ class ScatteringData:
         self.kmax_guard = (10.0 * ContourConfig().k_window_factor * np.pi
                            / mp.theta)
         self.wmax = float(np.sqrt(np.max(mp.m0) + 1.0))
-        self._cache = {}
+        # the store: sorted canonical lam, and T at each
+        self._lams = np.empty(0, dtype=complex)
+        self._T = np.empty((0, 2, 2), dtype=complex)
         self._vanishes = None
 
     # -------------------------------------------------- core evaluation
 
     def ab(self, ks):
-        """Vectorized (a, b, a*, b*) at the given k values (k != 0)."""
+        """Vectorized (a, b, a*, b*) at the given finite k values (k != 0)."""
         ks = np.atleast_1d(np.asarray(ks, dtype=complex))
+        if not np.all(np.isfinite(ks)):
+            raise OutOfRange("k must be finite")
         if np.any(ks == 0):
             raise BasisSingular("the wave basis is singular at k = 0, where "
                                 "a and b have a simple pole")
@@ -342,26 +386,39 @@ class ScatteringData:
         if kabs > self.kmax_guard:
             raise StiffnessFailure(
                 f"|k| = {kabs:.3g} beyond the {self.kmax_guard:.3g} guard")
-        cache = self._cache
-        missing = [k for k in np.unique(ks).tolist() if k not in cache]
-        if missing:
-            self._integrate_batch(np.array(missing))
-        out = np.array([cache[k] for k in ks.tolist()])
-        return out[:, 0], out[:, 1], out[:, 2], out[:, 3]
+        lam = -(ks**2 + 0.25)
+        flip = lam.imag < 0
+        key = np.where(flip, lam.conj(), lam)
+        pos = np.searchsorted(self._lams, key)
+        hit = pos < len(self._lams)
+        hit[hit] = self._lams[pos[hit]] == key[hit]
+        if not np.all(hit):
+            # one k per new key, at that key: k itself, or conj(k) if flipped
+            new, first = np.unique(key[~hit], return_index=True)
+            reps = np.where(flip, ks.conj(), ks)[~hit][first]
+            self._integrate_keys(new, reps)
+            pos = np.searchsorted(self._lams, key)
+        T = self._T[pos]
+        T[flip] = T[flip].conj()
+        return _unpack_monodromy(ks, T, self.theta)
 
-    def _integrate_batch(self, ks):
-        """Integrate ks by step bucket and keep each k's (a, b, a*, b*).
+    def _integrate_keys(self, keys, reps):
+        """Integrate the sorted new keys at the k reps, by step bucket, and
+        merge their transfer matrices into the store.
 
-        Each value depends on its k alone, not on the rest of the batch
-        (SLAB_STEPK), so the order of ks changes no digit.
+        Each T depends on its k alone, not on the rest of the batch
+        (SLAB_STEPK), so the order of reps changes no digit.
         """
-        steps = _step_count(np.abs(ks), self.wmax, self.mp.L,
+        steps = _step_count(np.abs(reps), self.wmax, self.mp.L,
                             ODE_STEPS_MIN, ODE_STEPS_PER_K)
+        T = np.empty((len(reps), 2, 2), dtype=complex)
         for n in np.unique(steps):
-            sel = ks[steps == n]
-            T = integrate_transfer(self.mp.m0, self.mp.L, sel, int(n))
-            vals = np.stack(_unpack_monodromy(sel, T, self.theta), axis=1)
-            self._cache.update(zip(sel.tolist(), vals.tolist()))
+            sel = steps == n
+            T[sel] = integrate_transfer(self.mp.m0, self.mp.L, reps[sel],
+                                        int(n))
+        at = np.searchsorted(self._lams, keys)
+        self._lams = np.insert(self._lams, at, keys)
+        self._T = np.insert(self._T, at, T, axis=0)
 
     def ab_coarse(self, ks):
         """Low-accuracy (~1e-4) evaluation for the b probe of b_vanishes.

@@ -477,8 +477,18 @@ def test_check_jumps_catches_lower_arcs_without_inverse(request, name):
 def test_a_cold_pass_integrates_only_the_lower_half_of_a_vertical_cut(
         sd_bump):
     # the upper piece reads K*+ there, the conjugate root at -k, and the
-    # lower piece K+, so no upper node needs (a, b, a*, b*) of its own
+    # lower piece K+, so no upper node asks for (a, b, a*, b*) of its own.
+    # The evaluator integrates i nu and -i nu as one lam, so the rule is
+    # read from the k ab is asked for, not from what it integrates
     sd = scattering.ScatteringData(sd_bump.mp)
+    asked = set()
+    ab = sd.ab
+
+    def recording(ks):
+        asked.update(np.atleast_1d(ks).tolist())
+        return ab(ks)
+
+    sd.ab = recording
     sr = SheetedR(sd)
     js = JumpSpec(sd, sr, build_master_contour(sr))
     for p in js.ps.panels:
@@ -488,8 +498,8 @@ def test_a_cold_pass_integrates_only_the_lower_half_of_a_vertical_cut(
                         if p.label == "cut_vert"])
     upper, lower = k[k.imag > 0].tolist(), k[k.imag < 0].tolist()
     assert len(upper) == len(lower) > 0
-    assert not any(z in sd._cache for z in upper)
-    assert all(z in sd._cache for z in lower)
+    assert not any(z in asked for z in upper)
+    assert all(z in asked for z in lower)
 
 
 def test_a_vertical_cut_off_the_origin():

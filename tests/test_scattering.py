@@ -14,11 +14,13 @@ from scipy.linalg import expm
 
 from perch import scattering
 from perch.branch import EPS_CIRCLE
-from perch.errors import BasisSingular, IdenticallyZero, StiffnessFailure
+from perch.errors import (BasisSingular, IdenticallyZero, OutOfRange,
+                          StiffnessFailure)
 from perch.initial import trig_eval
 from perch.scattering import (DEGREE_BOUND, IMAG_GUARD, MATMUL_K,
                               ODE_STEPS_MIN, ODE_STEPS_PER_K, SLAB_STEPK,
-                              ScatteringData, _factor_coefficients,
+                              ScatteringData, _evaluate_increments,
+                              _factor_coefficients, _pairwise_product,
                               _step_coefficients, _step_count,
                               integrate_transfer)
 
@@ -151,18 +153,27 @@ def test_one_pass_matches_step_loop_across_slabs(mp_bump):
 def test_the_matrix_product_stays_narrow():
     # with OpenBLAS 0.3.31 a real matrix product 97 k or more wide can give
     # its last one to three columns other bits than one k wide, and the
-    # threshold moves with the kernel DYNAMIC_ARCH builds pick per CPU
+    # threshold moves with the kernel DYNAMIC_ARCH builds pick per CPU.  At
+    # the other end a product one column wide, a lone real lam, goes to
+    # gemv, whose bits differ from gemm's in every entry, so it is never
+    # taken (test_each_k_is_independent_of_its_batch sees a lone real k)
     assert 1 <= MATMUL_K < 97
 
 
 @pytest.mark.parametrize("n_steps", [64, 192, 320, 1024])
 def test_each_k_is_independent_of_its_batch(mp_bump, n_steps):
-    # the cache keeps each k's value whatever batch computed it, so a k
-    # must come out with the same bits alone, in a panel and in a batch
-    # of several matrix-product groups (MATMUL_K); 64 is ab_coarse's floor
-    assert 300 > 2 * MATMUL_K
+    # the evaluator keeps each k's value whatever batch computed it, so a
+    # k must come out with the same bits alone, in a panel and in a batch
+    # of several matrix-product groups (MATMUL_K); 64 is ab_coarse's floor.
+    # A third of the k are real and a third imaginary, so lam is real and
+    # runs in real arithmetic, in groups of several products too, and
+    # alone, as a product that must not be one column wide
+    assert 100 > 2 * MATMUL_K
     rng = np.random.default_rng(n_steps + 1)
-    ks = rng.uniform(-20, 20, 300) + 1j * rng.uniform(-1, 1, 300)
+    ks = np.concatenate([
+        rng.uniform(-20, 20, 100) + 1j * rng.uniform(-1, 1, 100),
+        rng.uniform(-20, 20, 100) + 0j, 1j * rng.uniform(-1, 1, 100)])
+    ks = ks[rng.permutation(300)]
     T = integrate_transfer(mp_bump.m0, L, ks, n_steps)
     for s in range(0, 300, 12):
         panel = integrate_transfer(mp_bump.m0, L, ks[s:s + 12], n_steps)
@@ -170,6 +181,86 @@ def test_each_k_is_independent_of_its_batch(mp_bump, n_steps):
     for i in range(300):
         alone = integrate_transfer(mp_bump.m0, L, ks[i:i + 1], n_steps)
         assert np.array_equal(alone, T[i:i + 1])
+
+
+@pytest.mark.parametrize("n_steps", [64, 192, 1024])
+def test_a_real_lam_gets_the_bits_of_complex_arithmetic(mp_bump, n_steps):
+    # integrate_transfer takes a real lam through the same two functions in
+    # float64; on lam + 0j the complex path must give the same bits, for a
+    # lone lam (a product two columns wide), a pair and a whole group
+    F = _factor_coefficients(np.asarray(mp_bump.m0, dtype=float).tobytes(),
+                             L, n_steps)
+    rng = np.random.default_rng(n_steps)
+    ks = np.concatenate([rng.uniform(-20, 20, MATMUL_K // 2),
+                         1j * rng.uniform(0, 1, MATMUL_K - MATMUL_K // 2)])
+    lam = -(ks**2 + 0.25)
+    assert not np.any(lam.imag)
+    for width in (1, 2, MATMUL_K):
+        real = _pairwise_product(_evaluate_increments(F, lam.real[:width]))
+        cplx = _pairwise_product(_evaluate_increments(F, lam[:width]))
+        assert real.dtype == float and not np.any(cplx.imag)
+        assert np.array_equal(real.view(np.uint64),
+                              np.ascontiguousarray(cplx.real).view(np.uint64))
+
+
+def _bits(abv):
+    """(a, b, a*, b*) as uint64 pairs, shape (4, len(k), 2)."""
+    return np.stack(abv)[..., None].view(np.uint64)
+
+
+def _counting_integrations(monkeypatch):
+    """The k each integrate_transfer call is given, from here on."""
+    counted = []
+    integrate = scattering.integrate_transfer
+
+    def counting(m0, L, ks, n_steps):
+        counted.extend(np.asarray(ks).tolist())
+        return integrate(m0, L, ks, n_steps)
+
+    monkeypatch.setattr(scattering, "integrate_transfer", counting)
+    return counted
+
+
+@pytest.mark.parametrize("k", [1.7 + 0.3j, -3.3 - 0.8j, 2.9, 0.21j])
+def test_k_and_its_mirrors_share_one_integration(mp_bump, monkeypatch, k):
+    # T depends on k only through lam = -k^2 - 1/4, so -k shares T(k), and
+    # conj(k) takes conj T(k); a fresh evaluator integrates the four once,
+    # and each comes out with the bits of a fresh evaluator asked for it alone
+    ks = np.array([k, -k, np.conj(k), -np.conj(k)], dtype=complex)
+    alone = [_bits(ScatteringData(mp_bump).ab(z)) for z in ks]
+    counted = _counting_integrations(monkeypatch)
+    got = _bits(ScatteringData(mp_bump).ab(ks))
+    assert len(counted) == 1
+    for i in range(4):
+        assert np.array_equal(got[:, i], alone[i][:, 0])
+
+
+def test_a_shuffled_batch_split_across_calls_gets_the_same_bits(mp_bump):
+    # the store merges each call's new lam among the kept ones, and a hit
+    # reads what a miss would have computed
+    rng = np.random.default_rng(35)
+    base = rng.uniform(0.1, 12, 60) + 1j * rng.uniform(0.02, 0.9, 60)
+    ks = np.concatenate([base, -base, np.conj(base), -np.conj(base),
+                         rng.uniform(-12, 12, 40) + 0j,
+                         1j * rng.uniform(0.01, 0.49, 40)])
+    want = _bits(ScatteringData(mp_bump).ab(ks))
+    sd = ScatteringData(mp_bump)
+    for part in np.array_split(rng.permutation(len(ks)), 5):
+        assert np.array_equal(_bits(sd.ab(ks[part])), want[:, part])
+    assert np.array_equal(_bits(sd.ab(ks)), want)
+
+
+@pytest.mark.parametrize("k", [np.nan, complex(1.0, np.nan),
+                               complex(0.0, np.nan)],
+                         ids=["nan", "1+nanj", "nanj"])
+def test_a_non_finite_k_is_refused_before_any_integration(mp_bump,
+                                                         monkeypatch, k):
+    sd = ScatteringData(mp_bump)
+    counted = _counting_integrations(monkeypatch)
+    for evaluate in (sd.ab, sd.floquet_discriminant):
+        with pytest.raises(OutOfRange):
+            evaluate(np.array([1.0, k]))
+    assert counted == []
 
 
 def test_each_k_is_independent_of_a_batch_wider_than_a_slab(mp_bump):
