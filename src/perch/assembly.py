@@ -75,6 +75,7 @@ junction point, a caller's sample) is built whole at every call, and so
 are the disks, whose jump is not J0 times a phase at each node.
 """
 
+import functools
 import struct
 from dataclasses import replace
 
@@ -97,8 +98,17 @@ AXIS_TOL = 1e-9           # how close to an axis counts as on it
 PANEL_ORDER = 12          # Gauss-Legendre nodes per panel
 PANEL_REAL = 1.0          # target panel length on the real axis
 PANEL_CIRCLE = 0.35       # target arc length on |k| = 1/2 and on cuts
+# target panel length per region tag; the plain real axis takes PANEL_REAL
+TAG_PANEL_LEN = {"circle": PANEL_CIRCLE, "circle_eps": 0.6 * PANEL_CIRCLE,
+                 "eps_outer": 0.6 * PANEL_CIRCLE,
+                 "eps_inner": 0.6 * PANEL_CIRCLE,
+                 "cut_vert": PANEL_CIRCLE,
+                 "cut_hor_outer": PANEL_CIRCLE,
+                 "cut_hor_inner": PANEL_CIRCLE,
+                 "disk": 0.5 * np.pi * DISK_RADIUS}
 GRADE_LEVELS = 4          # geometric refinements toward flagged endpoints
 GRADE_RATIO = 0.5         # size ratio between successive graded panels
+PANEL_MEMO = 32           # contours whose PanelSet panelize keeps
 
 
 # ------------------------------------------------------------ contour
@@ -224,19 +234,35 @@ def build_master_contour(sr, *, ccfg=None):
     return segs
 
 
+def _segment_bits(seg):
+    """A segment's exact bits: kind, label, grading flags and every
+    coordinate packed as doubles, so -0.0 and 0.0 differ (a plain
+    tuple compares them equal)."""
+    return (seg.kind, seg.label, seg.grade_start, seg.grade_end,
+            struct.pack("9d", seg.a.real, seg.a.imag, seg.b.real, seg.b.imag,
+                        seg.center.real, seg.center.imag, seg.radius,
+                        seg.phi1, seg.phi2))
+
+
 def panelize(mc, ccfg=None):
-    """Gauss-Legendre panels over the master contour mc (a segment list)."""
+    """Gauss-Legendre panels over the master contour mc (a segment list).
+
+    One PanelSet per contour: the PANEL_MEMO most recent are kept, keyed
+    by the segments' exact bits, so every caller that panelizes the same
+    contour (JumpSpec and the caller that built it) shares one object,
+    whose arrays are read-only (contour.PanelSet).
+    """
     # ccfg is not read; perfbench/workloads.py passes its window config here
-    per = {"circle": PANEL_CIRCLE, "circle_eps": 0.6 * PANEL_CIRCLE,
-           "eps_outer": 0.6 * PANEL_CIRCLE,
-           "eps_inner": 0.6 * PANEL_CIRCLE,
-           "cut_vert": PANEL_CIRCLE,
-           "cut_hor_outer": PANEL_CIRCLE,
-           "cut_hor_inner": PANEL_CIRCLE,
-           "disk": 0.5 * np.pi * DISK_RADIUS}
-    return build_panels(mc, order=PANEL_ORDER,
-                        target_len=PANEL_REAL, levels=GRADE_LEVELS,
-                        ratio=GRADE_RATIO, per_label_len=per)
+    return _panels(tuple(map(_segment_bits, mc)), tuple(mc))
+
+
+@functools.lru_cache(maxsize=PANEL_MEMO)
+def _panels(bits, mc):
+    # keyed on bits; mc rides along to be panelized on a miss, and is
+    # equal whenever the bits are
+    return build_panels(mc, order=PANEL_ORDER, target_len=PANEL_REAL,
+                        levels=GRADE_LEVELS, ratio=GRADE_RATIO,
+                        per_label_len=TAG_PANEL_LEN)
 
 
 # ------------------------------------------------------------ phase
@@ -347,11 +373,13 @@ class JumpSpec:
     """Evaluator for the piecewise jump matrix on the master contour.
 
     j0_stack gives the t-independent matrix J0 per region tag; jump_stack
-    conjugates it with the phase exponential.  The spec panelizes mc once
-    (ps).  jump_stack keeps one _PhaseGroup per region tag of the own
-    panels and nothing else: the first call on an own panel builds J0 for
-    every panel of its tag in one j0_stack call, so the integrator sees
-    the whole tag at once.  A group keeps its stack at the last (y, t) it
+    conjugates it with the phase exponential.  The spec takes mc's
+    panels from panelize (ps), the one read-only PanelSet that every
+    caller panelizing mc shares, so mc is laid out once.  jump_stack
+    keeps one _PhaseGroup per region tag of the own panels and nothing
+    else: the first call on an own panel builds J0 for every panel of its
+    tag in one j0_stack call, so the integrator sees the whole tag at
+    once.  A group keeps its stack at the last (y, t) it
     served: a call at that (y, t) costs a lookup and a copy of the
     panel's slice, a call at a new one takes the phase once over the tag.
     So a jump set, every own panel at one (y, t), takes one phase per

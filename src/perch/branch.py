@@ -162,10 +162,17 @@ class TraceFunction:
         return _real_trace(self(_axis_embed(axis, x)), f"on the {axis} axis")
 
     def axis_slope(self, axis, x):
-        """d Delta / d x along the axis coordinate, by central differences."""
+        """d Delta / d x along the axis coordinate, by central differences.
+
+        Both sides of every difference go to the trace in one on_axis
+        call; a k's value does not depend on its batch, so the slope is
+        that of two separate calls, to the bit.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         hs = 1e-7 * np.maximum(1.0, np.abs(x))
-        return (self.on_axis(axis, x + hs) - self.on_axis(axis, x - hs)) / (2 * hs)
+        plus, minus = np.split(self.on_axis(axis, np.concatenate([x + hs,
+                                                                  x - hs])), 2)
+        return (plus - minus) / (2 * hs)
 
 
 # ------------------------------------------------------------ cut geometry
@@ -292,8 +299,9 @@ def _interlaced(periodic, anti):
 def _polish_edges(tf, axis, edges):
     """Polished coordinates of (coord, level) edges, checked simple.
 
-    Three Newton steps drive Delta(x) - level to zero along the axis; the
-    slope of the last step decides whether each zero is simple.
+    Three Newton steps drive Delta(x) - level to zero along the axis,
+    two trace calls a step (the value and axis_slope); the slope of the
+    last step decides whether each zero is simple.
     """
     if not edges:
         return []

@@ -121,7 +121,12 @@ class Panel:
 
 
 class PanelSet:
-    """All panels of a contour plus flat node/weight arrays."""
+    """All panels of a contour plus flat node/weight arrays.
+
+    Every array is read-only, the panels' nodes and weights and their
+    shared reference rule too: assembly.panelize hands one PanelSet to
+    every caller that panelizes the same contour.
+    """
 
     def __init__(self, panels):
         self.panels = panels
@@ -131,6 +136,11 @@ class PanelSet:
         # the panel each node lies on; its region tag is that panel's label
         self.panel_index = np.concatenate(
             [np.full(len(p.nodes), i, dtype=int) for i, p in enumerate(panels)])
+        arrays = [self.nodes, self.weights, self.offsets, self.panel_index]
+        for p in panels:
+            arrays += [p.nodes, p.weights, p.tau, p.wref]
+        for a in arrays:
+            a.flags.writeable = False
 
     @property
     def n(self):
@@ -147,28 +157,40 @@ def build_panels(segments, order=12, target_len=None, levels=4, ratio=0.5,
     target_len is the default panel length; per_label_len maps a segment
     label to its own target.  Grading flags on a segment refine the first or
     last panel geometrically (levels halvings at the given ratio).
+
+    Each segment's panels are laid in one array pass: the panel ends u0,
+    u1 and the maps' mid, half (lines) or phic, beta (arcs) as columns,
+    one row per panel, and the nodes and weights as (panels, order)
+    arrays, in the operation order of a panel taken alone, so every row
+    has the bits a per-panel loop would give it.  Each row becomes one
+    Panel, with mid and half as Python complex numbers.
     """
     tau, wref = np.polynomial.legendre.leggauss(order)
     panels = []
     for seg in segments:
         tl = (per_label_len or {}).get(seg.label, target_len or seg.length)
-        us = split_points(seg, tl, levels, ratio)
-        for u0, u1 in zip(us[:-1], us[1:]):
-            if seg.kind == "line":
-                a = seg.a + (seg.b - seg.a) * u0
-                b = seg.a + (seg.b - seg.a) * u1
-                mid, half = 0.5 * (a + b), 0.5 * (b - a)
-                nodes = mid + half * tau
-                weights = wref.astype(complex) * half
-                panels.append(Panel("line", seg.label, nodes, weights, tau,
-                                    wref, mid=mid, half=half))
-            else:
-                p1 = seg.phi1 + (seg.phi2 - seg.phi1) * u0
-                p2 = seg.phi1 + (seg.phi2 - seg.phi1) * u1
-                phic, beta = 0.5 * (p1 + p2), 0.5 * (p2 - p1)
-                nodes = seg.center + seg.radius * np.exp(1j * (phic + beta * tau))
-                weights = wref * 1j * beta * seg.radius * np.exp(1j * (phic + beta * tau))
-                panels.append(Panel("arc", seg.label, nodes, weights, tau,
-                                    wref, center=seg.center,
-                                    radius=seg.radius, phic=phic, beta=beta))
+        us = np.array(split_points(seg, tl, levels, ratio))
+        u0, u1 = us[:-1, None], us[1:, None]
+        if seg.kind == "line":
+            a = seg.a + (seg.b - seg.a) * u0
+            b = seg.a + (seg.b - seg.a) * u1
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            nodes = mid + half * tau
+            weights = wref.astype(complex) * half
+            panels += [Panel("line", seg.label, k, w, tau, wref,
+                             mid=complex(m), half=complex(h))
+                       for k, w, m, h in zip(nodes, weights, mid[:, 0],
+                                             half[:, 0])]
+        else:
+            p1 = seg.phi1 + (seg.phi2 - seg.phi1) * u0
+            p2 = seg.phi1 + (seg.phi2 - seg.phi1) * u1
+            phic, beta = 0.5 * (p1 + p2), 0.5 * (p2 - p1)
+            turn = np.exp(1j * (phic + beta * tau))
+            nodes = seg.center + seg.radius * turn
+            weights = wref * 1j * beta * seg.radius * turn
+            panels += [Panel("arc", seg.label, k, w, tau, wref,
+                             center=seg.center, radius=seg.radius,
+                             phic=pc, beta=bt)
+                       for k, w, pc, bt in zip(nodes, weights, phic[:, 0],
+                                               beta[:, 0])]
     return PanelSet(panels)

@@ -97,8 +97,8 @@ ODE_STEPS_PER_K = 12.0    # extra steps ~ this * |k| * L
 MATMUL_K = 42
 # steps x k per slab of the pairwise product, 4 MB of factor values.  The
 # product holds two of its levels at a time, at most a half and a quarter
-# of that, and a temporary of an eighth, so a call peaks near 8 MB however
-# many k it takes (8.8 MB for 5000 k at 192 steps, tracemalloc)
+# of that, and a temporary of a quarter, so a call peaks near 9 MB however
+# many k it takes (8.9 MB for 5000 k at 192 steps, tracemalloc)
 SLAB_STEPK = 2**18
 # (profile, step count) pairs whose four-step factors are kept, 200 bytes a
 # step each: one spectra round of four profiles uses 27 (2.0 MB), a cold
@@ -312,10 +312,11 @@ def _pairwise_product(E):
     on each k alone, so integrate_transfer passes a whole slab of k at
     once: numpy's call overhead, not the arithmetic, sets the cost of a
     narrow slab.  Each level writes into one new array, the carried
-    factor into its tail, and the eight terms E_hi[r, j] E_lo[j, c] pass
-    through one temporary.
+    factor into its tail, and takes row r of the product by one
+    broadcast multiply-add per j, F[r] += E_hi[r, j] E_lo[j], both
+    columns at once: one add and four multiply-adds a level.  Each entry
+    keeps the order hi + lo, then the j = 0 term, then the j = 1 term.
     """
-    tmp = np.empty((E.shape[2] // 2,) + E.shape[3:], dtype=E.dtype)
     while E.shape[2] > 1:
         n = E.shape[2]
         m = n // 2
@@ -323,12 +324,9 @@ def _pairwise_product(E):
         out = np.empty(E.shape[:2] + (n - m,) + E.shape[3:], dtype=E.dtype)
         F = out[:, :, :m]
         np.add(hi, lo, out=F)
-        t = tmp[:m]
         for r in range(2):
-            for c in range(2):
-                for j in range(2):
-                    np.multiply(hi[r, j], lo[j, c], out=t)
-                    F[r, c] += t
+            for j in range(2):
+                F[r] += hi[r, j] * lo[j]
         out[:, :, m:] = E[:, :, 2 * m:]
         E = out
     return E[:, :, 0]

@@ -15,26 +15,31 @@ symmetry rules and the junction at k = +-1/2 with every region tag
 sampled, and a det defect outside the sample caught, a cold pass that
 integrates only the lower half of a vertical cut, a vertical cut off the
 origin, the typed refusals of off-axis cut nodes and of a collapsed or
-inconsistent root, and the residue-disk jumps of a synthetic pole with
-a node off every disk refused.
+inconsistent root, the residue-disk jumps of a synthetic pole with
+a node off every disk refused, one read-only PanelSet per contour bit
+pattern shared by panelize's callers and JumpSpec, and the real-axis
+jump's k^-2 tail against |m0''(0)| / 16.
 """
 
 import copy
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from perch import assembly, scattering
-from perch.assembly import (ALL_TAGS, UPPER_LOWER_TAGS, JumpSpec, _g_core,
-                            build_master_contour, check_jumps,
-                            jump_diagnostics, panelize)
+from perch.assembly import (ALL_TAGS, GRADE_LEVELS, GRADE_RATIO, PANEL_ORDER,
+                            PANEL_REAL, TAG_PANEL_LEN, UPPER_LOWER_TAGS,
+                            JumpSpec, _g_core, build_master_contour,
+                            check_jumps, jump_diagnostics, panelize)
 from perch.branch import PoleData, SheetedR, _check_geometry
 from perch.config import DISK_RADIUS, ContourConfig
+from perch.contour import build_panels
 from perch.errors import (BadGeometry, CrossValidationFailure,
                           DenominatorCollapse, JumpConsistencyError,
                           PerchError, UnknownRegion)
-from perch.initial import compute_momentum, load_initial_data
+from perch.initial import _fourier_modes, compute_momentum, load_initial_data
 from perch.mat2 import det2, inv2
 
 FIXTURES = ["sr_zero", "sr_hbump"]
@@ -624,3 +629,87 @@ def test_check_jumps_samples_the_disks_on_every_seed(sr_bump):
     for seed in range(1, 5):
         with pytest.raises(JumpConsistencyError, match=r", holomorphic [1-9]"):
             check_jumps(js, n=32, seed=seed)
+
+
+def test_one_panel_set_per_contour(sr_hbump):
+    # the caller's panelize and JumpSpec share one object, and a fresh
+    # segment list with the same bits finds it too
+    mc = build_master_contour(sr_hbump)
+    ps = panelize(mc)
+    assert panelize(mc) is ps
+    assert panelize(build_master_contour(sr_hbump)) is ps
+    assert JumpSpec(sr_hbump.sd, sr_hbump, mc).ps is ps
+
+
+def test_a_shared_panel_set_refuses_writes(sr_hbump):
+    ps = panelize(build_master_contour(sr_hbump))
+    arrays = [ps.nodes, ps.weights, ps.offsets, ps.panel_index]
+    for p in ps.panels[:3] + ps.panels[-3:]:
+        arrays += [p.nodes, p.weights, p.tau, p.wref]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = a[0]
+
+
+def test_contours_apart_only_in_the_sign_of_a_zero_get_their_own_panels(
+        sr_hbump):
+    # -0.0 == 0.0, so equal segment tuples; the memo keys on bits
+    mc = build_master_contour(sr_hbump)
+    i = next(i for i, s in enumerate(mc) if s.kind == "line" and s.a == 0.0)
+    flipped = list(mc)
+    flipped[i] = replace(mc[i], a=complex(-0.0, -0.0))
+    assert flipped == mc
+    ps, ps_flipped = panelize(mc), panelize(flipped)
+    assert ps_flipped is not ps
+    assert panelize(list(flipped)) is ps_flipped
+    fresh = build_panels(flipped, order=PANEL_ORDER, target_len=PANEL_REAL,
+                         levels=GRADE_LEVELS, ratio=GRADE_RATIO,
+                         per_label_len=TAG_PANEL_LEN)
+    assert np.array_equal(ps_flipped.nodes.view(np.uint64),
+                          fresh.nodes.view(np.uint64))
+
+
+# k^2 |J - I| at mid-band on real_outer nodes, relative to |m0''(0)| / 16:
+# the largest deviation measured at n = 28 is 0.0176 (bump(-0.8)), against
+# 0.0036 (bump(0.5)) and 0.0128 (asym); each falls from n = 20 to n = 28
+TAIL_N = (20, 28)
+TAIL_REL = 0.02
+
+
+def sr_jumps(sr):
+    return JumpSpec(sr.sd, sr, build_master_contour(sr))
+
+
+@pytest.mark.parametrize("name", ["sr_bump", "sr_hbump", "sr_asym"])
+def test_the_real_axis_jump_tail_is_m0pp_over_16_k_squared(request, name):
+    """k^2 max_ij |J - I|_ij at mid-band k = (n + 1/2) pi / theta tends to
+    |m0''(0)| / 16.
+
+    The norm is the largest entry modulus; the off-diagonal entries carry
+    it, the diagonal ones are O(k^-4).  The constant: in the Liouville
+    form -phi'' + V phi = k^2 phi on y in [0, theta], the gauge m0(0) = 0
+    and these profiles' m0'(0) = 0 give V(0) = m0''(0) / 4.  The endpoint
+    terms of the period integral leave
+    |b(k)| = |V(0)| |e^{2ik theta} - 1| / (4 k^2) + O(k^-3), so
+    |b| = |m0''(0)| / (8 k^2) at e^{2ik theta} = -1, and the real_outer
+    jump's off-diagonal entry is b / (a - e^{2ik theta} a*) to leading
+    order, whose denominator has modulus sqrt(4 - Delta^2 + 4 |b|^2), 2
+    at mid-band.  The bound on the deviation is measured (TAIL_REL).
+    """
+    sr = request.getfixturevalue(name)
+    c, freq = _fourier_modes(sr.sd.mp.m0)
+    dk = 2j * np.pi * freq / sr.sd.mp.L
+    assert abs(np.sum(c * dk).real) < 1e-12           # m0'(0) = 0
+    want = abs(np.sum(c * dk * dk).real) / 16.0
+    k = (np.array(TAIL_N) + 0.5) * np.pi / sr.theta
+    J = sr_jumps(sr).jump_stack(0.0, 0.0, k, "real_outer")
+    dev = np.abs(k**2 * np.max(np.abs(J - np.eye(2)), axis=(1, 2)) / want
+                 - 1.0)
+    assert dev[1] <= TAIL_REL
+    assert dev[1] < dev[0]
+
+
+def test_the_real_axis_jump_is_the_identity_on_zero(sr_zero):
+    k = (np.array(TAIL_N) + 0.5) * np.pi / sr_zero.theta
+    J = sr_jumps(sr_zero).jump_stack(0.0, 0.0, k, "real_outer")
+    assert np.max(np.abs(J - np.eye(2))) <= 1e-15

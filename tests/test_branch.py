@@ -1,6 +1,6 @@
-"""Tests for the branch layer: the monodromy trace, branch-point location
-and cut pairing, the sheeted root pair with its boundary values and origin
-limits, and the pole/residue machinery.
+"""Tests for the branch layer: the monodromy trace and its axis slope,
+branch-point location and cut pairing, the sheeted root pair with its
+boundary values and origin limits, and the pole/residue machinery.
 """
 
 import copy
@@ -163,6 +163,22 @@ def test_branch_points_are_simple_zeros(sr_asym):
             else ("imag", z.imag)
         slope = abs(tf.axis_slope(axis, abs(coord))[0])
         assert slope > 1e-7
+
+
+@pytest.mark.parametrize("axis, xs", [
+    ("real", [0.05, 0.4053981, 1.3131, 7.5, 16.9]),
+    ("imag", [0.0061, 0.06, 0.21, 0.4999])])
+def test_axis_slope_is_the_two_call_central_difference(mp_bump, axis, xs):
+    # axis_slope sends both sides of every difference to the trace in one
+    # call; each side must keep the bits of a call of its own, each on an
+    # evaluator of its own, so no side is served from the other's store
+    x = np.array(xs)
+    hs = 1e-7 * np.maximum(1.0, np.abs(x))
+    plus = TraceFunction(ScatteringData(mp_bump)).on_axis(axis, x + hs)
+    minus = TraceFunction(ScatteringData(mp_bump)).on_axis(axis, x - hs)
+    got = TraceFunction(ScatteringData(mp_bump)).axis_slope(axis, x)
+    want = (plus - minus) / (2 * hs)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_cut_interiors_and_mirror_symmetry(sr_bump):

@@ -10,7 +10,8 @@ Only jump_stack builds the t-independent jump: an own panel's through
 its memo of one group per region tag, any other node array whole at
 every call, so the own panels' jumps that check_jumps reads are those a
 jump set is served.  Only JumpSpec panelizes the master contour, so its
-per-tag fill and jump_diagnostics read the one PanelSet it keeps (ps).
+per-tag fill and jump_diagnostics read the one PanelSet it keeps (ps),
+the one panelize hands every caller of the same contour.
 Likewise only integrate_transfer builds (through the four-step factors)
 and evaluates the step polynomials, so every integration goes through
 their memo and the benchmark's count of integrations.  Every
@@ -135,7 +136,8 @@ def test_nothing_in_assembly_reads_a_cut_side():
 
 def test_only_the_branch_point_polish_differences_the_trace():
     # the sheet reads its slope signs off the monodromy; axis_slope costs
-    # two integrations a call and serves only the Newton polish
+    # a trace call on both sides of every difference and serves only the
+    # Newton polish
     tree = dict(modules())["branch"]
     callers = [qual for qual, fn in functions(tree)
                if any(isinstance(n, ast.Call)
@@ -152,8 +154,8 @@ def test_only_jump_stack_builds_the_t_independent_jump():
 
 def test_only_the_jump_spec_panelizes_the_master_contour():
     # JumpSpec keeps its PanelSet; the per-tag fill and jump_diagnostics
-    # read its panels, so a second panelize would lay the same panels
-    # twice
+    # read its panels, and a caller outside the package that panelizes the
+    # same contour gets the same object from panelize's memo
     assert package_callers("panelize") == ["assembly.JumpSpec.__init__"]
 
 

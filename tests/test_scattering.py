@@ -203,6 +203,48 @@ def test_a_real_lam_gets_the_bits_of_complex_arithmetic(mp_bump, n_steps):
                               np.ascontiguousarray(cplx.real).view(np.uint64))
 
 
+def _pairwise_product_by_entries(E):
+    """Reference: the pairwise product with the 2x2 product taken entry by
+    entry, F[r, c] += E_hi[r, j] E_lo[j, c] through one temporary, as
+    _pairwise_product took it before it took both columns at once."""
+    tmp = np.empty((E.shape[2] // 2,) + E.shape[3:], dtype=E.dtype)
+    while E.shape[2] > 1:
+        n = E.shape[2]
+        m = n // 2
+        hi, lo = E[:, :, 1:2 * m:2], E[:, :, 0:2 * m:2]
+        out = np.empty(E.shape[:2] + (n - m,) + E.shape[3:], dtype=E.dtype)
+        F = out[:, :, :m]
+        np.add(hi, lo, out=F)
+        t = tmp[:m]
+        for r in range(2):
+            for c in range(2):
+                for j in range(2):
+                    np.multiply(hi[r, j], lo[j, c], out=t)
+                    F[r, c] += t
+        out[:, :, m:] = E[:, :, 2 * m:]
+        E = out
+    return E[:, :, 0]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n_factors", [1, 2, 3, 48, 49, 160])
+@pytest.mark.parametrize("n_k", [1, 7, 300])
+def test_the_pairwise_product_keeps_the_bits_of_the_entry_loop(dtype,
+                                                               n_factors, n_k):
+    # one broadcast multiply-add per (r, j) keeps each entry's order of
+    # operations, hi + lo, then the j = 0 term, then the j = 1 term; odd
+    # factor counts carry a factor through a level
+    rng = np.random.default_rng(1000 * n_factors + n_k)
+    E = 0.3 * rng.standard_normal((2, 2, n_factors, n_k))
+    if dtype is complex:
+        E = E + 0.3j * rng.standard_normal(E.shape)
+    got = _pairwise_product(E)
+    want = _pairwise_product_by_entries(E)
+    assert got.dtype == E.dtype and got.shape == (2, 2, n_k)
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                          np.ascontiguousarray(want).view(np.uint64))
+
+
 def _bits(abv):
     """(a, b, a*, b*) as uint64 pairs, shape (4, len(k), 2)."""
     return np.stack(abv)[..., None].view(np.uint64)
