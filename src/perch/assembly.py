@@ -67,12 +67,14 @@ conjugated by that same D: circle_eps = D J_circle D^{-1}.
 The time dependence enters through the scalar phase
 p(y, t, k) = y - t / (2 (k^2 + 1/4)): the jump at (y, t) is the k-fixed
 matrix J0 conjugated by exp(-i k p sigma3), except on residue disks, where
-the phase is evaluated at the pole itself.  So JumpSpec keeps one group
-per region tag of its own panels: it builds the tag's J0 in one stack and
-takes the phase over the whole tag once per (y, t), and each panel's call
-copies its slice.  Any other node array (an image -k or conj k, a
-junction point, a caller's sample) is built whole at every call, and so
-are the disks, whose jump is not J0 times a phase at each node.
+the phase is evaluated at the pole itself.  So JumpSpec keeps one memo
+laid out like its PanelSet, in the row order of the Cauchy boundary
+matrices: J0 of every own node, built in one stack per region tag, and
+the jump stack of all of them at the last (y, t), taken in one phase
+pass; each panel's call copies its rows.  Any other node array (an image
+-k or conj k, a junction point, a caller's sample) is built whole at
+every call, and so are the disks, whose jump is not J0 times a phase at
+each node.
 """
 
 import functools
@@ -107,8 +109,8 @@ TAG_PANEL_LEN = {"circle": PANEL_CIRCLE, "circle_eps": 0.6 * PANEL_CIRCLE,
                  "cut_hor_inner": PANEL_CIRCLE,
                  "disk": 0.5 * np.pi * DISK_RADIUS}
 GRADE_LEVELS = 4          # geometric refinements toward flagged endpoints
-GRADE_RATIO = 0.5         # size ratio between successive graded panels
 PANEL_MEMO = 32           # contours whose PanelSet panelize keeps
+DENOM_FLOOR = 1e-10       # smallest |a| and |a - b K*| the G-functions take
 
 
 # ------------------------------------------------------------ contour
@@ -261,8 +263,7 @@ def _panels(bits, mc):
     # keyed on bits; mc rides along to be panelized on a miss, and is
     # equal whenever the bits are
     return build_panels(mc, order=PANEL_ORDER, target_len=PANEL_REAL,
-                        levels=GRADE_LEVELS, ratio=GRADE_RATIO,
-                        per_label_len=TAG_PANEL_LEN)
+                        levels=GRADE_LEVELS, per_label_len=TAG_PANEL_LEN)
 
 
 # ------------------------------------------------------------ phase
@@ -288,29 +289,6 @@ def _with_phase(j0, m2k, den, y, t):
     return out
 
 
-class _PhaseGroup:
-    """What jump_stack keeps per region tag of the own panels, nodes k:
-    J0, the k-only factors of the phase from _phase_factors, and the
-    jump stack at the last (y, t) the group served, all read-only (and so
-    is every view of them).  (y, t) is compared by its bits, as -0.0 and
-    0.0 may give different zeros in the stack."""
-
-    def __init__(self, j0, k):
-        self.j0, (self.m2k, self.den) = j0, _phase_factors(k)
-        for a in (self.j0, self.m2k, self.den):
-            a.flags.writeable = False
-        self.yt = self.stack = None
-
-    def at(self, y, t):
-        """The group's jump stack at (y, t), read-only."""
-        yt = struct.pack("4d", y.real, y.imag, t.real, t.imag)
-        if yt != self.yt:
-            self.stack = _with_phase(self.j0, self.m2k, self.den, y, t)
-            self.stack.flags.writeable = False
-            self.yt = yt
-        return self.stack
-
-
 # ------------------------------------------------------------ G-functions
 
 
@@ -324,10 +302,10 @@ def _cross_check(name, first, second, ks):
             f"{first[i]:.9g} vs {second[i]:.9g}")
 
 
-def _guard_denominator(name, value, floor=1e-10):
-    if np.any(np.abs(value) < floor):
+def _guard_denominator(name, value):
+    if np.any(np.abs(value) < DENOM_FLOOR):
         raise DenominatorCollapse(
-            f"{name} fell under {floor:g}; the sheet labeling is wrong "
+            f"{name} fell under {DENOM_FLOOR:g}; the sheet labeling is wrong "
             "upstream")
 
 
@@ -376,20 +354,21 @@ class JumpSpec:
     conjugates it with the phase exponential.  The spec takes mc's
     panels from panelize (ps), the one read-only PanelSet that every
     caller panelizing mc shares, so mc is laid out once.  jump_stack
-    keeps one _PhaseGroup per region tag of the own panels and nothing
-    else: the first call on an own panel builds J0 for every panel of its
-    tag in one j0_stack call, so the integrator sees the whole tag at
-    once.  A group keeps its stack at the last (y, t) it
-    served: a call at that (y, t) costs a lookup and a copy of the
-    panel's slice, a call at a new one takes the phase once over the tag.
-    So a jump set, every own panel at one (y, t), takes one phase per
-    tag.  A node array that is no own panel (-k, conj k, a sample, a
-    junction point) is built whole at every call.  A j0_stack that raises
-    leaves nothing kept, and the next call builds the tag again.
-    Residue disks are the one exception: their nilpotent entry carries
-    the phase evaluated at the pole, exactly as the residue conditions
-    prescribe, so jump_stack builds them whole at every call and
-    j0_stack has no disk rule.
+    keeps one memo in ps's node order and nothing else: the first call
+    on an own panel builds J0 of every own node, one j0_stack call per
+    region tag on that tag's nodes, so the integrator sees each tag at
+    once.  The memo keeps the stack at the last (y, t) it served: a call
+    at that (y, t) costs a lookup and a copy of the panel's rows, a call
+    at a new one takes the phase once over every own node.  So a jump
+    set, every own panel at one (y, t), takes one phase pass.  A node
+    array that is no own panel (-k, conj k, a sample, a junction point)
+    is built whole at every call.  A j0_stack that raises leaves nothing
+    kept: while one tag's build fails, so does every own-panel call, of
+    any tag, and the next call builds every tag again.  Residue disks are
+    the one exception: their nilpotent entry carries the phase evaluated
+    at the pole, exactly as the residue conditions prescribe, so
+    jump_stack builds them whole at every call, j0_stack has no disk
+    rule, and the memo's disk rows stay unused.
     """
 
     def __init__(self, sd, sr, mc):
@@ -399,20 +378,12 @@ class JumpSpec:
         self.theta = sr.theta
         self.L = sd.mp.L
         self.ps = panelize(mc)
-        # per tag, the nodes of its own panels in contour order, and per
-        # own panel's key (tag, shape, bytes), its slice of the tag's nodes
-        own = {}
-        for p in self.ps.panels:
-            own.setdefault(p.label, {})[
-                (p.label, p.nodes.shape, p.nodes.tobytes())] = p.nodes
-        self._tag_nodes, self._slots = {}, {}
-        for tag, panels in own.items():
-            self._tag_nodes[tag] = np.concatenate(list(panels.values()))
-            start = 0
-            for key, k in panels.items():
-                self._slots[key] = slice(start, start + len(k))
-                start += len(k)
-        self._groups = {}
+        # per own non-disk panel's key (tag, shape, bytes), its rows of ps
+        self._rows = {(p.label, p.nodes.shape, p.nodes.tobytes()):
+                      self.ps.node_slice(q)
+                      for q, p in enumerate(self.ps.panels)
+                      if p.label != "disk"}
+        self._j0 = self._yt = self._stack = None
 
     # -------------------------------------------- t = 0 matrices
 
@@ -496,6 +467,31 @@ class JumpSpec:
             return self._j0_vert(flat)
         raise UnknownRegion(f"no jump rule for region tag {tag!r}")
 
+    def _own_stack(self, y, t):
+        """The jumps of every own node at (y, t) in ps order, read-only.
+
+        J0 and the phase factors are built at the first call, the stack
+        again at each new (y, t), compared by its bits, as -0.0 and 0.0
+        may give different zeros in it.
+        """
+        if self._j0 is None:
+            ps = self.ps
+            j0 = np.zeros((ps.n, 2, 2), dtype=complex)
+            for tag in dict.fromkeys(p.label for p in ps.panels):
+                if tag != "disk":
+                    own = ps.labels == tag
+                    j0[own] = self.j0_stack(ps.nodes[own], tag)
+            self._m2k, self._den = _phase_factors(ps.nodes)
+            for a in (j0, self._m2k, self._den):
+                a.flags.writeable = False
+            self._j0 = j0
+        yt = struct.pack("4d", y.real, y.imag, t.real, t.imag)
+        if yt != self._yt:
+            self._stack = _with_phase(self._j0, self._m2k, self._den, y, t)
+            self._stack.flags.writeable = False
+            self._yt = yt
+        return self._stack
+
     # -------------------------------------------- disks
 
     def _disk_stack(self, y, t, flat):
@@ -523,25 +519,21 @@ class JumpSpec:
     def jump_stack(self, y, t, ks, tag, side=None):
         """Jump matrices at (y, t) for nodes sharing one region tag.
 
-        The memo holds one _PhaseGroup per region tag of the own panels.
-        An own panel's call at the (y, t) its tag last served copies its
-        slice of the tag's stack; a call at another (y, t) first takes the
-        phase over the whole tag.  Any other node array is built whole.
-        J0 and the phase are elementwise, so every call returns what a
-        cold call on its own nodes returns, to the bit.
+        An own panel's call at the (y, t) the memo last served copies its
+        rows of the memo's stack; a call at another (y, t) first takes the
+        phase over every own node (_own_stack).  Any other node array is
+        built whole.  J0 and the phase are elementwise, so every call
+        returns what a cold call on its own nodes returns, to the bit.
         """
         # side is not read; perfbench/workloads.py passes it by position
         flat = np.atleast_1d(np.asarray(ks, dtype=complex))
         if tag == "disk":
             return self._disk_stack(y, t, flat)
-        slot = self._slots.get((tag, flat.shape, flat.tobytes()))
-        if slot is None:
+        rows = self._rows.get((tag, flat.shape, flat.tobytes()))
+        if rows is None:
             return _with_phase(self.j0_stack(flat, tag),
                                *_phase_factors(flat), y, t)
-        if tag not in self._groups:
-            nodes = self._tag_nodes[tag]
-            self._groups[tag] = _PhaseGroup(self.j0_stack(nodes, tag), nodes)
-        return self._groups[tag].at(y, t)[slot].copy()
+        return self._own_stack(y, t)[rows].copy()
 
 
 # ------------------------------------------------------------ diagnostics
@@ -580,13 +572,12 @@ def jump_diagnostics(js, y=0.0, t=0.0, n=200, seed=5):
                              for p in ps.panels])
     det_defect = float(np.max(np.abs(det2(served) - 1.0)))
     rng = np.random.default_rng(seed)
-    node_tags = np.array([p.label for p in ps.panels])[ps.panel_index]
-    tags = np.unique(node_tags)
+    tags = np.unique(ps.labels)
     share = max(1, n // len(tags))
     holo = anti = 0.0
     checked = 0
     for tag in tags:
-        pick = rng.permutation(np.flatnonzero(node_tags == tag))[:share]
+        pick = rng.permutation(np.flatnonzero(ps.labels == tag))[:share]
         j, k = served[pick], ps.nodes[pick]
         checked += len(k)
         j_neg, j_conj = np.split(js.jump_stack(

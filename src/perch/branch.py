@@ -138,7 +138,7 @@ def _axis_embed(axis, x):
 def _real_trace(vals, where):
     """Re Delta of Delta values on an axis, which must be real there."""
     scale = np.maximum(1.0, np.abs(vals.real))
-    worst = float(np.max(np.abs(vals.imag) / scale))
+    worst = float(np.max(np.abs(vals.imag) / scale, initial=0.0))
     if worst > TRACE_REAL:
         raise VerificationFailure(
             f"trace not real {where}: |Im Delta| = {worst:.3g}")

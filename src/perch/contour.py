@@ -19,6 +19,8 @@ import numpy as np
 
 from .errors import BadGeometry
 
+GRADE_RATIO = 0.5         # size ratio between successive graded panels
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -58,35 +60,27 @@ class Segment:
             return abs(self.b - self.a)
         return abs(self.phi2 - self.phi1) * self.radius
 
-    def point(self, u):
-        """Map u in [0, 1] along the segment to the complex plane."""
-        u = np.asarray(u, dtype=float)
-        if self.kind == "line":
-            return self.a + (self.b - self.a) * u
-        phi = self.phi1 + (self.phi2 - self.phi1) * u
-        return self.center + self.radius * np.exp(1j * phi)
 
-
-def _graded_knots(levels, ratio):
+def _graded_knots(levels):
     """Breakpoints in (0,1) packing geometrically toward 0."""
-    # smallest cell has relative size ratio**levels
-    sizes = [ratio ** (levels - i) for i in range(levels + 1)]
+    # smallest cell has relative size GRADE_RATIO**levels
+    sizes = [GRADE_RATIO ** (levels - i) for i in range(levels + 1)]
     total = sum(sizes)
     knots = np.cumsum([s / total for s in sizes])[:-1]
     return list(knots)
 
 
-def split_points(seg, target_len, levels, ratio):
+def split_points(seg, target_len, levels):
     """Panel breakpoints (in u) for one segment, honoring grading flags."""
     n = max(1, int(np.ceil(seg.length / target_len)))
     base = list(np.linspace(0.0, 1.0, n + 1))
     pts = set(base)
     if seg.grade_start:
         w = base[1] - base[0]
-        pts.update(base[0] + w * np.asarray(_graded_knots(levels, ratio)))
+        pts.update(base[0] + w * np.asarray(_graded_knots(levels)))
     if seg.grade_end:
         w = base[-1] - base[-2]
-        pts.update(base[-1] - w * np.asarray(_graded_knots(levels, ratio)))
+        pts.update(base[-1] - w * np.asarray(_graded_knots(levels)))
     return sorted(pts)
 
 
@@ -133,10 +127,13 @@ class PanelSet:
         self.nodes = np.concatenate([p.nodes for p in panels])
         self.weights = np.concatenate([p.weights for p in panels])
         self.offsets = np.cumsum([0] + [len(p.nodes) for p in panels])
-        # the panel each node lies on; its region tag is that panel's label
+        # the panel each node lies on, and that panel's label: the node's
+        # region tag
         self.panel_index = np.concatenate(
             [np.full(len(p.nodes), i, dtype=int) for i, p in enumerate(panels)])
-        arrays = [self.nodes, self.weights, self.offsets, self.panel_index]
+        self.labels = np.array([p.label for p in panels])[self.panel_index]
+        arrays = [self.nodes, self.weights, self.offsets, self.panel_index,
+                  self.labels]
         for p in panels:
             arrays += [p.nodes, p.weights, p.tau, p.wref]
         for a in arrays:
@@ -150,13 +147,13 @@ class PanelSet:
         return slice(self.offsets[ipanel], self.offsets[ipanel + 1])
 
 
-def build_panels(segments, order=12, target_len=None, levels=4, ratio=0.5,
+def build_panels(segments, order=12, target_len=None, levels=4,
                  per_label_len=None):
     """Lay Gauss-Legendre panels over a list of segments.
 
     target_len is the default panel length; per_label_len maps a segment
     label to its own target.  Grading flags on a segment refine the first or
-    last panel geometrically (levels halvings at the given ratio).
+    last panel geometrically (levels steps of GRADE_RATIO).
 
     Each segment's panels are laid in one array pass: the panel ends u0,
     u1 and the maps' mid, half (lines) or phic, beta (arcs) as columns,
@@ -169,7 +166,7 @@ def build_panels(segments, order=12, target_len=None, levels=4, ratio=0.5,
     panels = []
     for seg in segments:
         tl = (per_label_len or {}).get(seg.label, target_len or seg.length)
-        us = np.array(split_points(seg, tl, levels, ratio))
+        us = np.array(split_points(seg, tl, levels))
         u0, u1 = us[:-1, None], us[1:, None]
         if seg.kind == "line":
             a = seg.a + (seg.b - seg.a) * u0

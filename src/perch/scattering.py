@@ -376,11 +376,12 @@ class ScatteringData:
         if np.any(ks == 0):
             raise BasisSingular("the wave basis is singular at k = 0, where "
                                 "a and b have a simple pole")
-        guard = np.max(np.abs(ks.imag)) * self.theta
+        # initial=0.0: an empty k array passes the guards, as no k exceeds them
+        guard = np.max(np.abs(ks.imag), initial=0.0) * self.theta
         if guard > IMAG_GUARD:
             raise StiffnessFailure(
                 f"|Im k| * theta = {guard:.3g} beyond the guard")
-        kabs = np.max(np.abs(ks))
+        kabs = np.max(np.abs(ks), initial=0.0)
         if kabs > self.kmax_guard:
             raise StiffnessFailure(
                 f"|k| = {kabs:.3g} beyond the {self.kmax_guard:.3g} guard")

@@ -1,16 +1,19 @@
 """Tests for the jump assembly: unimodular jumps on every region tag, the
 (y, t) phase conjugation, the t-independent jump built once per own
-region tag and equal to a fresh build, warm jumps taking the phase from
-read-only memoized factors once per region tag and (y, t), with an
-earlier (y, t) giving its bits back and a caller's overwrite or another
-node array's (y, t) reaching no later call, a cold pass that builds
-each region tag of the spec's own panels in one stack, bit-equal to a
-panel-by-panel build on an evaluator of its own and integrating each tag
-once per step count, other node arrays built alone at every call and
-kept nowhere, a failed build kept nowhere, the diagonal eps-circle
-jumps, the circle jump inside the eps-circles against the shifted
-G-functions written out, the guard on region tags, check_jumps reading
-every own panel's served jump, with det J = 1 on every node, its two
+region tag and equal to a fresh build, a memo in the PanelSet's node
+order whose read-only J0, phase factors and stack cover every own node,
+warm jumps taking the phase in one pass over every own node per (y, t),
+with an earlier (y, t) giving its bits back and a caller's overwrite or
+another node array's (y, t) reaching no later call, a cold pass that
+builds each region tag of the spec's own panels in one stack, bit-equal
+to a panel-by-panel build on an evaluator of its own and integrating
+each tag once per step count, other node arrays built alone at every
+call and kept nowhere, a failed build kept nowhere and failing every own
+panel's call until it builds, an empty node array getting an empty
+stack on every tag, the diagonal eps-circle jumps, the circle jump
+inside the eps-circles against the shifted G-functions written out, the
+guard on region tags, check_jumps reading every own panel's served jump
+and building each own tag once, with det J = 1 on every node, its two
 symmetry rules and the junction at k = +-1/2 with every region tag
 sampled, and a det defect outside the sample caught, a cold pass that
 integrates only the lower half of a vertical cut, a vertical cut off the
@@ -29,8 +32,8 @@ import numpy as np
 import pytest
 
 from perch import assembly, scattering
-from perch.assembly import (ALL_TAGS, GRADE_LEVELS, GRADE_RATIO, PANEL_ORDER,
-                            PANEL_REAL, TAG_PANEL_LEN, UPPER_LOWER_TAGS,
+from perch.assembly import (ALL_TAGS, GRADE_LEVELS, PANEL_ORDER, PANEL_REAL,
+                            TAG_PANEL_LEN, UPPER_LOWER_TAGS,
                             JumpSpec, _g_core, build_master_contour,
                             check_jumps, jump_diagnostics, panelize)
 from perch.branch import PoleData, SheetedR, _check_geometry
@@ -106,10 +109,13 @@ class CountingJumps(JumpSpec):
 
 
 def tag_sizes(js):
-    """Node count of every region tag of the spec's own panels."""
+    """Node count of every region tag of the spec's own panels but the
+    disks, in the order the tags first appear, the order the memo builds
+    them in."""
     sizes = Counter()
     for p in js.ps.panels:
-        sizes[p.label] += len(p.nodes)
+        if p.label != "disk":
+            sizes[p.label] += len(p.nodes)
     return sizes
 
 
@@ -128,6 +134,10 @@ def test_t_independent_jump_is_built_once_per_node_array(sr_hbump):
             assert np.array_equal(J, fresh.jump_stack(y, t, panel.nodes, tag))
             J[:] = np.nan
     assert len(js.builds) == len(panels) >= 6
+
+
+def bits(a):
+    return a.view(np.uint64)
 
 
 def with_phase(j0, k, y, t):
@@ -167,36 +177,36 @@ def sweep_sr(sd_hbump):
 
 
 def test_warm_jumps_take_the_phase_from_read_only_factors(sweep_sr):
-    # the memo keeps one slot per own panel in one group per tag, and the
-    # group's J0, -2ik, 2 (k^2 + 1/4) and last stack, none of them
-    # writable; on the benchmark's sweep contour every warm jump set is
-    # the panel's J0 times the phase written out, to the bit, also after
-    # the caller has overwritten what an earlier call returned
+    # the memo keeps each own panel's rows of the PanelSet, and J0, -2ik,
+    # 2 (k^2 + 1/4) and the last stack of every node in the PanelSet's
+    # order, none of them writable; on the benchmark's sweep contour every
+    # warm jump set is the panel's J0 times the phase written out, to the
+    # bit, also after the caller has overwritten what an earlier call
+    # returned
     js = JumpSpec(sweep_sr.sd, sweep_sr, build_master_contour(sweep_sr))
-    panels = js.ps.panels
-    j0 = [js.j0_stack(p.nodes, p.label) for p in panels]
+    ps = js.ps
+    j0 = [js.j0_stack(p.nodes, p.label) for p in ps.panels]
     for y, t in ((0.3 * js.theta, 0.7), (0.7 * js.theta, 1.9),
                  (-0.2 * js.theta, 0.05)):
-        for p, j in zip(panels, j0):
+        for p, j in zip(ps.panels, j0):
             J = js.jump_stack(y, t, p.nodes, p.label)
             assert np.array_equal(J, with_phase(j, p.nodes, y, t))
             J[:] = np.nan
-    assert len(js._slots) == len(panels)
-    assert set(js._groups) == {p.label for p in panels}
-    assert not any(a.flags.writeable for g in js._groups.values()
-                   for a in (g.j0, g.m2k, g.den, g.stack))
+    assert list(js._rows.values()) == [ps.node_slice(q)
+                                       for q in range(len(ps.panels))]
+    memo = (js._j0, js._m2k, js._den, js._stack)
+    assert all(len(a) == ps.n for a in memo)
+    assert not any(a.flags.writeable for a in memo)
+    for q, j in enumerate(j0):
+        assert np.array_equal(bits(js._j0[ps.node_slice(q)]), bits(j))
 
 
-def bits(a):
-    return a.view(np.uint64)
-
-
-def test_a_warm_jump_set_takes_the_phase_once_per_tag(sweep_sr, monkeypatch):
-    # on the sweep contour: one phase per tag and (y, t), none when the
-    # (y, t) repeats; an earlier (y, t) gives its first bits back; an
-    # overwritten stack leaves the next call alone; and -k of a panel,
-    # no panel and built whole at each call, never gets a stack of
-    # another (y, t)
+def test_a_warm_jump_set_takes_the_phase_once(sweep_sr, monkeypatch):
+    # on the sweep contour: one phase over every own node per (y, t), -0.0
+    # apart from 0.0, none when the (y, t) repeats; an earlier (y, t)
+    # gives its first bits back; an overwritten stack leaves the next call
+    # alone; and -k of a panel, no panel and built whole at each call,
+    # never gets a stack of another (y, t)
     js = JumpSpec(sweep_sr.sd, sweep_sr, build_master_contour(sweep_sr))
     panels = js.ps.panels
     phases = []
@@ -214,7 +224,7 @@ def test_a_warm_jump_set_takes_the_phase_once_per_tag(sweep_sr, monkeypatch):
         for _ in range(2):
             sets.append([js.jump_stack(y, t, p.nodes, p.label)
                          for p in panels])
-        assert sorted(phases) == sorted(tag_sizes(js).values())
+        assert phases == [js.ps.n]
     for first, again in zip(sets[0], sets[-1]):
         assert np.array_equal(bits(first), bits(again))
     p = panels[40]
@@ -223,7 +233,7 @@ def test_a_warm_jump_set_takes_the_phase_once_per_tag(sweep_sr, monkeypatch):
     assert np.array_equal(bits(js.jump_stack(*grid[0], p.nodes, p.label)),
                           bits(sets[0][40]))
     k = -p.nodes
-    assert (p.label, k.shape, k.tobytes()) not in js._slots
+    assert (p.label, k.shape, k.tobytes()) not in js._rows
     j0 = js.j0_stack(k, p.label)
     for y, t in grid[:2] + grid[:1]:
         js.jump_stack(y, t, p.nodes, p.label)
@@ -238,21 +248,22 @@ def test_a_cold_pass_integrates_each_tag_once_per_step_count(sd_hbump,
     # takes the lower arcs of a tag from the upper ones at conj k, so a
     # tag built in one stack makes at most two calls per step count; a
     # build per 12-node panel makes about one call per panel (616 calls
-    # on these 610 panels)
+    # on these 610 panels).  Each call is put down to the tag j0_stack
+    # is building, as the first own panel's call builds every tag
     sd = scattering.ScatteringData(sd_hbump.mp)
     sr = SheetedR(sd, ccfg=ContourConfig(k_window_factor=12.5))
-    js = JumpSpec(sd, sr, build_master_contour(sr))
+    js = CountingJumps(sd, sr, build_master_contour(sr))
     calls = []
     integrate = scattering.integrate_transfer
 
     def counting(m0, L, ks, n_steps):
-        calls.append((tag, n_steps))
+        calls.append((js.builds[-1][0], n_steps))
         return integrate(m0, L, ks, n_steps)
 
     monkeypatch.setattr(scattering, "integrate_transfer", counting)
     for p in panelize(js.mc).panels:
-        tag = p.label
-        js.jump_stack(0.0, 0.0, p.nodes, tag)
+        js.jump_stack(0.0, 0.0, p.nodes, p.label)
+    assert js.builds == list(tag_sizes(js).items())
     per = Counter(calls)
     assert len(per) >= 6
     assert max(per.values()) <= 2, per.most_common(3)
@@ -260,43 +271,58 @@ def test_a_cold_pass_integrates_each_tag_once_per_step_count(sd_hbump,
 
 def test_an_array_that_is_no_panel_is_built_alone(sr_hbump):
     # -k of a real_outer panel is real_outer too, but no panel of the
-    # spec: it is built by itself at every call, kept nowhere, and the
-    # tag is still filled whole at the first call on one of its panels
+    # spec: it is built by itself at every call and kept nowhere, and
+    # every own tag is still built whole at the first call on a panel
     js = CountingJumps(sr_hbump.sd, sr_hbump, build_master_contour(sr_hbump))
     panels = [p for p in js.ps.panels if p.label == "real_outer"]
     k = -panels[0].nodes
     js.jump_stack(0.0, 0.0, k, "real_outer")
     js.jump_stack(0.0, 0.0, k, "real_outer")
     assert js.builds == [("real_outer", len(k))] * 2
+    assert js._j0 is None
     for p in panels:
         js.jump_stack(0.3, 0.7, p.nodes, "real_outer")
+    stack = js._stack
     js.jump_stack(0.7, 0.3, k, "real_outer")
-    n_tag = tag_sizes(js)["real_outer"]
-    assert js.builds == [("real_outer", len(k))] * 2 + [
-        ("real_outer", n_tag), ("real_outer", len(k))]
-    assert list(js._groups) == ["real_outer"]
+    assert js.builds == [("real_outer", len(k))] * 2 + list(
+        tag_sizes(js).items()) + [("real_outer", len(k))]
+    assert js._stack is stack
 
 
 def test_a_failed_build_is_not_kept(sr_hbump):
-    # a tag whose build raises keeps nothing and is built again at the
-    # next call; another tag builds meanwhile
-    js = CountingJumps(sr_hbump.sd, sr_hbump, build_master_contour(sr_hbump))
+    # a build that raises keeps nothing: while one tag fails, every own
+    # panel's call fails, of any tag, and each call builds the tags again
+    # up to the failing one; once it builds, the jumps are a fresh spec's
+    mc = build_master_contour(sr_hbump)
+    js = CountingJumps(sr_hbump.sd, sr_hbump, mc)
     first = {}
     for p in js.ps.panels:
         first.setdefault(p.label, p)
     bad, good = first["circle"], first["real_outer"]
+    order = list(tag_sizes(js).items())
+    upto = order[:list(tag_sizes(js)).index("circle") + 1]
     js.failing = {"circle"}
-    for _ in range(2):
+    for p in (bad, bad, good):
         with pytest.raises(PerchError):
-            js.jump_stack(0.0, 0.0, bad.nodes, "circle")
-    js.jump_stack(0.0, 0.0, good.nodes, "real_outer")
+            js.jump_stack(0.0, 0.0, p.nodes, p.label)
+        assert js._j0 is None and js._stack is None
     js.failing = set()
+    fresh = JumpSpec(sr_hbump.sd, sr_hbump, mc)
     for p in js.ps.panels:
         if p.label == "circle":
-            js.jump_stack(0.3, 0.7, p.nodes, "circle")
-    n = tag_sizes(js)
-    assert js.builds == [("circle", n["circle"])] * 2 + [
-        ("real_outer", n["real_outer"]), ("circle", n["circle"])]
+            assert np.array_equal(
+                bits(js.jump_stack(0.3, 0.7, p.nodes, "circle")),
+                bits(fresh.jump_stack(0.3, 0.7, p.nodes, "circle")))
+    assert js.builds == upto * 3 + order
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_an_empty_node_array_gets_an_empty_stack(jumps, tag):
+    # sr_hbump has cuts on the real axis, so its G-functions, the cut
+    # rules and the disk rule all take the empty array
+    js, _ = jumps("sr_hbump")
+    J = js.jump_stack(0.3 * js.theta, 0.7, [], tag)
+    assert J.shape == (0, 2, 2) and J.dtype == complex
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -407,10 +433,9 @@ def sampled(js, n, seed=5):
     """The nodes jump_diagnostics draws per region tag, max(1, n // tags)
     each, with its seeded generator."""
     ps = js.ps
-    node_tags = np.array([p.label for p in ps.panels])[ps.panel_index]
-    tags = np.unique(node_tags)
+    tags = np.unique(ps.labels)
     rng = np.random.default_rng(seed)
-    return {tag: ps.nodes[rng.permutation(np.flatnonzero(node_tags == tag))[
+    return {tag: ps.nodes[rng.permutation(np.flatnonzero(ps.labels == tag))[
         :max(1, n // len(tags))]] for tag in tags}
 
 
@@ -446,14 +471,22 @@ def test_check_jumps_catches_a_det_defect_outside_its_sample(sr_hbump):
         assert max(d["holomorphic"], d["antiholomorphic"]) < 1e-9
 
 
-def test_check_jumps_keeps_one_group_per_own_tag(sr_hbump):
+def test_check_jumps_builds_the_own_tags_once(sr_hbump):
     # the images, samples and junction points check_jumps builds are kept
-    # nowhere: after 4 seeds at 3 (y, t) the memo holds the own tags alone
-    js = JumpSpec(sr_hbump.sd, sr_hbump, build_master_contour(sr_hbump))
+    # nowhere: over 4 seeds at 3 (y, t) each own tag is built once, every
+    # call builds the sampled tags' images and the 3 junction arrays
+    # alone, and the memo holds J0 of the own nodes, a fresh spec's bits
+    mc = build_master_contour(sr_hbump)
+    js = CountingJumps(sr_hbump.sd, sr_hbump, mc)
     for y, t in ((0.0, 0.0), (0.3 * js.theta, 0.7), (-0.0, 1.9)):
         for seed in range(1, 5):
             check_jumps(js, y=y, t=t, seed=seed)
-    assert sorted(js._groups) == sorted(tag_sizes(js))
+    own = list(tag_sizes(js).items())
+    assert js.builds[:len(own)] == own
+    assert len(js.builds) == len(own) + 12 * (len(own) + 3)
+    fresh = JumpSpec(sr_hbump.sd, sr_hbump, mc)
+    fresh.jump_stack(0.0, 0.0, js.ps.panels[0].nodes, js.ps.panels[0].label)
+    assert np.array_equal(bits(js._j0), bits(fresh._j0))
 
 
 class LowerArcsWithoutInverse(JumpSpec):
@@ -643,7 +676,7 @@ def test_one_panel_set_per_contour(sr_hbump):
 
 def test_a_shared_panel_set_refuses_writes(sr_hbump):
     ps = panelize(build_master_contour(sr_hbump))
-    arrays = [ps.nodes, ps.weights, ps.offsets, ps.panel_index]
+    arrays = [ps.nodes, ps.weights, ps.offsets, ps.panel_index, ps.labels]
     for p in ps.panels[:3] + ps.panels[-3:]:
         arrays += [p.nodes, p.weights, p.tau, p.wref]
     for a in arrays:
@@ -663,8 +696,7 @@ def test_contours_apart_only_in_the_sign_of_a_zero_get_their_own_panels(
     assert ps_flipped is not ps
     assert panelize(list(flipped)) is ps_flipped
     fresh = build_panels(flipped, order=PANEL_ORDER, target_len=PANEL_REAL,
-                         levels=GRADE_LEVELS, ratio=GRADE_RATIO,
-                         per_label_len=TAG_PANEL_LEN)
+                         levels=GRADE_LEVELS, per_label_len=TAG_PANEL_LEN)
     assert np.array_equal(ps_flipped.nodes.view(np.uint64),
                           fresh.nodes.view(np.uint64))
 

@@ -181,6 +181,12 @@ def test_axis_slope_is_the_two_call_central_difference(mp_bump, axis, xs):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("axis", ["real", "imag"])
+def test_an_empty_axis_array_gives_an_empty_trace(sd_bump, axis):
+    got = TraceFunction(sd_bump).on_axis(axis, [])
+    assert got.shape == (0,) and got.dtype == float
+
+
 def test_cut_interiors_and_mirror_symmetry(sr_bump):
     tf = sr_bump.trace
     for c in sr_bump.cuts.cuts:

@@ -266,7 +266,7 @@ def test_c_minus_is_equivariant_under_k_to_minus_k(contours, name):
     k = ps.nodes
     image = np.argmin(np.abs(k[None, :] + k[:, None]), axis=1)
     assert np.max(np.abs(k[image] + k)) < 1e-15
-    vert = np.array([p.label == "cut_vert" for p in ps.panels])[ps.panel_index]
+    vert = ps.labels == "cut_vert"
     assert np.any(vert) == (name == "bump@1.5")
     op = CauchyOperator(ps)
     Cm = op.boundary_matrix("minus")

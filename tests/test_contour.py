@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from perch.assembly import (GRADE_LEVELS, GRADE_RATIO, PANEL_ORDER,
-                            PANEL_REAL, TAG_PANEL_LEN, build_master_contour,
-                            panelize)
-from perch.contour import Segment, build_panels, split_points
+from perch.assembly import (GRADE_LEVELS, PANEL_ORDER, PANEL_REAL,
+                            TAG_PANEL_LEN, build_master_contour, panelize)
+from perch.contour import GRADE_RATIO, Segment, build_panels, split_points
 from perch.errors import BadGeometry
 
 
@@ -21,29 +20,27 @@ def test_segment_validation():
         Segment("blob")
 
 
-def test_segment_point_and_length():
+def test_segment_length():
     s = Segment("line", a=0j, b=3 + 4j)
     assert s.length == 5.0
-    assert s.point(0.5) == 1.5 + 2j
     arc = Segment("arc", center=1j, radius=2.0, phi1=0.0, phi2=np.pi / 2)
     assert abs(arc.length - np.pi) < 1e-15
-    assert abs(arc.point(1.0) - (1j + 2j)) < 1e-15
 
 
 def test_split_points_graded_end():
     seg = Segment("line", a=0j, b=1 + 0j, grade_end=True)
-    us = split_points(seg, target_len=0.5, levels=3, ratio=0.5)
+    us = split_points(seg, target_len=0.5, levels=3)
     assert us[0] == 0.0 and us[-1] == 1.0
     assert np.all(np.diff(us) > 0)
     gaps = np.diff(us)
-    # graded end: last gaps halve toward u=1
+    # graded end: last gaps shrink by GRADE_RATIO toward u=1
     assert gaps[-1] < gaps[-2] < gaps[-3]
-    assert abs(gaps[-2] / gaps[-1] - 2.0) < 1e-12
+    assert abs(gaps[-2] / gaps[-1] - 1.0 / GRADE_RATIO) < 1e-12
 
 
 def test_split_points_graded_both_ends():
     seg = Segment("line", a=-1 + 0j, b=1 + 0j, grade_start=True, grade_end=True)
-    us = split_points(seg, target_len=0.7, levels=3, ratio=0.5)
+    us = split_points(seg, target_len=0.7, levels=3)
     gaps = np.diff(us)
     assert gaps[0] < gaps[1] and gaps[-1] < gaps[-2]
 
@@ -60,6 +57,7 @@ def test_panelset_bookkeeping():
         sl = ps.node_slice(q)
         np.testing.assert_array_equal(ps.nodes[sl], ps.panels[q].nodes)
         assert np.all(ps.panel_index[sl] == q)
+        assert np.all(ps.labels[sl] == ps.panels[q].label)
     labels = {p.label for p in ps.panels}
     assert labels == {"left", "top"}
 
@@ -98,7 +96,7 @@ def test_weights_integrate_dz(target, order_bump):
 
 
 def _panels_one_by_one(segments, order, target_len=None, levels=4,
-                       ratio=0.5, per_label_len=None):
+                       per_label_len=None):
     """Reference: each panel's (nodes, weights, mid, half, phic, beta) laid
     one panel at a time, as build_panels laid them before it took a
     segment's panels in one array pass."""
@@ -106,7 +104,7 @@ def _panels_one_by_one(segments, order, target_len=None, levels=4,
     out = []
     for seg in segments:
         tl = (per_label_len or {}).get(seg.label, target_len or seg.length)
-        us = split_points(seg, tl, levels, ratio)
+        us = split_points(seg, tl, levels)
         for u0, u1 in zip(us[:-1], us[1:]):
             if seg.kind == "line":
                 a = seg.a + (seg.b - seg.a) * u0
@@ -157,10 +155,8 @@ GRADED = [
 def test_graded_segments_get_the_bits_of_a_panel_by_panel_layout(order,
                                                                  target,
                                                                  levels):
-    ps = build_panels(GRADED, order=order, target_len=target, levels=levels,
-                      ratio=0.5)
-    _assert_panel_bits(ps, _panels_one_by_one(GRADED, order, target, levels,
-                                              0.5))
+    ps = build_panels(GRADED, order=order, target_len=target, levels=levels)
+    _assert_panel_bits(ps, _panels_one_by_one(GRADED, order, target, levels))
 
 
 @pytest.mark.parametrize("name", ["sr_zero", "sr_bump", "sr_asym",
@@ -169,6 +165,5 @@ def test_master_contours_get_the_bits_of_a_panel_by_panel_layout(request,
                                                                  name):
     mc = build_master_contour(request.getfixturevalue(name))
     _assert_panel_bits(panelize(mc), _panels_one_by_one(
-        mc, PANEL_ORDER, PANEL_REAL, GRADE_LEVELS, GRADE_RATIO,
-        TAG_PANEL_LEN))
+        mc, PANEL_ORDER, PANEL_REAL, GRADE_LEVELS, TAG_PANEL_LEN))
 

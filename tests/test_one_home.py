@@ -7,10 +7,10 @@ reads a cut side, and only the Newton polish of the branch points
 simple-zero check, and the residues take db* from Cauchy's formula on
 their ring, so the package has no difference quotient of (a, b, a*, b*).
 Only jump_stack builds the t-independent jump: an own panel's through
-its memo of one group per region tag, any other node array whole at
-every call, so the own panels' jumps that check_jumps reads are those a
-jump set is served.  Only JumpSpec panelizes the master contour, so its
-per-tag fill and jump_diagnostics read the one PanelSet it keeps (ps),
+its memo in the PanelSet's node order (_own_stack), any other node array
+whole at every call, so the own panels' jumps that check_jumps reads are
+those a jump set is served.  Only JumpSpec panelizes the master contour,
+so its memo and jump_diagnostics read the one PanelSet it keeps (ps),
 the one panelize hands every caller of the same contour.
 Likewise only integrate_transfer builds (through the four-step factors)
 and evaluates the step polynomials, so every integration goes through
@@ -147,15 +147,18 @@ def test_only_the_branch_point_polish_differences_the_trace():
 
 
 def test_only_jump_stack_builds_the_t_independent_jump():
-    # jump_stack keeps J0 per region tag of the own panels; a second
-    # caller of j0_stack would rebuild it around that memo
-    assert package_callers("j0_stack") == ["assembly.JumpSpec.jump_stack"]
+    # jump_stack keeps J0 of every own node, built by _own_stack, and
+    # builds any other node array whole; a third caller of j0_stack would
+    # rebuild it around that memo
+    assert package_callers("j0_stack") == ["assembly.JumpSpec._own_stack",
+                                           "assembly.JumpSpec.jump_stack"]
+    assert package_callers("_own_stack") == ["assembly.JumpSpec.jump_stack"]
 
 
 def test_only_the_jump_spec_panelizes_the_master_contour():
-    # JumpSpec keeps its PanelSet; the per-tag fill and jump_diagnostics
-    # read its panels, and a caller outside the package that panelizes the
-    # same contour gets the same object from panelize's memo
+    # JumpSpec keeps its PanelSet; its memo and jump_diagnostics read
+    # its panels and per-node tags, and a caller outside the package that
+    # panelizes the same contour gets the same object from panelize's memo
     assert package_callers("panelize") == ["assembly.JumpSpec.__init__"]
 
 

@@ -527,6 +527,20 @@ def test_stiffness_guards(sd_bump):
         sd_bump.ab(40.0j)
 
 
+def test_an_empty_k_array_gives_empty_spectral_functions(sd_bump):
+    # the guards pass an array with no k, as integrate_transfer takes one,
+    # and nothing is integrated or stored
+    stored = len(sd_bump._lams)
+    out = sd_bump.ab([])
+    assert [(v.shape, v.dtype) for v in out] == [((0,), complex)] * 4
+    assert len(sd_bump._lams) == stored
+
+
+def test_an_empty_k_array_gives_an_empty_discriminant(sd_bump):
+    delta = sd_bump.floquet_discriminant(np.array([]))
+    assert delta.shape == (0,) and delta.dtype == complex
+
+
 # ---------------------------------------------------------- spectral functions
 
 
